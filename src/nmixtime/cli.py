@@ -1,8 +1,11 @@
 """Command-line interface: simulate, fit, loglik, and validate subcommands.
 
-Exit codes: 0 success, 2 unusable configuration or data, 3 fit completed
-but flagged (non-convergence or a degenerate Hessian), 4 closed-form vs
-summation-oracle disagreement or oracle failure during validation.
+Exit codes: 0 success, 2 unusable configuration or data, or a numeric
+failure the closed forms cannot get past (a series or oracle that does not
+converge, an expansion cap, data outside the density's support), 3 fit
+completed but flagged (non-convergence or a degenerate Hessian), 4
+closed-form vs summation-oracle disagreement or oracle failure during
+validation. Every such failure prints one ``error: ...`` line to stderr.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .datafiles import (
     params_to_dict,
     write_dataset,
 )
-from .errors import DataFormatError, OracleConvergenceError
+from .errors import DataFormatError, NMixTimeError, OracleConvergenceError
 from .estimate import CONDITION_FLAG_THRESHOLD, fit
 from .likelihood import total_loglik
 from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, validate_dataset
@@ -294,10 +297,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # re-raised argparse/validation exits
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (NMixTimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import SeriesConvergenceError
+from .errors import OracleConvergenceError, SeriesConvergenceError
 from .likelihood import irrelevant_constants, total_loglik
 from .model import Dataset, Parameterization
 
@@ -85,21 +85,27 @@ def default_init(dataset: Dataset) -> Parameterization:
 
 
 class _CountedLoglik:
-    """Log-likelihood as a function of the free coefficient vector."""
+    """Log-likelihood as a function of the free coefficient vector.
+
+    A series or oracle that cannot converge at the probed coefficients
+    scores that proposal as impossible and is counted. Errors that depend
+    only on the data (an expansion cap, a record outside the density's
+    support) would make every proposal impossible, so they propagate.
+    """
 
     def __init__(self, dataset: Dataset, template: Parameterization):
         self.dataset = dataset
         self.template = template
         self.n_evals = 0
-        self.series_failures = 0
+        self.convergence_failures = 0
 
     def __call__(self, x: np.ndarray) -> float:
         self.n_evals += 1
         try:
             params = self.template.with_free_values(x)
             value = total_loglik(self.dataset, params).total
-        except SeriesConvergenceError:
-            self.series_failures += 1
+        except (SeriesConvergenceError, OracleConvergenceError):
+            self.convergence_failures += 1
             return -math.inf
         if math.isnan(value):
             return -math.inf
@@ -236,10 +242,10 @@ def fit(
             cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x)
     if not best.success:
         messages.append(f"optimizer stopped without meeting tolerances: {best.message}")
-    if loglik_fn.series_failures:
+    if loglik_fn.convergence_failures:
         messages.append(
-            f"{loglik_fn.series_failures} proposal(s) fell outside the series-convergent "
-            "region and were scored as impossible"
+            f"{loglik_fn.convergence_failures} proposal(s) left a series or the summation "
+            "oracle unconverged and were scored as impossible"
         )
     messages.extend(curv_messages)
 

@@ -6,11 +6,12 @@ with repeat visits is the one place where the exact expression alternates
 in sign; it monitors its own cancellation and falls back to the summation
 oracle when double precision cannot support the expansion.
 
-Kernels return the log joint density of everything the protocol records.
-For three protocols a data-only factor is conventionally dropped from the
-reported value (it shifts the log-likelihood without moving the maximum):
-pass ``include_constants=True`` to keep those factors, which is what any
-AIC computation uses.
+Kernels return the log joint density of everything the protocol records,
+except that for three protocols a data-only factor is conventionally
+dropped (it shifts the log-likelihood without moving the maximum). Those
+factors live only in ``irrelevant_constants``; ``total_loglik(...,
+include_constants=True)`` adds them back, which is what any AIC
+computation uses.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .model import (
     SiteWorkspace,
     _workspace_from_rows,
 )
-from .oracle import OracleConfig, site_loglik_by_summation
+from .oracle import site_loglik_by_summation
 from .special import log_pfq_equal_order, log_poisson_raw_moment, log_sum_exp, safe_exp
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "time_factor_count_t",
     "time_factor_count_t1",
     "site_loglik_poisson_count",
-    "poisson_time_constants",
     "site_loglik",
     "total_loglik",
     "irrelevant_constants",
@@ -244,12 +244,12 @@ def time_factor_count_t(ws: SiteWorkspace) -> float:
     return out
 
 
-def time_factor_count_t1(ws: SiteWorkspace, *, include_constants: bool = False) -> float:
+def time_factor_count_t1(ws: SiteWorkspace) -> float:
     """Log density of each occasion's first detection time given the counts.
 
     The first time is the minimum of y independent truncated exponentials.
-    The count multiplier log(y_j) is a data-only constant, reported when
-    ``include_constants`` is set.
+    The count multiplier log(y_j) is a data-only constant, left to
+    ``irrelevant_constants``.
     """
     out = 0.0
     for j in np.flatnonzero(ws.counts > 0):
@@ -273,8 +273,6 @@ def time_factor_count_t1(ws: SiteWorkspace, *, include_constants: bool = False) 
         out += math.log(h) - h * t1 - yj * math.log(pj)
         if yj > 1:
             out += (yj - 1) * (-h * t1 + math.log(-math.expm1(-h * (t_max - t1))))
-        if include_constants:
-            out += math.log(yj)
     return out
 
 
@@ -298,30 +296,7 @@ def site_loglik_poisson_count(ws: SiteWorkspace) -> float:
     return out + log_poisson_raw_moment(ws.total_count, ws.log_lambda - total_exposure)
 
 
-def poisson_time_constants(ws: SiteWorkspace, family: Family) -> float:
-    """Parameter-free log density of times recorded under the Poisson process.
-
-    Event times are uniform over the search window whatever the rate, so
-    these terms never inform the fit; they matter only when an exact data
-    density (e.g. for AIC) is requested.
-    """
-    out = 0.0
-    for j in np.flatnonzero(ws.counts > 0):
-        yj = int(ws.counts[j])
-        t_max = float(ws.search_time[j])
-        if family is Family.COUNT_T:
-            out += math.lgamma(yj + 1) - yj * math.log(t_max)
-        else:
-            t1 = float(ws.times[j][0])
-            out += math.log(yj) - math.log(t_max)
-            if yj > 1:
-                if t1 >= t_max:
-                    return -math.inf
-                out += (yj - 1) * math.log1p(-t1 / t_max)
-    return out
-
-
-def site_loglik(ws: SiteWorkspace, protocol: Protocol, *, include_constants: bool = False) -> float:
+def site_loglik(ws: SiteWorkspace, protocol: Protocol) -> float:
     """Dispatch one site to the kernel its protocol calls for."""
     family, process = protocol.family, protocol.process
     if family.is_binary:
@@ -329,10 +304,7 @@ def site_loglik(ws: SiteWorkspace, protocol: Protocol, *, include_constants: boo
             return site_loglik_binary_t1(ws)
         return site_loglik_binary(ws)
     if process is ObservationProcess.POISSON_PROCESS:
-        value = site_loglik_poisson_count(ws)
-        if family.records_times and include_constants and value > -math.inf:
-            value += poisson_time_constants(ws, family)
-        return value
+        return site_loglik_poisson_count(ws)
     if ws.counts.size == 1:
         value = site_loglik_count_single(
             int(ws.counts[0]), ws.log_lambda, float(ws.log_rate[0]), float(ws.search_time[0])
@@ -342,41 +314,53 @@ def site_loglik(ws: SiteWorkspace, protocol: Protocol, *, include_constants: boo
     if family is Family.COUNT_T:
         value += time_factor_count_t(ws)
     elif family is Family.COUNT_T1:
-        value += time_factor_count_t1(ws, include_constants=include_constants)
+        value += time_factor_count_t1(ws)
     return value
 
 
+def _site_constants(dataset: Dataset) -> np.ndarray:
+    """Per-site data-only log terms the kernels drop, shape (R,).
+
+    Binomial CountT1 keeps the log(y_j) multiplier of a minimum of y_j
+    arrival times. Under the Poisson process, CountT times are y_j ordered
+    uniforms and a CountT1 first time is the minimum of y_j uniforms, so
+    neither involves the parameters at all.
+    """
+    out = np.zeros(dataset.n_sites)
+    fam, proc = dataset.protocol.family, dataset.protocol.process
+    if not fam.records_times or fam.is_binary:
+        return out
+    binomial = proc is ObservationProcess.BINOMIAL_COUNT
+    if binomial and fam is Family.COUNT_T:
+        return out  # every factor of the all-times density is parameter-bearing
+    for i, rec in enumerate(dataset.records):
+        for j in np.flatnonzero(rec.counts > 0):
+            yj = int(rec.counts[j])
+            t_max = float(dataset.design.search_time[i, j])
+            if binomial:
+                out[i] += math.log(yj)
+            elif fam is Family.COUNT_T:
+                out[i] += math.lgamma(yj + 1) - yj * math.log(t_max)
+            else:
+                t1 = float(rec.times[j][0])
+                out[i] += math.log(yj) - math.log(t_max)
+                if yj > 1:
+                    if t1 >= t_max:
+                        out[i] = -math.inf
+                        break
+                    out[i] += (yj - 1) * math.log1p(-t1 / t_max)
+    return out
+
+
 def irrelevant_constants(dataset: Dataset) -> float:
-    """Data-only log terms the display kernels drop.
+    """Data-only log terms the kernels drop.
 
     These depend on the recorded counts and times but never on the
     parameters, so they shift every log-likelihood by the same amount.
     ``total_loglik(..., include_constants=True)`` equals the plain total
     plus this value; AIC always includes it.
     """
-    fam, proc = dataset.protocol.family, dataset.protocol.process
-    if not fam.records_times or fam.is_binary:
-        return 0.0
-    binomial = proc is ObservationProcess.BINOMIAL_COUNT
-    if binomial and fam is Family.COUNT_T:
-        return 0.0  # every factor of the all-times density is parameter-bearing
-    out = 0.0
-    for i, rec in enumerate(dataset.records):
-        for j in np.flatnonzero(rec.counts > 0):
-            yj = int(rec.counts[j])
-            t_max = float(dataset.design.search_time[i, j])
-            if binomial:
-                out += math.log(yj)  # COUNT_T1 minimum-of-y multiplier
-            elif fam is Family.COUNT_T:
-                out += math.lgamma(yj + 1) - yj * math.log(t_max)
-            else:
-                t1 = float(rec.times[j][0])
-                out += math.log(yj) - math.log(t_max)
-                if yj > 1:
-                    if t1 >= t_max:
-                        return -math.inf
-                    out += (yj - 1) * math.log1p(-t1 / t_max)
-    return out
+    return float(_site_constants(dataset).sum())
 
 
 def total_loglik(
@@ -389,5 +373,7 @@ def total_loglik(
         ws = _workspace_from_rows(
             rec, dataset.design.search_time[i], log_rate[i], float(log_lam[i])
         )
-        per_site[i] = site_loglik(ws, dataset.protocol, include_constants=include_constants)
+        per_site[i] = site_loglik(ws, dataset.protocol)
+    if include_constants:
+        per_site += _site_constants(dataset)
     return LogLik(float(per_site.sum()), per_site, include_constants)

@@ -345,8 +345,7 @@ class SiteWorkspace:
     log_rate: np.ndarray               # (J,) log of per-occasion hazard / event rate
     rate: np.ndarray                   # (J,)
     detect_prob: np.ndarray            # (J,) 1 - exp(-rate * T), binomial thinning probability
-    min_abundance: int                 # largest single-occasion count: no fewer animals than that
-    max_count: int
+    max_count: int                     # largest single-occasion count: no fewer animals than that
     total_count: int
     undetected_exposure: float         # sum of rate * T over occasions with no detection
     detected_exposures: np.ndarray     # rate * T per detection occasion, in occasion order
@@ -371,7 +370,6 @@ def _workspace_from_rows(
     exposure = rate * search_row
     detect_prob = -np.expm1(-exposure)
     detected = y > 0
-    kappa = int(y.max()) if y.size else 0
     undetected_exposure = float(exposure[~detected].sum())
     detected_exposures = exposure[detected]
 
@@ -391,8 +389,7 @@ def _workspace_from_rows(
         log_rate=log_rate_row,
         rate=rate,
         detect_prob=detect_prob,
-        min_abundance=kappa,
-        max_count=kappa,
+        max_count=int(y.max()) if y.size else 0,
         total_count=int(y.sum()),
         undetected_exposure=undetected_exposure,
         detected_exposures=detected_exposures,

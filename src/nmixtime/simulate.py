@@ -15,7 +15,6 @@ import numpy as np
 from .likelihood import site_loglik
 from .model import (
     Dataset,
-    Family,
     ObservationProcess,
     Parameterization,
     Protocol,
@@ -48,65 +47,32 @@ def _stream(seed: int, site: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=[0, 0, site, tag], key=[seed, 0]))
 
 
-def _occasion_binomial(
-    family: Family,
-    rng: np.random.Generator,
-    n: int,
-    rate: float,
-    t_max: float,
-) -> tuple[int, np.ndarray]:
-    """One occasion under binomial thinning: (count, recorded times)."""
-    none = np.empty(0)
-    if n == 0 or rate <= 0.0:
-        return 0, none
-    p = -math.expm1(-rate * t_max)
-    if family is Family.BINARY:
-        return int(rng.random() < p), none
-    if family is Family.BINARY_T1:
-        # the first of n competing exponential arrivals is exponential with rate n * rate
-        t_min = rng.exponential(1.0 / (n * rate))
-        if t_min <= t_max:
-            return 1, np.array([t_min])
-        return 0, none
-    if family is Family.COUNT:
-        return int(rng.binomial(n, p)), none
-    arrivals = rng.exponential(1.0 / rate, size=n)
-    detected = np.sort(arrivals[arrivals <= t_max])
-    y = int(detected.size)
-    if family is Family.COUNT_T:
-        return y, detected
-    # COUNT_T1 records only the first detection time
-    if y == 0:
-        return 0, none
-    return y, detected[:1].copy()
+def _occasion_counts(
+    process: ObservationProcess, rng: np.random.Generator, n, rate: float, t_max: float
+):
+    """Detections on one occasion for abundance n (an int or an array of them).
+
+    Binomial thinning detects each individual with probability 1 - exp(-h T);
+    under the Poisson process each individual emits Poisson(h T) events.
+    """
+    if process is ObservationProcess.BINOMIAL_COUNT:
+        return rng.binomial(n, -math.expm1(-rate * t_max))
+    return rng.poisson(n * rate * t_max)
 
 
-def _occasion_poisson(
-    family: Family,
-    rng: np.random.Generator,
-    n: int,
-    rate: float,
-    t_max: float,
-) -> tuple[int, np.ndarray]:
-    """One occasion where each of n individuals emits a Poisson event stream."""
-    none = np.empty(0)
-    if n == 0 or rate <= 0.0:
-        return 0, none
-    if family is Family.BINARY_T1:
-        t_min = rng.exponential(1.0 / (n * rate))
-        if t_min <= t_max:
-            return 1, np.array([t_min])
-        return 0, none
-    events = int(rng.poisson(n * rate * t_max))
-    if family is Family.BINARY:
-        return int(events > 0), none
-    if family is Family.COUNT or events == 0:
-        return events, none
-    # event times of a homogeneous stream are uniform over the window
-    times = np.sort(rng.uniform(0.0, t_max, size=events))
-    if family is Family.COUNT_T:
-        return events, times
-    return events, times[:1].copy()
+def _occasion_times(
+    process: ObservationProcess, rng: np.random.Generator, y: int, rate: float, t_max: float
+) -> np.ndarray:
+    """Sorted times of y detections on one occasion, given that there were y."""
+    if process is ObservationProcess.BINOMIAL_COUNT:
+        # inverse CDF of an Exp(rate) waiting time truncated to [0, t_max];
+        # the clip absorbs rounding at u -> 1
+        u = rng.random(y)
+        times = np.minimum(-np.log1p(u * math.expm1(-rate * t_max)) / rate, t_max)
+    else:
+        # event times of a homogeneous stream are uniform over the window
+        times = rng.uniform(0.0, t_max, size=y)
+    return np.sort(times)
 
 
 def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
@@ -115,12 +81,7 @@ def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
     log_lam, log_rate = cfg.params.resolve(design)
     lam = np.exp(log_lam)
     rate = np.exp(log_rate)
-    occasion_fn = (
-        _occasion_binomial
-        if cfg.protocol.process is ObservationProcess.BINOMIAL_COUNT
-        else _occasion_poisson
-    )
-    family = cfg.protocol.family
+    family, process = cfg.protocol.family, cfg.protocol.process
 
     abundances = np.empty(design.n_sites, dtype=np.int64)
     records = []
@@ -131,9 +92,15 @@ def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
         times: list[np.ndarray] = []
         for j in range(design.n_occasions):
             rng = _stream(cfg.seed, i, _OCCASION_STREAM_BASE + j)
-            y, tj = occasion_fn(family, rng, n_i, float(rate[i, j]), float(design.search_time[i, j]))
-            counts[j] = y
-            times.append(tj if family.records_times else np.empty(0))
+            h, t_max = float(rate[i, j]), float(design.search_time[i, j])
+            y = int(_occasion_counts(process, rng, n_i, h, t_max))
+            tj = np.empty(0)
+            if y > 0 and family.records_times:
+                tj = _occasion_times(process, rng, y, h, t_max)
+                if family.records_first_time:
+                    tj = tj[:1]
+            counts[j] = min(y, 1) if family.is_binary else y
+            times.append(tj)
         records.append(SiteRecord(i, counts, times))
     return Dataset(cfg.protocol, design, records), abundances
 
@@ -141,36 +108,6 @@ def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
 def simulate_dataset(cfg: SimConfig) -> Dataset:
     """Simulate a dataset. Identical config (seed included) gives identical data."""
     return simulate_with_latent(cfg)[0]
-
-
-def _batch_counts(
-    proto: Protocol,
-    rng: np.random.Generator,
-    lam: float,
-    rate: np.ndarray,
-    search: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Draw per-occasion counts for `size` independent sites at once.
-
-    Same distribution as simulate_dataset, but vectorized across sites for
-    frequency checks; detection times are not materialized.
-    """
-    n = rng.poisson(lam, size=size)
-    j_total = rate.size
-    out = np.empty((size, j_total), dtype=np.int64)
-    for j in range(j_total):
-        exposure = float(rate[j] * search[j])
-        if proto.process is ObservationProcess.BINOMIAL_COUNT:
-            p = -math.expm1(-exposure)
-            if proto.family.is_binary:
-                out[:, j] = rng.random(size) < -np.expm1(-n * exposure)
-            else:
-                out[:, j] = rng.binomial(n, p)
-        else:
-            events = rng.poisson(n * exposure)
-            out[:, j] = (events > 0) if proto.family.is_binary else events
-    return out
 
 
 def empirical_pmf_check(
@@ -205,15 +142,18 @@ def empirical_pmf_check(
         raise ValueError(f"pattern {pattern.tolist()} has zero probability; nothing to check")
 
     lam = float(np.exp(log_lam[site]))
-    rate = np.exp(log_rate[site])
-    search = np.asarray(cfg.design.search_time[site], dtype=float)
+    cells = list(zip(np.exp(log_rate[site]).tolist(), cfg.design.search_time[site].tolist()))
+    process = cfg.protocol.process
     # key word 1 set to 1 keeps this stream disjoint from every _stream() family
     rng = np.random.Generator(np.random.Philox(counter=[0, 0, site, 0], key=[cfg.seed, 1]))
     hits = 0
     left = int(n_draws)
     while left > 0:
         b = min(block, left)
-        counts = _batch_counts(cfg.protocol, rng, lam, rate, search, b)
+        n = rng.poisson(lam, size=b)
+        counts = np.column_stack([_occasion_counts(process, rng, n, h, t) for h, t in cells])
+        if cfg.protocol.family.is_binary:
+            counts = np.minimum(counts, 1)
         hits += int(np.all(counts == pattern, axis=1).sum())
         left -= b
     empirical = hits / n_draws

@@ -153,26 +153,38 @@ def log_pfq_equal_order(a, b, z: float, *, tol: float = 1e-13, max_terms: int = 
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"parameter vectors must have equal length, got {a.size} and {b.size}")
-    if np.any(a <= 0) or np.any(b <= 0):
+    upper, lower = sorted(a.tolist()), sorted(b.tolist())
+    if any(x <= 0 for x in upper + lower):
         raise ValueError("hypergeometric parameters must be positive")
     if z < 0:
         raise ValueError(f"series argument must be nonnegative, got {z}")
     if z == 0.0:
         return 0.0
-    if np.array_equal(np.sort(a), np.sort(b)):
+    if upper == lower:
         return float(z)  # pFq(a; a; z) = exp(z)
 
-    log_z = math.log(z)
+    # scalar math: the vectors are short and numpy's per-call overhead
+    # would dominate every term
+    log = math.log
+    log_z = log(z)
+    log_tol = log(tol)
     log_term = 0.0
     log_sum = 0.0
     for n in range(max_terms):
-        log_ratio = float(np.sum(np.log(a + n)) - np.sum(np.log(b + n))) + log_z - math.log(n + 1)
+        log_ratio = (
+            sum([log(x + n) for x in upper]) - sum([log(x + n) for x in lower])
+            + log_z - log(n + 1)
+        )
         log_term += log_ratio
-        log_sum = float(np.logaddexp(log_sum, log_term))
+        # log(e^log_sum + e^log_term), with the larger one factored out
+        if log_sum >= log_term:
+            log_sum += math.log1p(math.exp(log_term - log_sum))
+        else:
+            log_sum = log_term + math.log1p(math.exp(log_sum - log_term))
         if log_ratio < 0.0:
             r = math.exp(log_ratio)  # ratios decrease, so r bounds all later ones
             log_tail = log_term + log_ratio - math.log1p(-r)
-            if log_tail - log_sum < math.log(tol):
+            if log_tail - log_sum < log_tol:
                 return log_sum
     raise SeriesConvergenceError(
         f"hypergeometric series did not meet tolerance {tol} within {max_terms} terms",

@@ -220,3 +220,17 @@ def test_loglik_poisson_times_note_in_validate(tmp_path, capsys):
     ]) == 0
     report = json.loads(capsys.readouterr().out)
     assert any("uninformative" in note for note in report["notes"])
+
+
+def test_loglik_series_failure_exits_config(tmp_path, capsys):
+    # z = lambda * exp(-sum h T) near 5e4 is past the hypergeometric series' term cap
+    cfg = sim_config(tmp_path, model="Count", sites=2, **{"lambda": 5e4, "rate": 0.01})
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    params = write_json(tmp_path / "p.json", {"lambda": 5e4, "rate": 0.01})
+    capsys.readouterr()
+    code = main(["loglik", "--data", str(data), "--model", "Count", "--params", params])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import nmixtime.estimate
+from nmixtime.errors import ExpansionCapError, OracleConvergenceError
 from nmixtime.estimate import (
+    _CountedLoglik,
     default_init,
     finite_difference_hessian,
     fit,
@@ -139,3 +142,22 @@ def test_fit_reports_eval_count_and_messages_list():
     res = fit(ds)
     assert res.n_evals > 0
     assert isinstance(res.messages, list)
+
+
+def test_unconverged_proposal_scores_impossible_and_data_errors_propagate(monkeypatch):
+    ds, truth = simulated(Family.COUNT, 5, 2, 2.0, 1.0, seed=3)
+    loglik_fn = _CountedLoglik(ds, truth)
+
+    def oracle_fails(*args, **kwargs):
+        raise OracleConvergenceError("tail bound not met", -1.0, 10)
+
+    monkeypatch.setattr(nmixtime.estimate, "total_loglik", oracle_fails)
+    assert loglik_fn(truth.free_values()) == -math.inf
+    assert loglik_fn.convergence_failures == 1
+
+    def cap_exceeded(*args, **kwargs):
+        raise ExpansionCapError(25, 20)
+
+    monkeypatch.setattr(nmixtime.estimate, "total_loglik", cap_exceeded)
+    with pytest.raises(ExpansionCapError):
+        loglik_fn(truth.free_values())

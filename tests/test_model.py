@@ -147,14 +147,14 @@ class TestWorkspace:
         ws = build_workspace(ds, Parameterization(0.0, 0.0), 0)
         assert ws.undetected_exposure == pytest.approx(1.0)
         assert np.allclose(ws.detected_exposures, [1.0])
-        assert ws.min_abundance == 1
+        assert ws.max_count == 1
 
     def test_all_zero_record(self):
         ds = dataset(Family.BINARY, BIN, [[0, 0, 0]], search_time=0.5)
         ws = build_workspace(ds, Parameterization(0.0, 0.0), 0)
         assert ws.undetected_exposure == pytest.approx(1.5)
         assert ws.detected_exposures.size == 0
-        assert ws.min_abundance == 0
+        assert ws.max_count == 0
 
     def test_count_summaries(self):
         ds = dataset(Family.COUNT, BIN, [[2, 3]], search_time=10.0)
@@ -162,7 +162,6 @@ class TestWorkspace:
         assert np.allclose(ws.detect_prob, [1 - math.exp(-1.0), 1 - math.exp(-2.0)])
         assert ws.max_count == 3
         assert ws.total_count == 5
-        assert ws.min_abundance == 3
 
     def test_first_detection_time_exposure(self):
         ds = dataset(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nmixtime.model import (
     Family,
@@ -143,12 +144,15 @@ class TestEmpiricalFrequencies:
         assert out["exact"] == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert abs(out["z_score"]) < 4
 
-    def test_batch_law_matches_per_site_simulator(self):
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("process", [BIN, POI], ids=["binomial", "poisson"])
+    @pytest.mark.parametrize("family", [Family.BINARY, Family.COUNT], ids=lambda f: f.value)
+    def test_batch_law_matches_per_site_simulator(self, family, process, j):
         # the vectorized checker and the per-site simulator draw from
         # different streams but must share one distribution
-        cfg = config(Family.COUNT, BIN, 4000, 2, 2.0, 1.0, seed=31)
+        cfg = config(family, process, 4000, j, 2.0, 1.0, seed=31)
         ds = simulate_dataset(cfg)
-        pattern = np.array([1, 0])
+        pattern = np.array([1, 0][:j])
         freq = np.mean([np.array_equal(rec.counts, pattern) for rec in ds.records])
         out = empirical_pmf_check(cfg, pattern, 200_000)
         se = math.sqrt(out["exact"] * (1 - out["exact"]) / 4000)
@@ -168,6 +172,21 @@ class TestEmpiricalFrequencies:
         cfg = config(Family.COUNT, BIN, 1, 2, 1.0, 1.0)
         with pytest.raises(ValueError, match="one count per occasion"):
             empirical_pmf_check(cfg, [1], 100)
+
+
+@pytest.mark.parametrize("process", [BIN, POI], ids=["binomial", "poisson"])
+def test_first_detection_time_law(process):
+    # a detected first time t has P(T1 <= t) = 1 - exp(-lam (1 - e^{-h t})),
+    # under both processes, conditioned on detection by the window end
+    lam, h, t_max = 2.0, 0.8, 1.5
+    ds = simulate_dataset(config(Family.BINARY_T1, process, 5000, 1, lam, h, t_max, seed=41))
+    first = np.concatenate([rec.times[0] for rec in ds.records])
+    assert first.size == sum(int(rec.counts[0]) for rec in ds.records)
+
+    def cdf(t):
+        return np.expm1(-lam * -np.expm1(-h * t)) / math.expm1(-lam * -math.expm1(-h * t_max))
+
+    assert stats.kstest(first, cdf).pvalue > 1e-3
 
 
 def test_seed_validation():
