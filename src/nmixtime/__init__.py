@@ -19,7 +19,6 @@ from .likelihood import (
     LogLik,
     SUBSET_EXPANSION_CAP,
     irrelevant_constants,
-    site_loglik,
     total_loglik,
 )
 from .model import (
@@ -75,7 +74,6 @@ __all__ = [
     "profile_loglik",
     "simulate_dataset",
     "simulate_with_latent",
-    "site_loglik",
     "total_loglik",
     "validate_dataset",
     "__version__",

@@ -9,6 +9,7 @@ optionally detection times or the time of the first detection).
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -204,6 +205,18 @@ class Dataset:
 
     def counts_matrix(self) -> np.ndarray:
         return np.vstack([r.counts for r in self.records])
+
+    @functools.cached_property
+    def site_data(self):
+        """Data-only arrays the likelihood kernels read, built on first use.
+
+        A record the protocol's density cannot score raises here, on every
+        access until the data are fixed; a successful pass is kept for the
+        life of the dataset, which is immutable.
+        """
+        from .likelihood import data_pass  # that module imports this one
+
+        return data_pass(self)
 
 
 @dataclass(frozen=True)

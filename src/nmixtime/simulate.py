@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import site_loglik
+from .likelihood import total_loglik
 from .model import (
     Dataset,
     ObservationProcess,
@@ -20,7 +20,6 @@ from .model import (
     Protocol,
     SiteRecord,
     SurveyDesign,
-    _workspace_from_rows,
 )
 
 __all__ = ["SimConfig", "simulate_dataset", "simulate_with_latent", "empirical_pmf_check"]
@@ -131,13 +130,12 @@ def empirical_pmf_check(
             f"pattern must have one count per occasion ({cfg.design.n_occasions})"
         )
     log_lam, log_rate = cfg.params.resolve(cfg.design)
-    ws = _workspace_from_rows(
-        SiteRecord(site, pattern),
-        cfg.design.search_time[site],
-        log_rate[site],
-        float(log_lam[site]),
+    one_site = Dataset(
+        cfg.protocol,
+        SurveyDesign(1, cfg.design.n_occasions, cfg.design.search_time[site]),
+        [SiteRecord(0, pattern)],
     )
-    exact = math.exp(site_loglik(ws, cfg.protocol))
+    exact = math.exp(total_loglik(one_site, Parameterization(log_lam[site], log_rate[site])).total)
     if exact <= 0.0:
         raise ValueError(f"pattern {pattern.tolist()} has zero probability; nothing to check")
 

@@ -26,31 +26,39 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-def safe_exp(x: float) -> float:
+def safe_exp(x):
     """exp(x) clamped to the largest finite double instead of overflowing.
 
     Optimizers probing extreme log-scale values need a finite, monotone
     objective out there, not an OverflowError or a NaN from inf arithmetic.
+    A scalar gives a float; an array gives an array of the same shape.
     """
-    if x > 709.0:
-        return sys.float_info.max
-    return math.exp(x)
+    if np.ndim(x) == 0:
+        if x > 709.0:
+            return sys.float_info.max
+        return math.exp(x)
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 709.0, sys.float_info.max, np.exp(np.minimum(x, 709.0)))
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(values))) with the usual max shift.
+def log_sum_exp(values, axis=None):
+    """log(sum(exp(values))) with the usual max shift, over ``axis``.
 
     Empty input and all three of ``[]``, ``[-inf]``, ``[-inf, -inf]`` give
     -inf (a sum of zero terms is zero). A +inf entry propagates to +inf.
+    With ``axis=None`` the whole input is reduced to a float; otherwise
+    the result is an array without that axis.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(np.max(arr))
-    if not np.isfinite(m):
-        # all -inf, or a +inf/nan entry which should dominate the result
-        return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    m = np.max(arr, axis=axis, keepdims=True, initial=NEG_INF)
+    finite = np.isfinite(m)
+    # all -inf, or a +inf/nan entry which should dominate the result: keep m
+    with np.errstate(divide="ignore"):
+        s = np.log(np.sum(np.exp(arr - np.where(finite, m, 0.0)), axis=axis, keepdims=True))
+    out = np.where(finite, m + s, m)
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)
 
 
 class Stirling2Table:
@@ -116,78 +124,103 @@ def log_stirling2(n: int, k: int) -> float:
     return _TABLE.log_value(n, k)
 
 
-def log_poisson_raw_moment(m: int, log_mu: float) -> float:
+def log_poisson_raw_moment(m: int, log_mu):
     """log E[N^m] for N ~ Poisson(mu), passed as log mu.
 
     Uses the moment expansion E[N^m] = sum_k S(m, k) mu^k, which turns the
     infinite Poisson series into a finite sum of m log-space terms. m = 0
     gives 0 (the zeroth moment is 1) for any mu >= 0, including mu = 0.
+    The order is one integer; ``log_mu`` may be a float or an array, and
+    the result has its shape.
     """
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
+    log_mu = np.asarray(log_mu, dtype=float)
     if m == 0:
-        return 0.0
-    if math.isnan(log_mu):
+        return 0.0 if log_mu.ndim == 0 else np.zeros(log_mu.shape)
+    if np.any(np.isnan(log_mu)):
         raise ValueError("log_mu must not be NaN")
-    if log_mu == NEG_INF:
-        return NEG_INF  # E[N^m] = 0 when the rate is zero and m >= 1
-    row = _TABLE.log_row(m)
+    # a zero rate (log_mu = -inf) makes every k >= 1 term -inf: E[N^m] = 0
+    row = _TABLE.log_row(m)[1:]
     ks = np.arange(1, m + 1)
-    return log_sum_exp(row[1:] + ks * log_mu)
+    out = log_sum_exp(row + ks * log_mu[..., None], axis=-1)
+    return float(out) if log_mu.ndim == 0 else out
 
 
-def log_pfq_equal_order(a, b, z: float, *, tol: float = 1e-13, max_terms: int = 10_000) -> float:
+# Terms summed in the first pass of the hypergeometric series; each later
+# pass doubles the chunk, so a row needing n terms costs at most ~2n.
+_FIRST_CHUNK = 16
+
+
+def log_pfq_equal_order(a, b, z, *, tol: float = 1e-13, max_terms: int = 10_000):
     """log pFq(a; b; z) for equal-length positive parameter vectors and z >= 0.
 
     Every series term is positive, so the partial sums are accumulated in
     log space with logaddexp and no cancellation occurs. Terms follow the
     ratio recurrence t_{n+1}/t_n = prod(a+n)/prod(b+n) * z/(n+1); once that
     ratio drops below 1 the remaining tail is bounded geometrically and the
-    loop stops when the bound falls below ``tol`` relative to the running
+    sum stops when the bound falls below ``tol`` relative to the running
     sum.
 
-    Raises SeriesConvergenceError (carrying the partial sum) if the bound
-    is not met within ``max_terms`` terms.
+    ``a`` and ``b`` may also be (R, p) arrays with ``z`` of shape (R,):
+    each row is an independent series and the result is an (R,) array.
+    Rows are summed together in chunks of terms that double in length,
+    and each row stops at its own first term that meets the bound.
+
+    Raises SeriesConvergenceError (carrying the partial sum of the first
+    row that failed) if any row does not meet the bound within
+    ``max_terms`` terms.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"parameter vectors must have equal length, got {a.size} and {b.size}")
-    upper, lower = sorted(a.tolist()), sorted(b.tolist())
-    if any(x <= 0 for x in upper + lower):
+    rowwise = a.ndim == 2
+    upper = np.sort(np.atleast_2d(a), axis=1)
+    lower = np.sort(np.atleast_2d(b), axis=1)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (upper.shape[0],):
+        raise ValueError(f"need one series argument per parameter row, got shape {z.shape}")
+    if np.any(upper <= 0) or np.any(lower <= 0):
         raise ValueError("hypergeometric parameters must be positive")
-    if z < 0:
-        raise ValueError(f"series argument must be nonnegative, got {z}")
-    if z == 0.0:
-        return 0.0
-    if upper == lower:
-        return float(z)  # pFq(a; a; z) = exp(z)
+    if np.any(z < 0):
+        raise ValueError(f"series argument must be nonnegative, got {z.min()}")
 
-    # scalar math: the vectors are short and numpy's per-call overhead
-    # would dominate every term
-    log = math.log
-    log_z = log(z)
-    log_tol = log(tol)
-    log_term = 0.0
-    log_sum = 0.0
-    for n in range(max_terms):
+    out = np.zeros(z.shape)
+    same = np.all(upper == lower, axis=1)
+    out[same] = z[same]  # pFq(a; a; z) = exp(z)
+    rows = np.flatnonzero(~same & (z > 0))  # z = 0 leaves the leading term, 1
+    upper, lower, log_z = upper[rows, :, None], lower[rows, :, None], np.log(z[rows])
+    log_tol = math.log(tol)
+    log_term = np.zeros(rows.size)
+    log_sum = np.zeros(rows.size)
+    start, length = 0, _FIRST_CHUNK
+    while rows.size and start < max_terms:
+        n = np.arange(start, min(start + length, max_terms), dtype=float)
         log_ratio = (
-            sum([log(x + n) for x in upper]) - sum([log(x + n) for x in lower])
-            + log_z - log(n + 1)
+            np.log(upper + n).sum(axis=1) - np.log(lower + n).sum(axis=1)
+            + log_z[:, None] - np.log(n + 1.0)
         )
-        log_term += log_ratio
-        # log(e^log_sum + e^log_term), with the larger one factored out
-        if log_sum >= log_term:
-            log_sum += math.log1p(math.exp(log_term - log_sum))
-        else:
-            log_sum = log_term + math.log1p(math.exp(log_sum - log_term))
-        if log_ratio < 0.0:
-            r = math.exp(log_ratio)  # ratios decrease, so r bounds all later ones
-            log_tail = log_term + log_ratio - math.log1p(-r)
-            if log_tail - log_sum < log_tol:
-                return log_sum
-    raise SeriesConvergenceError(
-        f"hypergeometric series did not meet tolerance {tol} within {max_terms} terms",
-        log_sum,
-        max_terms,
-    )
+        # prepend the carried values so each row adds its terms in order
+        terms = np.cumsum(np.column_stack([log_term, log_ratio]), axis=1)[:, 1:]
+        sums = np.logaddexp.accumulate(np.column_stack([log_sum, terms]), axis=1)[:, 1:]
+        # ratios decrease, so once one is below 1 it bounds all later ones
+        falling = log_ratio < 0.0
+        log_r = np.where(falling, log_ratio, -1.0)
+        log_tail = terms + log_r - np.log(-np.expm1(log_r))
+        done = falling & (log_tail - sums < log_tol)
+        first = np.argmax(done, axis=1)
+        hit = done[np.arange(rows.size), first]
+        out[rows[hit]] = sums[hit, first[hit]]
+        keep = ~hit
+        rows, upper, lower, log_z = rows[keep], upper[keep], lower[keep], log_z[keep]
+        log_term, log_sum = terms[keep, -1], sums[keep, -1]
+        start += n.size
+        length *= 2
+    if rows.size:
+        raise SeriesConvergenceError(
+            f"hypergeometric series did not meet tolerance {tol} within {max_terms} terms",
+            float(log_sum[0]),
+            max_terms,
+        )
+    return out if rowwise else float(out[0])

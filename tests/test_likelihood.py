@@ -13,15 +13,13 @@ from scipy.integrate import quad
 from scipy.stats import poisson
 
 import bruteforce as bf
-from nmixtime.errors import ExpansionCapError, LikelihoodDomainError, NumericalFallbackWarning
-from nmixtime.likelihood import (
-    irrelevant_constants,
-    site_loglik_binary,
-    site_loglik_binary_t1,
-    time_factor_count_t,
-    time_factor_count_t1,
-    total_loglik,
+from nmixtime.errors import (
+    ExpansionCapError,
+    LikelihoodDomainError,
+    NMixTimeError,
+    NumericalFallbackWarning,
 )
+from nmixtime.likelihood import irrelevant_constants, total_loglik
 from nmixtime.model import (
     Dataset,
     Family,
@@ -30,8 +28,8 @@ from nmixtime.model import (
     Protocol,
     SiteRecord,
     SurveyDesign,
-    build_workspace,
 )
+from nmixtime.oracle import oracle_site_loglik
 from nmixtime.simulate import SimConfig, simulate_dataset
 
 BIN = ObservationProcess.BINOMIAL_COUNT
@@ -46,10 +44,21 @@ def one_site(family, process, counts, times=None, search_time=1.0):
     return Dataset(proto, design, [SiteRecord(0, counts, t)])
 
 
-def workspace(family, process, counts, times=None, search_time=1.0, lam=1.0, h=1.0):
+def loglik(family, process, counts, times=None, search_time=1.0, lam=1.0, h=1.0, **kw):
+    """Total log-likelihood of a one-site dataset."""
     ds = one_site(family, process, counts, times, search_time)
     h = np.asarray(h, dtype=float)
-    return build_workspace(ds, Parameterization(math.log(lam), np.log(h)), 0)
+    return total_loglik(ds, Parameterization(math.log(lam), np.log(h)), **kw).total
+
+
+def time_factor(family, counts, times, search_time=1.0, h=1.0, **kw):
+    """Log density of a site's recorded times given its counts (binomial).
+
+    The same counts scored with and without their times differ by exactly
+    this factor.
+    """
+    with_times = loglik(family, BIN, counts, times, search_time, h=h, **kw)
+    return with_times - loglik(Family.COUNT, BIN, counts, None, search_time, h=h)
 
 
 # (family, process, counts, times, search_time, rate, lambda, frozen log density)
@@ -102,14 +111,13 @@ def test_display_form_differs_by_data_constant(case):
 
 class TestBinaryKernel:
     def test_single_visit_zero_record(self):
-        ws = workspace(Family.BINARY, BIN, [0])
-        assert site_loglik_binary(ws) == pytest.approx(-(1 - math.exp(-1)), abs=1e-12)
+        got = loglik(Family.BINARY, BIN, [0])
+        assert got == pytest.approx(-(1 - math.exp(-1)), abs=1e-12)
 
     def test_two_visit_analytic_expansion(self):
-        ws = workspace(Family.BINARY, BIN, [1, 0])
         want = math.log(math.exp(-(1 - math.exp(-1))) - math.exp(-(1 - math.exp(-2))))
         assert want == pytest.approx(-2.204815598302638, abs=1e-14)
-        assert site_loglik_binary(ws) == pytest.approx(want, abs=1e-12)
+        assert loglik(Family.BINARY, BIN, [1, 0]) == pytest.approx(want, abs=1e-12)
 
     def test_detection_impossible_without_individuals(self):
         ds = one_site(Family.BINARY, BIN, [1])
@@ -118,25 +126,20 @@ class TestBinaryKernel:
 
     def test_expansion_cap(self):
         j = 25
-        ws = workspace(Family.BINARY, BIN, np.ones(j, dtype=int), search_time=np.full(j, 1.0), h=np.full(j, 1.0))
         with pytest.raises(ExpansionCapError):
-            site_loglik_binary(ws)
+            loglik(Family.BINARY, BIN, np.ones(j, dtype=int), search_time=np.full(j, 1.0), h=np.full(j, 1.0))
         # at the cap the expansion is attempted; this width cancels too much,
         # so the guard hands the site to the summation oracle
         mixed = np.zeros(j, dtype=int)
         mixed[:20] = 1
-        ws2 = workspace(Family.BINARY, BIN, mixed, search_time=np.full(j, 1.0), h=np.full(j, 0.3), lam=2.0)
         with pytest.warns(NumericalFallbackWarning):
-            val = site_loglik_binary(ws2)
+            val = loglik(Family.BINARY, BIN, mixed, search_time=np.full(j, 1.0), h=np.full(j, 0.3), lam=2.0)
         want = bf.site_log_density(Family.BINARY, BIN, mixed, None, np.full(j, 1.0), np.full(j, 0.3), 2.0)
         assert val == pytest.approx(want, rel=1e-9)
 
     def test_cancellation_falls_back_to_summation(self):
-        ws = workspace(
-            Family.BINARY, BIN, [1, 1], search_time=[1.0, 1.0], h=[1e-9, 1e-9], lam=0.5
-        )
         with pytest.warns(NumericalFallbackWarning):
-            got = site_loglik_binary(ws)
+            got = loglik(Family.BINARY, BIN, [1, 1], search_time=[1.0, 1.0], h=[1e-9, 1e-9], lam=0.5)
         want = bf.site_log_density(
             Family.BINARY, BIN, [1, 1], None, [1.0, 1.0], [1e-9, 1e-9], 0.5
         )
@@ -145,14 +148,13 @@ class TestBinaryKernel:
 
 class TestFirstTimeKernel:
     def test_single_visit_display_value(self):
-        ws = workspace(Family.BINARY_T1, BIN, [1], [[0.5]])
         want = -(1 - math.exp(-0.5)) - 0.5
-        assert site_loglik_binary_t1(ws) == pytest.approx(want, abs=1e-12)
+        assert loglik(Family.BINARY_T1, BIN, [1], [[0.5]]) == pytest.approx(want, abs=1e-12)
 
     def test_zero_detections_reduce_to_binary(self):
-        ws_t = workspace(Family.BINARY_T1, BIN, [0, 0], [[], []], search_time=[1.0, 0.7], h=[0.9, 1.3], lam=2.0)
-        ws_b = workspace(Family.BINARY, BIN, [0, 0], search_time=[1.0, 0.7], h=[0.9, 1.3], lam=2.0)
-        assert site_loglik_binary_t1(ws_t) == pytest.approx(site_loglik_binary(ws_b), rel=1e-14)
+        got_t = loglik(Family.BINARY_T1, BIN, [0, 0], [[], []], search_time=[1.0, 0.7], h=[0.9, 1.3], lam=2.0)
+        got_b = loglik(Family.BINARY, BIN, [0, 0], search_time=[1.0, 0.7], h=[0.9, 1.3], lam=2.0)
+        assert got_t == pytest.approx(got_b, rel=1e-14)
 
     def test_two_detection_mixture(self):
         ds = one_site(Family.BINARY_T1, BIN, [1, 1], [[0.3], [0.7]])
@@ -220,38 +222,33 @@ class TestCountKernels:
 
 class TestTimeFactors:
     def test_all_zero_counts_contribute_nothing(self):
-        ws = workspace(Family.COUNT_T, BIN, [0, 0], [[], []])
-        assert time_factor_count_t(ws) == 0.0
+        assert time_factor(Family.COUNT_T, [0, 0], [[], []]) == 0.0
 
     def test_two_times_single_occasion(self):
-        ws = workspace(Family.COUNT_T, BIN, [2], [[0.2, 0.5]])
         want = -0.7 - 2.0 * math.log(1 - math.exp(-1))
-        assert time_factor_count_t(ws) == pytest.approx(want, abs=1e-12)
+        assert time_factor(Family.COUNT_T, [2], [[0.2, 0.5]]) == pytest.approx(want, abs=1e-12)
 
     def test_factor_grows_with_rate_when_times_are_early(self):
         vals = []
         for h in (0.01, 0.02, 0.04):
-            ws = workspace(Family.COUNT_T, BIN, [1], [[1e-9]], h=[h])
-            vals.append(time_factor_count_t(ws))
+            vals.append(time_factor(Family.COUNT_T, [1], [[1e-9]], h=[h]))
         assert vals[0] < vals[1] < vals[2]
 
     def test_first_time_single_detection(self):
-        ws = workspace(Family.COUNT_T1, BIN, [1], [[0.4]])
         want = -0.4 - math.log(1 - math.exp(-1))
-        assert time_factor_count_t1(ws) == pytest.approx(want, abs=1e-12)
+        assert time_factor(Family.COUNT_T1, [1], [[0.4]]) == pytest.approx(want, abs=1e-12)
 
     def test_first_time_equals_full_times_when_single(self):
-        ws1 = workspace(Family.COUNT_T1, BIN, [1], [[0.4]], h=[0.7], search_time=[1.3])
-        wsT = workspace(Family.COUNT_T, BIN, [1], [[0.4]], h=[0.7], search_time=[1.3])
-        assert time_factor_count_t1(ws1) == pytest.approx(time_factor_count_t(wsT), rel=1e-14)
+        first = time_factor(Family.COUNT_T1, [1], [[0.4]], h=[0.7], search_time=[1.3])
+        every = time_factor(Family.COUNT_T, [1], [[0.4]], h=[0.7], search_time=[1.3])
+        assert first == pytest.approx(every, rel=1e-14)
 
     def test_first_time_density_of_minimum(self):
         # y=3: the factor plus its combinatorial constant is the density of the
         # smallest of three truncated-exponential arrival times
         t1 = 0.1
-        ws = workspace(Family.COUNT_T1, BIN, [3], [[t1]])
         constant = irrelevant_constants(one_site(Family.COUNT_T1, BIN, [3], [[t1]]))
-        got = time_factor_count_t1(ws) + constant
+        got = time_factor(Family.COUNT_T1, [3], [[t1]]) + constant
         p1 = 1 - math.exp(-1)
         want = math.log(3.0) - t1 + 2.0 * math.log(math.exp(-t1) - math.exp(-1)) - 3.0 * math.log(p1)
         assert got == pytest.approx(want, abs=1e-12)
@@ -267,17 +264,15 @@ class TestTimeFactors:
         empirical = float(np.mean((mins >= lo) & (mins < hi)))
 
         def density(t):
-            ws = workspace(Family.COUNT_T1, BIN, [3], [[t]])
             constant = irrelevant_constants(one_site(Family.COUNT_T1, BIN, [3], [[t]]))
-            return math.exp(time_factor_count_t1(ws) + constant)
+            return math.exp(time_factor(Family.COUNT_T1, [3], [[t]]) + constant)
 
         mass, _ = quad(density, lo, hi)
         assert empirical == pytest.approx(mass, rel=0.02)
 
     def test_first_time_at_window_edge_is_out_of_domain(self):
-        ws = workspace(Family.COUNT_T1, BIN, [2], [[1.0]])
         with pytest.raises(LikelihoodDomainError):
-            time_factor_count_t1(ws)
+            loglik(Family.COUNT_T1, BIN, [2], [[1.0]])
 
     def test_count_time_split_is_lambda_invariant(self):
         rng = np.random.default_rng(5)
@@ -356,3 +351,111 @@ def test_random_sweep_against_brute_force():
                         got = total_loglik(ds, p, include_constants=True)
                     want = bf.dataset_log_density(ds, p)
                     np.testing.assert_allclose(got.per_site, want, rtol=1e-9, atol=1e-10)
+
+
+LOG_LAMBDAS = (-math.inf, -700.0, -30.0, 30.0, 710.0, 800.0)
+LOG_RATES = (-math.inf, -700.0, -30.0, 30.0, 100.0, 709.5, 710.0, 1e4)
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=[c[0] for c in FROZEN])
+def test_extreme_parameters_give_a_value_or_a_typed_error(case):
+    # an overflowing rate * T used to turn into NaN; the limit, -inf or a
+    # typed error are the only acceptable outcomes
+    _, family, process, counts, times, t_max, _, _, _ = case
+    ds = one_site(family, process, counts, times, search_time=t_max)
+    for log_lam in LOG_LAMBDAS:
+        for log_h in LOG_RATES:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NumericalFallbackWarning)
+                    got = total_loglik(ds, Parameterization(log_lam, log_h), include_constants=True)
+            except NMixTimeError:
+                continue
+            assert not math.isnan(got.total) and got.total != math.inf, (log_lam, log_h, got.total)
+
+
+def test_data_pass_is_kept_and_data_errors_repeat():
+    ds = one_site(Family.COUNT, BIN, [2, 1])
+    first = ds.site_data
+    total_loglik(ds, Parameterization(0.0, 0.0))
+    assert ds.site_data is first
+    bad = one_site(Family.COUNT_T1, BIN, [2], [[1.0]])
+    for _ in range(2):
+        with pytest.raises(LikelihoodDomainError):
+            total_loglik(bad, Parameterization(0.0, 0.0))
+
+
+def test_fallback_warns_once_per_call():
+    proto = Protocol.for_design(Family.BINARY, BIN, 2)
+    records = [SiteRecord(0, [1, 1]), SiteRecord(1, [1, 0]), SiteRecord(2, [1, 1])]
+    ds = Dataset(proto, SurveyDesign(3, 2, 1.0), records)
+    p = Parameterization(math.log(0.5), np.log([[1e-9, 1e-9], [0.5, 0.5], [1e-9, 1e-9]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = total_loglik(ds, p)
+    fallbacks = [w for w in caught if issubclass(w.category, NumericalFallbackWarning)]
+    assert len(fallbacks) == 1
+    assert "2 site(s)" in str(fallbacks[0].message)
+    for i in range(3):
+        assert got.per_site[i] == pytest.approx(oracle_site_loglik(ds, p, i), abs=1e-8)
+
+
+# The sixteen distinct laws: binary records do not depend on the process.
+LAWS = [
+    (family, process, j)
+    for family in Family
+    for process in ((BIN,) if family.is_binary else (BIN, POI))
+    for j in (1, 3)
+]
+
+# all-zero sites, ties at the max count, one to three detecting occasions;
+# the last site's rates are tiny, which cancels the binary expansion
+MIXED_COUNTS = [[0, 0, 0], [2, 2, 1], [1, 0, 0], [3, 0, 1], [1, 1, 0], [0, 2, 0], [1, 1, 1], [1, 1, 0]]
+
+
+def mixed_dataset(family, process, j):
+    counts = np.array(MIXED_COUNTS)[:, :j]
+    if family.is_binary:
+        counts = np.minimum(counts, 1)
+    r = counts.shape[0]
+    t_max = np.tile([1.0, 0.8, 1.3][:j], (r, 1))
+    records = []
+    for i in range(r):
+        times = None
+        if family.records_times:
+            times = []
+            for y, t in zip(counts[i], t_max[i]):
+                k = int(y) if family.records_all_times else min(int(y), 1)
+                times.append(t * np.linspace(0.15, 0.85, k))
+        records.append(SiteRecord(i, counts[i], times))
+    log_h = np.log(np.tile([0.7, 1.1, 0.4][:j], (r, 1)))
+    log_h[-1] = math.log(1e-9)
+    proto = Protocol.for_design(family, process, j)
+    return Dataset(proto, SurveyDesign(r, j, t_max), records), Parameterization(math.log(2.0), log_h)
+
+
+@pytest.mark.parametrize(
+    "law", LAWS, ids=[Protocol.for_design(*law).label for law in LAWS]
+)
+def test_mixed_patterns_match_oracle_and_single_sites(law):
+    family, process, j = law
+    ds, p = mixed_dataset(family, process, j)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = total_loglik(ds, p).per_site
+    fell_back = any(issubclass(w.category, NumericalFallbackWarning) for w in caught)
+    assert fell_back == (family is Family.BINARY)
+    for i in range(ds.n_sites):
+        assert got[i] == pytest.approx(oracle_site_loglik(ds, p, i), abs=1e-8), i
+    log_lam, log_rate = p.resolve(ds.design)
+    for i in np.random.default_rng(3).permutation(ds.n_sites):
+        rec = ds.records[i]
+        alone = Dataset(
+            ds.protocol,
+            SurveyDesign(1, j, ds.design.search_time[i]),
+            [SiteRecord(0, rec.counts, rec.times)],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalFallbackWarning)
+            value = total_loglik(alone, Parameterization(log_lam[i], log_rate[i])).total
+        assert value == pytest.approx(got[i], rel=1e-14, abs=0.0), i

@@ -94,6 +94,8 @@ def test_log_sum_exp_pinned():
     assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
     assert log_sum_exp([math.inf, 0.0]) == math.inf
     assert math.isnan(log_sum_exp([0.0, math.nan]))
+    rows = log_sum_exp([[0.0, 0.0], [-math.inf, -math.inf], [math.inf, 0.0]], axis=1)
+    np.testing.assert_array_equal(rows, [log_sum_exp([0.0, 0.0]), -math.inf, math.inf])
 
 
 def test_log_sum_exp_random_against_scipy():
@@ -169,3 +171,40 @@ def test_pfq_validation_and_convergence():
         log_pfq_equal_order([1.0], [2.0], 30.0, max_terms=5)
     assert info.value.n_terms == 5
     assert math.isfinite(info.value.partial_log_sum)
+
+
+def test_poisson_moment_array_matches_scalar_loop():
+    log_mu = np.array([-math.inf, -3.0, 0.0, 1.7, 4.0, 9.0])
+    for m in (0, 1, 4, 17):
+        got = log_poisson_raw_moment(m, log_mu)
+        want = [log_poisson_raw_moment(m, float(x)) for x in log_mu]
+        assert got.shape == log_mu.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_pfq_rows_match_single_calls():
+    rng = np.random.default_rng(7)
+    r, p = 60, 3
+    top = rng.integers(1, 25, r)
+    a = np.repeat(top[:, None] + 1.0, p, axis=1)
+    b = top[:, None] - rng.integers(0, top[:, None] + 1, (r, p)) + 1.0
+    b[::7] = a[::7]  # pFq(a; a; z) = exp(z)
+    z = rng.uniform(0.0, 40.0, r)
+    z[::9] = 0.0
+    got = log_pfq_equal_order(a, b, z)
+    want = [log_pfq_equal_order(a[i], b[i], z[i]) for i in range(r)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_pfq_capped_row_raises_while_others_converge():
+    a = np.array([[2.0], [1.0], [3.0]])
+    b = np.array([[1.0], [2.0], [1.0]])
+    z = np.array([0.5, 30.0, 1.0])
+    fine = log_pfq_equal_order(a[[0, 2]], b[[0, 2]], z[[0, 2]], max_terms=40)
+    assert np.all(np.isfinite(fine))
+    with pytest.raises(SeriesConvergenceError) as together:
+        log_pfq_equal_order(a, b, z, max_terms=40)
+    with pytest.raises(SeriesConvergenceError) as alone:
+        log_pfq_equal_order(a[1], b[1], z[1], max_terms=40)
+    assert together.value.n_terms == alone.value.n_terms == 40
+    assert together.value.partial_log_sum == alone.value.partial_log_sum
