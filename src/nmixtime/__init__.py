@@ -35,7 +35,7 @@ from .model import (
     build_workspace,
     validate_dataset,
 )
-from .oracle import OracleConfig, oracle_site_loglik, oracle_total_loglik
+from .oracle import OracleConfig, oracle_site_loglik, oracle_site_logliks, oracle_total_loglik
 from .simulate import SimConfig, empirical_pmf_check, simulate_dataset, simulate_with_latent
 
 __version__ = "0.1.0"
@@ -70,6 +70,7 @@ __all__ = [
     "fit",
     "irrelevant_constants",
     "oracle_site_loglik",
+    "oracle_site_logliks",
     "oracle_total_loglik",
     "profile_loglik",
     "simulate_dataset",

@@ -33,7 +33,7 @@ from .errors import DataFormatError, NMixTimeError, OracleConvergenceError
 from .estimate import CONDITION_FLAG_THRESHOLD, fit
 from .likelihood import total_loglik
 from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, validate_dataset
-from .oracle import OracleConfig, oracle_site_loglik
+from .oracle import OracleConfig, oracle_site_logliks
 from .simulate import SimConfig, simulate_dataset
 
 EXIT_OK = 0
@@ -210,8 +210,7 @@ def cmd_validate(args) -> int:
     worst_site = None
     oracle_total = 0.0
     try:
-        for i in range(dataset.n_sites):
-            o = oracle_site_loglik(dataset, params, i, cfg)
+        for i, o in enumerate(oracle_site_logliks(dataset, params, cfg)):
             oracle_total += o
             c = float(closed[i])
             if c == o:  # covers the matched -inf case, where subtraction is NaN

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .model import (
     ObservationProcess,
     Parameterization,
     Protocol,
-    SiteRecord,
     SurveyDesign,
 )
 
@@ -68,8 +68,12 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_rows(path: Path, header: str, fmt: str, cell: np.ndarray, n_occ: int, *columns) -> None:
+    """One line per entry of ``cell``: its 1-based site and occasion, then ``columns``."""
+    site, occasion = (cell // n_occ + 1).tolist(), (cell % n_occ + 1).tolist()
+    rows = map(fmt.format, site, occasion, *(c.tolist() for c in columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([header, *rows, ""]))
 
 
 def write_dataset(dataset: Dataset, out_dir) -> dict:
@@ -79,55 +83,85 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    n_occ = dataset.n_occasions
+    cell = np.arange(dataset.counts.size)
     counts_path = out_dir / COUNTS_FILE
-    with open(counts_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["site", "occasion", "search_time", "count"])
-        for rec in dataset.records:
-            for j in range(dataset.n_occasions):
-                writer.writerow(
-                    [
-                        rec.site + 1,
-                        j + 1,
-                        _fmt(dataset.design.search_time[rec.site, j]),
-                        int(rec.counts[j]),
-                    ]
-                )
+    _write_rows(
+        counts_path, "site,occasion,search_time,count", "{},{},{!r},{}", cell, n_occ,
+        dataset.design.search_time.ravel(), dataset.counts.ravel(),
+    )
     times_path = None
     if dataset.protocol.family.records_times:
         times_path = out_dir / TIMES_FILE
-        with open(times_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["site", "occasion", "detection_index", "time"])
-            for rec in dataset.records:
-                for j in range(dataset.n_occasions):
-                    for d, t in enumerate(rec.times[j]):
-                        writer.writerow([rec.site + 1, j + 1, d + 1, _fmt(t)])
+        size = dataset.times_per_cell.ravel()
+        of_time = np.repeat(cell, size)
+        index = np.arange(of_time.size) - np.repeat(dataset.times_start.ravel(), size) + 1
+        _write_rows(
+            times_path, "site,occasion,detection_index,time", "{},{},{},{!r}", of_time, n_occ,
+            index, dataset.times_flat,
+        )
     return {"counts": counts_path, "times": times_path}
 
 
-def _read_rows(path: Path, required: list[str]) -> list[dict]:
+def _read_columns(path: Path, required: list[str]) -> list[list]:
+    """The required columns of a CSV file, by name; blank lines are skipped
+    and a short row reads None for its missing fields."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
-            return list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+    where = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
+    if rows and min(map(len, rows)) < len(header):
+        rows = [row + [None] * (len(header) - len(row)) for row in rows]
+    return [list(map(itemgetter(where[c]), rows)) for c in required]
 
 
-def _cell_indices(row: dict, path: Path, line: int) -> tuple[int, int]:
+def _parse(values: list, kind) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` converted by ``kind`` (int or float), and a mask of those that fail (read as 0)."""
+    dtype = np.int64 if kind is int else np.float64
     try:
-        site = int(row["site"])
-        occ = int(row["occasion"])
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path} line {line}: non-integer site/occasion") from exc
-    if site < 1 or occ < 1:
-        raise DataFormatError(f"{path} line {line}: site and occasion are 1-based")
-    return site - 1, occ - 1
+        return np.array(list(map(kind, values)), dtype=dtype), np.zeros(len(values), dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        out, bad = np.zeros(len(values), dtype=dtype), np.zeros(len(values), dtype=bool)
+        for k, v in enumerate(values):
+            try:
+                out[k] = kind(v)
+            except (TypeError, ValueError, OverflowError):
+                bad[k] = True
+        return out, bad
+
+
+def _cells(site: list, occasion: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """0-based site and occasion of every row, with the checks on them."""
+    (i, bad_i), (j, bad_j) = _parse(site, int), _parse(occasion, int)
+    return i - 1, j - 1, [
+        (bad_i | bad_j, "non-integer site/occasion"),
+        ((i < 1) | (j < 1), "site and occasion are 1-based"),
+    ]
+
+
+def _raise_first(path: Path, checks: list) -> None:
+    """Raise for the earliest bad row, as a row-by-row reader would.
+
+    ``checks`` are (bad-row mask, message) pairs in the order such a reader
+    tests a row; a message may be a function of the row. A value that fails
+    to parse reads 0, which can only flag rows that already fail an earlier
+    check, so it never moves the line reported.
+    """
+    bad = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if bad:
+        row, k = min(bad)
+        message = checks[k][1]
+        text = message if isinstance(message, str) else message(row)
+        raise DataFormatError(f"{path} line {row + 2}: {text}")
 
 
 def load_dataset(
@@ -139,78 +173,72 @@ def load_dataset(
 ) -> Dataset:
     """Assemble a Dataset from CSV files; structural problems raise DataFormatError.
 
-    Semantic consistency (times matching counts, values in range) is the
-    job of validate_dataset, which callers should run on the result.
+    Each file is parsed once into columns, and a row error names the first
+    offending line (the header is line 1). Semantic consistency (times
+    matching counts, values in range) is the job of validate_dataset, which
+    callers should run on the result.
     """
     counts_path = Path(counts_path)
-    rows = _read_rows(counts_path, ["site", "occasion", "search_time", "count"])
-    if not rows:
+    site, occasion, search_col, count_col = _read_columns(
+        counts_path, ["site", "occasion", "search_time", "count"]
+    )
+    n = len(site)
+    if not n:
         raise DataFormatError(f"{counts_path}: no data rows")
-    cells: dict[tuple[int, int], tuple[float, int]] = {}
-    for line, row in enumerate(rows, start=2):
-        i, j = _cell_indices(row, counts_path, line)
-        try:
-            t = float(row["search_time"])
-            y = int(row["count"])
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(
-                f"{counts_path} line {line}: bad search_time/count value"
-            ) from exc
-        if (i, j) in cells:
-            raise DataFormatError(
-                f"{counts_path} line {line}: duplicate cell site {i + 1} occasion {j + 1}"
-            )
-        cells[(i, j)] = (t, y)
-    n_sites = 1 + max(i for i, _ in cells)
-    n_occ = 1 + max(j for _, j in cells)
-    if len(cells) != n_sites * n_occ:
+    i, j, checks = _cells(site, occasion)
+    (t, bad_t), (y, bad_y) = _parse(search_col, float), _parse(count_col, int)
+    # a stable sort by cell keeps each cell's rows in line order
+    order = np.lexsort((j, i))
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:][(np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)]] = True
+    checks.append((bad_t | bad_y, "bad search_time/count value"))
+    checks.append((repeat, lambda r: f"duplicate cell site {i[r] + 1} occasion {j[r] + 1}"))
+    _raise_first(counts_path, checks)
+    n_sites, n_occ = int(i.max()) + 1, int(j.max()) + 1
+    if n != n_sites * n_occ:
         raise DataFormatError(
             f"{counts_path}: expected a complete {n_sites} x {n_occ} grid, "
-            f"found {len(cells)} distinct cells"
+            f"found {n} distinct cells"
         )
-    search = np.empty((n_sites, n_occ))
-    counts = np.empty((n_sites, n_occ), dtype=np.int64)
-    for (i, j), (t, y) in cells.items():
-        search[i, j] = t
-        counts[i, j] = y
+    cell = i * n_occ + j
+    search = np.empty(n)
+    search[cell] = t
+    counts = np.empty(n, dtype=np.int64)
+    counts[cell] = y
 
-    times: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    sizes = np.zeros(n, dtype=np.int64)
+    times = ()
     if times_path is not None and Path(times_path).exists():
         times_path = Path(times_path)
-        for line, row in enumerate(
-            _read_rows(times_path, ["site", "occasion", "detection_index", "time"]), start=2
-        ):
-            i, j = _cell_indices(row, times_path, line)
-            try:
-                d = int(row["detection_index"])
-                t = float(row["time"])
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(
-                    f"{times_path} line {line}: bad detection_index/time value"
-                ) from exc
-            if i >= n_sites or j >= n_occ:
-                raise DataFormatError(
-                    f"{times_path} line {line}: site {i + 1} occasion {j + 1} "
-                    "not present in the counts file"
-                )
-            times.setdefault((i, j), []).append((d, t))
-
-    records = []
-    for i in range(n_sites):
-        per_occ = []
-        for j in range(n_occ):
-            entries = sorted(times.get((i, j), []))
-            indices = [d for d, _ in entries]
-            if indices and indices != list(range(1, len(indices) + 1)):
-                raise DataFormatError(
-                    f"detection_index values for site {i + 1} occasion {j + 1} "
-                    f"must run 1..{len(indices)}, got {indices}"
-                )
-            per_occ.append(np.array([t for _, t in entries]))
-        records.append(SiteRecord(i, counts[i], per_occ))
+        t_site, t_occ, index_col, time_col = _read_columns(
+            times_path, ["site", "occasion", "detection_index", "time"]
+        )
+        ti, tj, checks = _cells(t_site, t_occ)
+        (d, bad_d), (times, bad_time) = _parse(index_col, int), _parse(time_col, float)
+        checks.append((bad_d | bad_time, "bad detection_index/time value"))
+        checks.append((
+            (ti >= n_sites) | (tj >= n_occ),
+            lambda r: f"site {ti[r] + 1} occasion {tj[r] + 1} not present in the counts file",
+        ))
+        _raise_first(times_path, checks)
+        of_time = ti * n_occ + tj
+        order = np.lexsort((times, d, of_time))
+        of_time, d, times = of_time[order], d[order], times[order]
+        sizes = np.bincount(of_time, minlength=n)
+        expected = np.arange(d.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+        gapped = np.flatnonzero(d != expected)
+        if gapped.size:
+            c = of_time[gapped[0]]
+            indices = d[of_time == c].tolist()
+            raise DataFormatError(
+                f"detection_index values for site {c // n_occ + 1} occasion {c % n_occ + 1} "
+                f"must run 1..{len(indices)}, got {indices}"
+            )
     protocol = Protocol.for_design(family, process, n_occ)
-    design = SurveyDesign(n_sites, n_occ, search)
-    return Dataset(protocol, design, records)
+    design = SurveyDesign(n_sites, n_occ, search.reshape(n_sites, n_occ))
+    return Dataset.from_arrays(
+        protocol, design, counts.reshape(n_sites, n_occ), sizes.reshape(n_sites, n_occ), times
+    )
 
 
 def params_from_dict(payload: dict) -> Parameterization:

@@ -75,7 +75,7 @@ class ProfileResult:
 def default_init(dataset: Dataset) -> Parameterization:
     """Moment-flavored starting point: abundance from site maxima, rate
     from the overall detection fraction."""
-    counts = dataset.counts_matrix()
+    counts = dataset.counts
     lam0 = float(counts.max(axis=1).mean()) + 0.5
     det_frac = float((counts > 0).mean())
     mean_t = float(dataset.design.search_time.mean())

@@ -133,7 +133,7 @@ def data_pass(dataset: Dataset) -> SiteData:
     binomial = process is ObservationProcess.BINOMIAL_COUNT
     t_max = dataset.design.search_time
     n_sites = dataset.n_sites
-    y = dataset.counts_matrix()
+    y = dataset.counts
     if np.any(y < 0):
         i, j = np.argwhere(y < 0)[0]
         raise LikelihoodDomainError(f"count must be nonnegative, got {y[i, j]} at site {i}")
@@ -144,8 +144,7 @@ def data_pass(dataset: Dataset) -> SiteData:
 
     det_time = None
     if family.records_first_time or (binomial and family is Family.COUNT_T):
-        cell_times = [dataset.records[i].times[j] for i, j in zip(det_rows, det_cols)]
-        sizes = np.array([t.size for t in cell_times], dtype=np.int64)
+        sizes = dataset.times_per_cell[detected]
         if family is Family.COUNT_T and binomial:
             bad = np.flatnonzero(sizes != det_counts)
             if bad.size:
@@ -154,10 +153,8 @@ def data_pass(dataset: Dataset) -> SiteData:
                     f"occasion {det_cols[k]} at site {det_rows[k]} needs {det_counts[k]} "
                     f"recorded times, has {sizes[k]}"
                 )
-            flat = np.concatenate(cell_times) if cell_times else np.empty(0)
-            det_time = np.bincount(
-                np.repeat(np.arange(sizes.size), sizes), weights=flat, minlength=sizes.size
-            )
+            cell = np.repeat(np.arange(y.size), dataset.times_per_cell.ravel())
+            det_time = np.bincount(cell, weights=dataset.times_flat, minlength=y.size)[detected.ravel()]
         elif family.records_first_time:
             bad = np.flatnonzero(sizes == 0)
             if bad.size:
@@ -166,7 +163,7 @@ def data_pass(dataset: Dataset) -> SiteData:
                     f"site {det_rows[k]} occasion {det_cols[k]} has a detection "
                     "without a recorded first time"
                 )
-            det_time = np.array([t[0] for t in cell_times], dtype=float)
+            det_time = dataset.times_flat[dataset.times_start[detected]]
             edge = (det_counts > 1) & (det_time >= det_search)
             if binomial and np.any(edge):
                 k = np.flatnonzero(edge)[0]
@@ -284,12 +281,11 @@ def _binary(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
     if fallback:
         fallback.sort()
         for i in fallback:
-            rec = dataset.records[i]
             out[i] = site_loglik_by_summation(
                 Family.BINARY,
                 ObservationProcess.BINOMIAL_COUNT,
-                rec.counts,
-                rec.times,
+                dataset.counts[i],
+                (),  # binary records hold no times
                 data.search_time[i],
                 rate[i],
                 float(log_lam[i]),

@@ -117,6 +117,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _assign(obj, **fields):
+    """Set the fields of a frozen dataclass instance; returns the instance."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class SurveyDesign:
     """Site-by-occasion layout with known search times.
@@ -150,9 +157,7 @@ class SurveyDesign:
             t = t.copy()
         if not np.all(np.isfinite(t)) or np.any(t <= 0):
             raise ValueError("search times must be positive and finite")
-        object.__setattr__(self, "n_sites", int(n_sites))
-        object.__setattr__(self, "n_occasions", int(n_occasions))
-        object.__setattr__(self, "search_time", _readonly(t))
+        _assign(self, n_sites=int(n_sites), n_occasions=int(n_occasions), search_time=_readonly(t))
 
 
 @dataclass(frozen=True)
@@ -179,21 +184,68 @@ class SiteRecord:
             if len(times) != n_occ:
                 raise ValueError(f"times must have one entry per occasion ({n_occ}), got {len(times)}")
             ts = tuple(_readonly(np.asarray(t, dtype=float).copy()) for t in times)
-        object.__setattr__(self, "site", int(site))
-        object.__setattr__(self, "counts", _readonly(y))
-        object.__setattr__(self, "times", ts)
+        _assign(self, site=int(site), counts=_readonly(y), times=ts)
 
 
 @dataclass(frozen=True)
 class Dataset:
+    """A survey's observations, stored as columns.
+
+    ``counts`` is the (R, J) count matrix and ``times_per_cell`` the (R, J)
+    number of detection times each cell records; ``times_flat`` holds every
+    recorded time in site, occasion, detection-index order. All three are
+    read-only. ``records`` is a per-site view of the same columns.
+    """
+
     protocol: Protocol
     design: SurveyDesign
-    records: tuple[SiteRecord, ...]
+    counts: np.ndarray
+    times_per_cell: np.ndarray
+    times_flat: np.ndarray
 
     def __init__(self, protocol: Protocol, design: SurveyDesign, records):
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "records", tuple(records))
+        records = tuple(records)
+        if len(records) != design.n_sites:
+            raise ValueError(
+                f"dataset has {len(records)} site records "
+                f"but the design declares {design.n_sites} sites"
+            )
+        for i, rec in enumerate(records):
+            if rec.site != i:
+                raise ValueError(f"site record labelled {rec.site} found in position {i}")
+            if rec.counts.shape[0] != design.n_occasions:
+                raise ValueError(
+                    f"counts must have length {design.n_occasions}, got {rec.counts.shape[0]}"
+                )
+        times = [t for rec in records for t in rec.times]
+        sizes = np.reshape([t.size for t in times], (design.n_sites, design.n_occasions))
+        self._assign_columns(protocol, design, [rec.counts for rec in records], sizes, np.concatenate(times))
+
+    @classmethod
+    def from_arrays(
+        cls, protocol: Protocol, design: SurveyDesign, counts, times_per_cell=None, times_flat=()
+    ) -> "Dataset":
+        """Build a dataset straight from (copies of) its columns; by default no times."""
+        if times_per_cell is None:
+            times_per_cell = np.zeros(np.shape(counts), dtype=np.int64)
+        ds = object.__new__(cls)
+        ds._assign_columns(protocol, design, counts, times_per_cell, times_flat)
+        return ds
+
+    def _assign_columns(self, protocol, design, counts, times_per_cell, times_flat) -> None:
+        counts = _readonly(np.array(counts, dtype=np.int64))
+        times_per_cell = _readonly(np.array(times_per_cell, dtype=np.int64))
+        times_flat = _readonly(np.array(times_flat, dtype=float))
+        shape = (design.n_sites, design.n_occasions)
+        if counts.shape != shape or times_per_cell.shape != shape:
+            raise ValueError(
+                f"counts and times_per_cell must have shape {shape}, "
+                f"got {counts.shape} and {times_per_cell.shape}"
+            )
+        if np.any(times_per_cell < 0) or times_flat.shape != (times_per_cell.sum(),):
+            raise ValueError("times_per_cell must be nonnegative and sum to the number of times")
+        _assign(self, protocol=protocol, design=design, counts=counts)
+        _assign(self, times_per_cell=times_per_cell, times_flat=times_flat)
 
     @property
     def n_sites(self) -> int:
@@ -203,8 +255,21 @@ class Dataset:
     def n_occasions(self) -> int:
         return self.design.n_occasions
 
-    def counts_matrix(self) -> np.ndarray:
-        return np.vstack([r.counts for r in self.records])
+    @functools.cached_property
+    def times_start(self) -> np.ndarray:
+        """(R, J) offset of each cell's first time in ``times_flat``."""
+        ends = np.cumsum(self.times_per_cell.ravel())
+        return _readonly((ends - self.times_per_cell.ravel()).reshape(self.times_per_cell.shape))
+
+    @functools.cached_property
+    def records(self) -> tuple[SiteRecord, ...]:
+        """One SiteRecord per site whose arrays are read-only views of the columns."""
+        cells = np.split(self.times_flat, self.times_start.ravel()[1:])
+        j = self.n_occasions
+        return tuple(
+            _assign(object.__new__(SiteRecord), site=i, counts=row, times=tuple(cells[i * j : (i + 1) * j]))
+            for i, row in enumerate(self.counts)
+        )
 
     @functools.cached_property
     def site_data(self):
@@ -280,10 +345,7 @@ class Parameterization:
                     f"log_rate must hold {z.shape[2]} coefficients to match rate_covariates"
                 )
             z = _readonly(z)
-        object.__setattr__(self, "log_lambda", _readonly(ll))
-        object.__setattr__(self, "log_rate", _readonly(lr))
-        object.__setattr__(self, "site_covariates", x)
-        object.__setattr__(self, "rate_covariates", z)
+        _assign(self, log_lambda=_readonly(ll), log_rate=_readonly(lr), site_covariates=x, rate_covariates=z)
 
     def resolve(self, design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
         """Per-site log abundance (R,) and per-cell log rate (R, J)."""
@@ -425,12 +487,16 @@ def build_workspace(dataset: Dataset, params: Parameterization, site: int) -> Si
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Check structural integrity of a dataset against its protocol.
+    """Check the recorded values of a dataset against its protocol.
 
     Returns an empty list when the dataset is clean; otherwise one
-    Violation per problem found (the scan does not stop at the first).
-    Detection times exactly at the end of the search window are legal but
-    unusual, so they raise a warning rather than a violation.
+    Violation per problem found, in site and occasion order (the scan does
+    not stop at the first). A cell's first failing check among a negative
+    count, a binary response above 1, a times length that does not match
+    the count and a time that is not positive and finite ends that cell's
+    scan; unsorted times and a time past the search window are both
+    reported. Detection times exactly at the end of the search window are
+    legal but unusual, so they raise one warning per call instead.
     """
     out: list[Violation] = []
     proto, design = dataset.protocol, dataset.design
@@ -445,60 +511,50 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
             )
         )
 
-    if len(dataset.records) != design.n_sites:
-        out.append(
-            Violation(
-                f"dataset has {len(dataset.records)} site records "
-                f"but the design declares {design.n_sites} sites"
-            )
-        )
+    family = proto.family
+    y, size = dataset.counts.ravel(), dataset.times_per_cell.ravel()
+    if family.records_all_times:
+        want = y
+    elif family.records_first_time:
+        want = np.minimum(y, 1)
+    else:
+        want = np.zeros_like(y)
+    negative = y < 0
+    out_of_range = ~negative & (y > 1) if family.is_binary else np.zeros_like(negative)
+    bad_size = ~negative & ~out_of_range & (size != want)
+    timed = ~negative & ~out_of_range & ~bad_size & (size > 0)
 
-    for i, rec in enumerate(dataset.records):
-        if rec.site != i:
-            out.append(Violation(f"site record labelled {rec.site} found in position {i}", site=i))
-        y = rec.counts
-        if y.shape[0] != j_total:
-            out.append(Violation(f"counts must have length {j_total}, got {y.shape[0]}", site=i))
-            continue
-        if len(rec.times) != j_total:
-            out.append(Violation("times must have one entry per occasion", site=i))
-            continue
-        for j in range(j_total):
-            yj = int(y[j])
-            tj = rec.times[j]
-            t_max = float(design.search_time[i, j])
-            if yj < 0:
-                out.append(Violation("negative count", site=i, occasion=j))
-                continue
-            if proto.family.is_binary and yj not in (0, 1):
-                out.append(Violation("binary response out of range", site=i, occasion=j))
-                continue
-            if proto.family.records_all_times:
-                want = yj
-            elif proto.family.records_first_time:
-                want = min(yj, 1)
-            else:
-                want = 0
-            if tj.size != want:
-                out.append(
-                    Violation(
-                        f"times length != expected ({tj.size} recorded, {want} required)",
-                        site=i,
-                        occasion=j,
-                    )
-                )
-                continue
-            if tj.size:
-                if np.any(~np.isfinite(tj)) or np.any(tj <= 0):
-                    out.append(Violation("detection times must be positive and finite", site=i, occasion=j))
-                    continue
-                if np.any(np.diff(tj) < 0):
-                    out.append(Violation("detection times must be sorted ascending", site=i, occasion=j))
-                if np.any(tj > t_max):
-                    out.append(Violation("detection time exceeds search time", site=i, occasion=j))
-                elif tj[-1] == t_max:
-                    warnings.warn(
-                        f"detection time equals search time at site {i} occasion {j}",
-                        stacklevel=2,
-                    )
+    # per-time checks, gathered to their cells; comparisons stay quiet on NaN
+    t, t_max = dataset.times_flat, design.search_time.ravel()
+    cell = np.repeat(np.arange(y.size), size)
+    first, last = np.diff(cell, prepend=-1) != 0, np.diff(cell, append=-1) != 0
+
+    def any_in_cell(per_time: np.ndarray) -> np.ndarray:
+        return np.bincount(cell[per_time], minlength=y.size) > 0
+
+    bad_value = timed & any_in_cell(~np.isfinite(t) | (t <= 0))
+    timed &= ~bad_value
+    unsorted = timed & any_in_cell(~first & (t < np.roll(t, 1)))
+    exceeds = timed & any_in_cell(t > t_max[cell])
+    edge = timed & ~exceeds & any_in_cell(last & (t == t_max[cell]))
+
+    faults = (
+        (negative, "negative count"),
+        (out_of_range, "binary response out of range"),
+        (bad_size, None),
+        (bad_value, "detection times must be positive and finite"),
+        (unsorted, "detection times must be sorted ascending"),
+        (exceeds, "detection time exceeds search time"),
+    )
+    found = sorted((c, k) for k, (mask, _) in enumerate(faults) for c in np.flatnonzero(mask).tolist())
+    for c, k in found:
+        message = faults[k][1] or f"times length != expected ({size[c]} recorded, {want[c]} required)"
+        out.append(Violation(message, site=c // j_total, occasion=c % j_total))
+    if np.any(edge):
+        c = int(np.flatnonzero(edge)[0])
+        warnings.warn(
+            f"detection time equals search time in {int(edge.sum())} cell(s) "
+            f"(first: site {c // j_total} occasion {c % j_total})",
+            stacklevel=2,
+        )
     return out

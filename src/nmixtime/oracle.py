@@ -11,7 +11,8 @@ each conditional density is assembled from first principles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +24,7 @@ from .special import log_sum_exp, safe_exp
 __all__ = [
     "OracleConfig",
     "oracle_site_loglik",
+    "oracle_site_logliks",
     "oracle_total_loglik",
     "site_loglik_by_summation",
 ]
@@ -49,7 +51,7 @@ class OracleConfig:
 def _default_n_max(dataset: Dataset, params: Parameterization) -> int:
     log_lam, _ = params.resolve(dataset.design)
     lam_max = safe_exp(float(log_lam.max()))
-    kappa_max = max(int(r.counts.max()) for r in dataset.records)
+    kappa_max = int(dataset.counts.max())
     return kappa_max + math.ceil(lam_max + 12.0 * math.sqrt(lam_max) + 50.0)
 
 
@@ -249,6 +251,40 @@ def site_loglik_by_summation(
     )
 
 
+def oracle_site_logliks(
+    dataset: Dataset,
+    params: Parameterization,
+    cfg: OracleConfig | None = None,
+    *,
+    include_constants: bool = False,
+    sites=None,
+) -> Iterator[float]:
+    """Site log-likelihoods by truncated summation, yielded in site order.
+
+    The parameters are resolved and the default truncation point is found
+    once per call, so a whole dataset costs one pass. ``sites`` restricts
+    the output to those site indices.
+    """
+    cfg = cfg or OracleConfig()
+    if cfg.n_max is None:
+        cfg = replace(cfg, n_max=_default_n_max(dataset, params))
+    log_lam_vec, log_rate_mat = params.resolve(dataset.design)
+    for site in range(dataset.n_sites) if sites is None else sites:
+        rec = dataset.records[site]
+        yield site_loglik_by_summation(
+            dataset.protocol.family,
+            dataset.protocol.process,
+            rec.counts,
+            rec.times,
+            dataset.design.search_time[site],
+            np.exp(log_rate_mat[site]),
+            float(log_lam_vec[site]),
+            cfg,
+            include_constants=include_constants,
+            site=site,
+        )
+
+
 def oracle_site_loglik(
     dataset: Dataset,
     params: Parameterization,
@@ -258,27 +294,7 @@ def oracle_site_loglik(
     include_constants: bool = False,
 ) -> float:
     """Site log-likelihood by truncated summation over latent abundance."""
-    cfg = cfg or OracleConfig()
-    if cfg.n_max is None:
-        cfg = OracleConfig(
-            n_max=_default_n_max(dataset, params),
-            tail_tol=cfg.tail_tol,
-            per_site_cap=cfg.per_site_cap,
-        )
-    rec = dataset.records[site]
-    log_lam_vec, log_rate_mat = params.resolve(dataset.design)
-    return site_loglik_by_summation(
-        dataset.protocol.family,
-        dataset.protocol.process,
-        rec.counts,
-        rec.times,
-        dataset.design.search_time[site],
-        np.exp(log_rate_mat[site]),
-        float(log_lam_vec[site]),
-        cfg,
-        include_constants=include_constants,
-        site=site,
-    )
+    return next(oracle_site_logliks(dataset, params, cfg, include_constants=include_constants, sites=[site]))
 
 
 def oracle_total_loglik(
@@ -288,9 +304,4 @@ def oracle_total_loglik(
     *,
     include_constants: bool = False,
 ) -> float:
-    return float(
-        sum(
-            oracle_site_loglik(dataset, params, i, cfg, include_constants=include_constants)
-            for i in range(dataset.n_sites)
-        )
-    )
+    return float(sum(oracle_site_logliks(dataset, params, cfg, include_constants=include_constants)))

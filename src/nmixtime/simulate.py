@@ -18,7 +18,6 @@ from .model import (
     ObservationProcess,
     Parameterization,
     Protocol,
-    SiteRecord,
     SurveyDesign,
 )
 
@@ -40,10 +39,25 @@ class SimConfig:
             raise ValueError("seed must fit in a nonnegative 63-bit integer")
 
 
-def _stream(seed: int, site: int, tag: int) -> np.random.Generator:
-    # Philox keys are 128-bit; site and tag live in the counter's high words,
-    # which the low 128 bits of sequential draws can never reach.
-    return np.random.Generator(np.random.Philox(counter=[0, 0, site, tag], key=[seed, 0]))
+def _streams(seed: int):
+    """A function that rewinds one generator to the start of stream (seed, site, tag).
+
+    Philox keys are 128-bit; site and tag live in the counter's high words,
+    which the low 128 bits of sequential draws can never reach. Resetting
+    the counter, key and (empty) buffer gives the draws of a fresh
+    ``Philox(counter=[0, 0, site, tag], key=[seed, 0])`` at a fraction of its cost.
+    """
+    bit_gen = np.random.Philox(key=[seed, 0])
+    state = bit_gen.state
+    counter = state["state"]["counter"]
+    rng = np.random.Generator(bit_gen)
+
+    def start(site: int, tag: int) -> np.random.Generator:
+        counter[2:] = (site, tag)
+        bit_gen.state = state
+        return rng
+
+    return start
 
 
 def _occasion_counts(
@@ -60,48 +74,70 @@ def _occasion_counts(
 
 
 def _occasion_times(
-    process: ObservationProcess, rng: np.random.Generator, y: int, rate: float, t_max: float
+    process: ObservationProcess, u: np.ndarray, y: np.ndarray, rate: list, t_max: list
 ) -> np.ndarray:
-    """Sorted times of y detections on one occasion, given that there were y."""
+    """Detection times of cells with y detections, given that there were y.
+
+    ``u`` holds each cell's y uniform draws, cell after cell; ``rate`` and
+    ``t_max`` hold one value per cell. Times come back sorted within each
+    cell.
+    """
+    cell = np.repeat(np.arange(y.size), y)
+    t_max_u = np.repeat(t_max, y)
     if process is ObservationProcess.BINOMIAL_COUNT:
         # inverse CDF of an Exp(rate) waiting time truncated to [0, t_max];
         # the clip absorbs rounding at u -> 1
-        u = rng.random(y)
-        times = np.minimum(-np.log1p(u * math.expm1(-rate * t_max)) / rate, t_max)
+        scale = np.repeat([math.expm1(-h * t) for h, t in zip(rate, t_max)], y)
+        times = np.minimum(-np.log1p(u * scale) / np.repeat(rate, y), t_max_u)
     else:
         # event times of a homogeneous stream are uniform over the window
-        times = rng.uniform(0.0, t_max, size=y)
-    return np.sort(times)
+        times = u * t_max_u
+    return times[np.lexsort((times, cell))]
 
 
 def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
     """Simulate a dataset and also return the latent per-site abundances."""
     design = cfg.design
     log_lam, log_rate = cfg.params.resolve(design)
-    lam = np.exp(log_lam)
-    rate = np.exp(log_rate)
+    lam = np.exp(log_lam).tolist()
+    rate = np.exp(log_rate).ravel().tolist()
+    search = design.search_time.ravel().tolist()
     family, process = cfg.protocol.family, cfg.protocol.process
+    records_times = family.records_times
+    stream = _streams(cfg.seed)
 
-    abundances = np.empty(design.n_sites, dtype=np.int64)
-    records = []
+    abundances = []
+    counts = []
+    draws = []
+    timed = []  # cells with detections whose times are recorded
+    cell = 0
     for i in range(design.n_sites):
-        n_i = int(_stream(cfg.seed, i, _ABUNDANCE_STREAM_TAG).poisson(lam[i]))
-        abundances[i] = n_i
-        counts = np.empty(design.n_occasions, dtype=np.int64)
-        times: list[np.ndarray] = []
+        n_i = int(stream(i, _ABUNDANCE_STREAM_TAG).poisson(lam[i]))
+        abundances.append(n_i)
         for j in range(design.n_occasions):
-            rng = _stream(cfg.seed, i, _OCCASION_STREAM_BASE + j)
-            h, t_max = float(rate[i, j]), float(design.search_time[i, j])
-            y = int(_occasion_counts(process, rng, n_i, h, t_max))
-            tj = np.empty(0)
-            if y > 0 and family.records_times:
-                tj = _occasion_times(process, rng, y, h, t_max)
-                if family.records_first_time:
-                    tj = tj[:1]
-            counts[j] = min(y, 1) if family.is_binary else y
-            times.append(tj)
-        records.append(SiteRecord(i, counts, times))
-    return Dataset(cfg.protocol, design, records), abundances
+            rng = stream(i, _OCCASION_STREAM_BASE + j)
+            y = int(_occasion_counts(process, rng, n_i, rate[cell], search[cell]))
+            if y > 0 and records_times:
+                draws.append(rng.random(y))
+                timed.append(cell)
+            counts.append(y)
+            cell += 1
+    counts = np.reshape(counts, design.search_time.shape)
+    sizes = np.zeros(counts.size, dtype=np.int64)
+    times = ()
+    if timed:
+        y = counts.ravel()[timed]
+        times = _occasion_times(
+            process, np.concatenate(draws), y, [rate[c] for c in timed], [search[c] for c in timed]
+        )
+        if family.records_first_time:
+            times = times[np.cumsum(y) - y]
+            y = 1
+        sizes[timed] = y
+    if family.is_binary:
+        counts = np.minimum(counts, 1)
+    dataset = Dataset.from_arrays(cfg.protocol, design, counts, sizes.reshape(counts.shape), times)
+    return dataset, np.array(abundances, dtype=np.int64)
 
 
 def simulate_dataset(cfg: SimConfig) -> Dataset:
@@ -130,10 +166,8 @@ def empirical_pmf_check(
             f"pattern must have one count per occasion ({cfg.design.n_occasions})"
         )
     log_lam, log_rate = cfg.params.resolve(cfg.design)
-    one_site = Dataset(
-        cfg.protocol,
-        SurveyDesign(1, cfg.design.n_occasions, cfg.design.search_time[site]),
-        [SiteRecord(0, pattern)],
+    one_site = Dataset.from_arrays(
+        cfg.protocol, SurveyDesign(1, cfg.design.n_occasions, cfg.design.search_time[site]), [pattern]
     )
     exact = math.exp(total_loglik(one_site, Parameterization(log_lam[site], log_rate[site])).total)
     if exact <= 0.0:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import nmixtime.oracle
 from nmixtime.cli import main
 from nmixtime.likelihood import total_loglik
-from nmixtime.datafiles import load_dataset
-from nmixtime.model import Family, ObservationProcess
+from nmixtime.datafiles import load_dataset, params_from_dict
+from nmixtime.model import Family, ObservationProcess, Protocol, SurveyDesign
+from nmixtime.simulate import SimConfig, simulate_dataset
 
 
 def write_json(path, payload):
@@ -95,6 +97,41 @@ def test_resimulation_is_byte_identical(tmp_path):
     assert (a / "times.csv").read_bytes() == (b / "times.csv").read_bytes()
     assert main(["simulate", "--config", cfg, "--out", str(c), "--seed", "8"]) == 0
     assert (a / "counts.csv").read_bytes() != (c / "counts.csv").read_bytes()
+
+
+def test_loglik_round_trip_equals_in_memory_simulation(tmp_path, capsys):
+    cfg = sim_config(tmp_path, sites=60, occasions=3, search_time=[0.5, 1.0, 1.5])
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    params = write_json(tmp_path / "params.json", {"lambda": 2.0, "rate": 0.8})
+    capsys.readouterr()
+    assert main([
+        "loglik", "--data", str(data), "--model", "CountT", "--params", params, "--constants",
+    ]) == 0
+    per_site = json.loads(capsys.readouterr().out)["per_site"]
+    truth = params_from_dict({"lambda": 2.0, "rate": 0.8})
+    in_memory = simulate_dataset(SimConfig(
+        Protocol.for_design(Family.COUNT_T, ObservationProcess.BINOMIAL_COUNT, 3),
+        SurveyDesign(60, 3, [0.5, 1.0, 1.5]), truth, seed=7,
+    ))
+    assert per_site == total_loglik(in_memory, truth, include_constants=True).per_site.tolist()
+
+
+def test_validate_finds_the_truncation_point_once(tmp_path, monkeypatch):
+    cfg = sim_config(tmp_path, sites=30)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    params = write_json(tmp_path / "params.json", {"lambda": 2.0, "rate": 0.8})
+    calls = []
+    original = nmixtime.oracle._default_n_max
+    monkeypatch.setattr(
+        nmixtime.oracle, "_default_n_max", lambda *a: calls.append(1) or original(*a)
+    )
+    assert main([
+        "validate", "--data", str(data), "--model", "CountT", "--params", params,
+        "--out", str(tmp_path / "val.json"),
+    ]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_poisson_prefix_model(tmp_path, capsys):

@@ -167,6 +167,72 @@ def test_load_gapped_detection_index(tmp_path):
         load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
 
 
+def _same_data(a, b):
+    assert np.array_equal(a.design.search_time, b.design.search_time)
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.times_per_cell, b.times_per_cell)
+    assert np.array_equal(a.times_flat, b.times_flat)
+
+
+def test_load_columns_in_any_order_with_extras(tmp_path):
+    ds, _ = make_dataset(Family.COUNT_T, r=6, j=2, lam=3.0, h=1.2)
+    paths = write_dataset(ds, tmp_path / "std")
+    out = tmp_path / "shuffled"
+    out.mkdir()
+    for name, order in (("counts.csv", [3, 0, 2, 1]), ("times.csv", [3, 2, 1, 0])):
+        header, *rows = [line.split(",") for line in paths["counts"].with_name(name).read_text().splitlines()]
+        lines = [[header[k] for k in order] + ["note"]] + [[r[k] for k in order] + ["x"] for r in rows]
+        (out / name).write_text("".join(",".join(line) + "\n" for line in lines))
+    back = load_dataset(out / "counts.csv", out / "times.csv", family=Family.COUNT_T, process=BIN)
+    _same_data(back, ds)
+
+
+def test_load_crlf_files(tmp_path):
+    ds, _ = make_dataset(Family.COUNT_T1, r=8, j=3, lam=3.0)
+    paths = write_dataset(ds, tmp_path / "lf")
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for name in ("counts.csv", "times.csv"):
+        (crlf / name).write_bytes(paths["counts"].with_name(name).read_bytes().replace(b"\n", b"\r\n"))
+    back = load_dataset(crlf / "counts.csv", crlf / "times.csv", family=Family.COUNT_T1, process=BIN)
+    _same_data(back, ds)
+
+
+def test_load_float_site_and_count_rejected(tmp_path):
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1.0,1,1.0,2\n")
+    with pytest.raises(DataFormatError, match="line 2: non-integer site/occasion"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2.0\n")
+    with pytest.raises(DataFormatError, match="line 2: bad search_time/count"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0\n")
+    with pytest.raises(DataFormatError, match="line 2: bad search_time/count"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+
+
+def test_load_bad_time_names_its_line(tmp_path):
+    counts = write_counts(tmp_path, GOOD_COUNTS)
+    times = tmp_path / "times.csv"
+    times.write_text("site,occasion,detection_index,time\n1,1,1,0.2\n1,1,2,soon\n")
+    with pytest.raises(DataFormatError, match=r"times\.csv line 3: bad detection_index/time"):
+        load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
+
+
+def test_load_reports_the_earliest_bad_line(tmp_path):
+    # a later line's parse error does not mask an earlier line's other fault
+    p = write_counts(
+        tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n1,2,1.0,x\nB,1,1.0,1\n1,1,1.0,0\n"
+    )
+    with pytest.raises(DataFormatError, match="line 3: bad search_time/count"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n1,1,1.0,x\n")
+    with pytest.raises(DataFormatError, match="line 3: bad search_time/count"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n1,1,1.0,3\n0,1,1.0,0\n")
+    with pytest.raises(DataFormatError, match="line 3: duplicate cell site 1 occasion 1"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+
+
 def test_params_from_dict_log_and_natural():
     p = params_from_dict({"lambda": 2.0, "log_rate": -0.5})
     assert float(p.log_lambda) == pytest.approx(math.log(2.0))

@@ -12,6 +12,7 @@ from nmixtime.model import (
     Protocol,
     SiteRecord,
     SurveyDesign,
+    Visits,
     build_workspace,
     validate_dataset,
 )
@@ -140,6 +141,43 @@ class TestParameterization:
         assert p.resolve(SurveyDesign(1, 1, 1.0))[0][0] == -math.inf
 
 
+class TestDatasetColumns:
+    def test_records_and_arrays_give_the_same_columns(self):
+        ds = dataset(
+            Family.COUNT_T, BIN, [[2, 0], [0, 1], [1, 3]],
+            times=[[[0.2, 0.5], []], [[], [0.7]], [[0.1], [0.3, 0.4, 0.9]]],
+        )
+        assert np.array_equal(ds.counts, [[2, 0], [0, 1], [1, 3]])
+        assert np.array_equal(ds.times_per_cell, [[2, 0], [0, 1], [1, 3]])
+        assert np.array_equal(ds.times_flat, [0.2, 0.5, 0.7, 0.1, 0.3, 0.4, 0.9])
+        same = Dataset.from_arrays(ds.protocol, ds.design, ds.counts, ds.times_per_cell, ds.times_flat)
+        for a, b in zip(ds.records, same.records):
+            assert a.site == b.site and np.array_equal(a.counts, b.counts)
+            assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
+        assert np.array_equal(same.records[2].times[1], [0.3, 0.4, 0.9])
+
+    def test_records_are_read_only_views(self):
+        ds = dataset(Family.COUNT_T1, BIN, [[1, 0], [2, 1]], times=[[[0.3], []], [[0.2], [0.6]]])
+        rec = ds.records[1]
+        assert ds.records is ds.records
+        assert np.shares_memory(rec.counts, ds.counts)
+        assert np.shares_memory(rec.times[1], ds.times_flat)
+        for arr in (ds.counts, ds.times_per_cell, ds.times_flat, rec.counts, rec.times[0]):
+            with pytest.raises(ValueError):
+                arr[0] = 5
+
+    def test_from_arrays_copies_and_checks_shapes(self):
+        proto = Protocol.for_design(Family.COUNT, BIN, 2)
+        counts = np.array([[1, 2], [0, 3]])
+        ds = Dataset.from_arrays(proto, SurveyDesign(2, 2, 1.0), counts)
+        counts[0, 0] = 9
+        assert ds.counts[0, 0] == 1 and ds.times_flat.size == 0
+        with pytest.raises(ValueError, match=r"counts and times_per_cell must have shape \(3, 2\)"):
+            Dataset.from_arrays(proto, SurveyDesign(3, 2, 1.0), counts)
+        with pytest.raises(ValueError, match="sum to the number of times"):
+            Dataset.from_arrays(proto, SurveyDesign(2, 2, 1.0), counts, [[1, 0], [0, 0]], [])
+
+
 class TestWorkspace:
     def test_detection_split_of_exposure(self):
         # one detected and one undetected occasion, unit exposure each
@@ -226,15 +264,67 @@ class TestValidation:
     def test_counts_length_mismatch(self):
         proto = Protocol.for_design(Family.COUNT, BIN, 3)
         design = SurveyDesign(1, 3, 1.0)
-        ds = Dataset(proto, design, [SiteRecord(0, np.array([1, 2]))])
-        assert any("counts must have length 3" in str(v) for v in validate_dataset(ds))
+        with pytest.raises(ValueError, match="counts must have length 3"):
+            Dataset(proto, design, [SiteRecord(0, np.array([1, 2]))])
 
     def test_record_count_and_site_labels(self):
         proto = Protocol.for_design(Family.COUNT, BIN, 1)
         design = SurveyDesign(2, 1, 1.0)
-        short = Dataset(proto, design, [SiteRecord(0, np.array([1]))])
-        assert any("records" in str(v) for v in validate_dataset(short))
-        scrambled = Dataset(
-            proto, design, [SiteRecord(1, np.array([1])), SiteRecord(0, np.array([0]))]
+        with pytest.raises(ValueError, match="records"):
+            Dataset(proto, design, [SiteRecord(0, np.array([1]))])
+        with pytest.raises(ValueError, match="site record labelled 1 found in position 0"):
+            Dataset(proto, design, [SiteRecord(1, np.array([1])), SiteRecord(0, np.array([0]))])
+
+    def test_every_fault_in_site_and_occasion_order(self):
+        # one dataset per family shape; the lists are the row-by-row scan's output
+        nan, inf = math.nan, math.inf
+        count_t = Dataset(
+            Protocol(Family.COUNT_T, BIN, Visits.SINGLE),
+            SurveyDesign(5, 3, 2.0),
+            [
+                SiteRecord(i, c, t)
+                for i, (c, t) in enumerate(
+                    [
+                        ([2, 0, 1], [[0.5, 0.3], [], [2.5]]),
+                        ([-1, 1, 3], [[], [0.0], [0.2, nan, 0.4]]),
+                        ([2, 1, 0], [[0.1], [2.0], [0.7]]),
+                        ([3, 2, 1], [[1.5, 0.4, 2.6], [0.3, 2.0], [inf]]),
+                        ([1, 0, 0], [[0.3], [], []]),
+                    ]
+                )
+            ],
         )
-        assert validate_dataset(scrambled)
+        with pytest.warns(UserWarning) as caught:
+            found = validate_dataset(count_t)
+        assert [(v.message, v.site, v.occasion) for v in found] == [
+            ("protocol declares single visits but the design has 3 occasion(s)", None, None),
+            ("detection times must be sorted ascending", 0, 0),
+            ("detection time exceeds search time", 0, 2),
+            ("negative count", 1, 0),
+            ("detection times must be positive and finite", 1, 1),
+            ("detection times must be positive and finite", 1, 2),
+            ("times length != expected (1 recorded, 2 required)", 2, 0),
+            ("times length != expected (1 recorded, 0 required)", 2, 2),
+            ("detection times must be sorted ascending", 3, 0),
+            ("detection time exceeds search time", 3, 0),
+            ("detection times must be positive and finite", 3, 2),
+        ]
+        assert [str(w.message) for w in caught] == [
+            "detection time equals search time in 2 cell(s) (first: site 2 occasion 1)"
+        ]
+
+        binary_t1 = dataset(
+            Family.BINARY_T1,
+            BIN,
+            [[2, 1], [-1, 1], [0, 1], [1, 1]],
+            times=[[[0.3], [0.4]], [[], []], [[0.2], [1.0]], [[1.5], [0.5]]],
+        )
+        with pytest.warns(UserWarning, match="equals search time in 1 cell"):
+            found = validate_dataset(binary_t1)
+        assert [(v.message, v.site, v.occasion) for v in found] == [
+            ("binary response out of range", 0, 0),
+            ("negative count", 1, 0),
+            ("times length != expected (0 recorded, 1 required)", 1, 1),
+            ("times length != expected (1 recorded, 0 required)", 2, 0),
+            ("detection time exceeds search time", 3, 0),
+        ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+import nmixtime.oracle as oracle_module
 from nmixtime.errors import OracleConvergenceError
 from nmixtime.model import (
     Dataset,
@@ -15,7 +16,12 @@ from nmixtime.model import (
     SiteRecord,
     SurveyDesign,
 )
-from nmixtime.oracle import OracleConfig, oracle_site_loglik, oracle_total_loglik
+from nmixtime.oracle import (
+    OracleConfig,
+    oracle_site_loglik,
+    oracle_site_logliks,
+    oracle_total_loglik,
+)
 
 BIN = ObservationProcess.BINOMIAL_COUNT
 POI = ObservationProcess.POISSON_PROCESS
@@ -78,6 +84,26 @@ def test_total_is_sum_of_sites():
     total = oracle_total_loglik(ds, p)
     parts = sum(oracle_site_loglik(ds, p, i) for i in range(3))
     assert total == pytest.approx(parts, rel=1e-14)
+
+
+def test_dataset_pass_finds_the_truncation_point_once(monkeypatch):
+    counts = np.array([[1, 0], [0, 2], [3, 1], [0, 0], [2, 2], [1, 4]])
+    proto = Protocol.for_design(Family.COUNT, BIN, 2)
+    ds = Dataset(proto, SurveyDesign(6, 2, 1.0), [SiteRecord(i, counts[i]) for i in range(6)])
+    p = Parameterization(np.log([2.5, 1.0, 3.0, 0.5, 2.0, 4.0]), math.log(0.6))
+    singles = [oracle_site_loglik(ds, p, i) for i in range(6)]
+    calls = []
+    original = oracle_module._default_n_max
+    monkeypatch.setattr(
+        oracle_module, "_default_n_max", lambda *a: calls.append(1) or original(*a)
+    )
+    assert list(oracle_site_logliks(ds, p)) == singles
+    assert oracle_total_loglik(ds, p) == float(sum(singles))
+    assert len(calls) == 2  # one per whole-dataset call, not one per site
+    assert list(oracle_site_logliks(ds, p, OracleConfig(n_max=60), sites=[4, 1])) == [
+        oracle_site_loglik(ds, p, i, OracleConfig(n_max=60)) for i in (4, 1)
+    ]
+    assert len(calls) == 2  # an explicit n_max needs no default
 
 
 def test_matches_brute_force_across_variants():

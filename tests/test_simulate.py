@@ -1,10 +1,12 @@
 """Simulator determinism, stream layout, and frequency agreement."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from nmixtime.datafiles import write_dataset
 from nmixtime.model import (
     Family,
     ObservationProcess,
@@ -57,6 +59,50 @@ def test_sites_have_independent_streams():
     small = simulate_dataset(config(Family.COUNT_T, BIN, 5, 2, 2.0, 0.8, seed=13))
     large = simulate_dataset(config(Family.COUNT_T, BIN, 9, 2, 2.0, 0.8, seed=13))
     assert all(records_equal(a, b) for a, b in zip(small.records, large.records[:5]))
+
+
+# sha256 of counts.csv followed by times.csv (when written) for 25 sites, seed
+# 2024, lambda 3, rate 0.8 and the search times of _pinned_search_times.
+PINNED_DIGESTS = {
+    ("Binary", "binomial", 1): "571522ef777dfc1546bcb9b66f156a493640605513b43d1e201614555679e97e",
+    ("Binary", "binomial", 3): "953d51b8e83b8cdb923af7ab3a03aec37d5550644a0fd0cc36e3dfff42d80847",
+    ("BinaryT1", "binomial", 1): "b121a14ad661725a95f9c2f62f0b489cc1f27165200181f4c75745090238584a",
+    ("BinaryT1", "binomial", 3): "c4f7dddf518fb1ac36dbf6f2d2f2c2b38973fbe7cf502edd10fbaf6ed2bd64ef",
+    ("Count", "binomial", 1): "efe18edf6b0f726d7f7afac6e24f12abdc06e55ba3326889fa7e7352d5976051",
+    ("Count", "binomial", 3): "2f3449fd39eab5f6c6194ebac1ac40bb7df2b972d3d76e1166ce7d4e869e37e2",
+    ("CountT", "binomial", 1): "9a050b89edfd3ea80e193a601441c0aecd9dd99cd301ce4f6062162f562e8608",
+    ("CountT", "binomial", 3): "1afa486020656624e25030e233dfe7d73b7f35ae51c451e97c88d52dcf98141d",
+    ("CountT1", "binomial", 1): "1f9392a95df3b0105e752f948cd03e6dd10ffc34aa94e382f281092059a0f31d",
+    ("CountT1", "binomial", 3): "8f955a2e7c1e67ad1580eb5a1b468444ee32e62cd268b56ce77da64002ece638",
+    ("Binary", "poisson", 1): "3207f141312c91f5947f4b663d24c2b99fecae4d45414ffdd3289e7524f27af1",
+    ("Binary", "poisson", 3): "f48fe4c3d2b8e55fdd64545b3bfc4affe27bb9a033ff6d580e7b1133593ceff9",
+    ("BinaryT1", "poisson", 1): "a0622e2a372575ac7d1a375657a0c7e7422cb951a52c6babe153ced2625a835b",
+    ("BinaryT1", "poisson", 3): "6d8a02cb7f0e2661823e9176b71ddccb4789dc8f54d73624ea0b688c068a7106",
+    ("Count", "poisson", 1): "922eb0dabce4f00e1edf894103a1ad693e363c131f21916bff4e6045f09424b2",
+    ("Count", "poisson", 3): "869c9b273ff6dcc655e8a3d9d7ebda6c8e7185acc10961614d624e515349c600",
+    ("CountT", "poisson", 1): "58dc29bd0fc1b8e336fa467ca3233cad0f9b95bbfa3341d5006db079a88330e4",
+    ("CountT", "poisson", 3): "5b8db6641d49044be0a9e4ae3635ebc78f890fe3cf9a7ae412add4f6a5a3981d",
+    ("CountT1", "poisson", 1): "3490c88990483cb1f19c8b8837cdf7232d6abcf5bcdf64e66b9d8512733dd9db",
+    ("CountT1", "poisson", 3): "015986aa2dc14cabd6c113545668cb7b27809ca2be729a5f53df937781921e9a",
+}
+
+
+def _pinned_search_times(r, j):
+    i, k = np.meshgrid(np.arange(r), np.arange(j), indexing="ij")
+    return 0.4 + 0.35 * ((3 * i + 7 * k) % 5)
+
+
+@pytest.mark.parametrize("family, process, j", list(PINNED_DIGESTS))
+def test_seeded_output_is_pinned(tmp_path, family, process, j):
+    # any change to a stream, a draw or the file format moves these digests
+    proto = Protocol.for_design(Family(family), ObservationProcess(process), j)
+    design = SurveyDesign(25, j, _pinned_search_times(25, j))
+    cfg = SimConfig(proto, design, Parameterization(math.log(3.0), math.log(0.8)), seed=2024)
+    paths = write_dataset(simulate_dataset(cfg), tmp_path)
+    h = hashlib.sha256(paths["counts"].read_bytes())
+    if paths["times"] is not None:
+        h.update(paths["times"].read_bytes())
+    assert h.hexdigest() == PINNED_DIGESTS[family, process, j]
 
 
 def test_zero_abundance_gives_empty_records():
