@@ -26,7 +26,7 @@ class ExpansionCapError(NMixTimeError):
 
 
 class SeriesConvergenceError(NMixTimeError):
-    """A series evaluation hit its term cap before meeting the tail tolerance.
+    """A series evaluation cannot meet its tail tolerance within its term bound.
 
     Carries the partial log-sum and the number of terms accumulated so the
     caller can decide whether the partial value is usable.

@@ -37,7 +37,7 @@ FD_REL_STEP = 1e-4
 RIDGE_NOISE_SAFETY = 32.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a maximum-likelihood fit.
 
@@ -58,7 +58,7 @@ class FitResult:
     messages: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileResult:
     """Profile log-likelihood of one coefficient over a grid.
 

@@ -39,8 +39,10 @@ from .model import (
     Parameterization,
     _workspace_from_rows,  # noqa: F401 -- perfbench/tracing.py rebinds this name
 )
+from . import special
 from .oracle import site_loglik_by_summation
-from .special import log_pfq_equal_order, log_poisson_raw_moment, log_sum_exp, safe_exp
+from .special import log_pfq_equal_order, log_sum_exp, safe_exp
+from .special import log_poisson_raw_moment  # noqa: F401 -- perfbench/tracing.py rebinds this name
 
 __all__ = [
     "SUBSET_EXPANSION_CAP",
@@ -67,7 +69,7 @@ _CANCELLATION_GUARD = 4e-7
 _NAMED_FALLBACKS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogLik:
     """Total and per-site log-likelihood for one dataset and parameter set."""
 
@@ -81,7 +83,7 @@ class LogLik:
         object.__setattr__(self, "per_site", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteData:
     """Data-only arrays of one dataset, shared by every evaluation.
 
@@ -105,14 +107,8 @@ class SiteData:
     series_rows: np.ndarray | None = None
     upper: np.ndarray | None = None
     lower: np.ndarray | None = None
-    # Moment kernels: (order, sites) per distinct order >= 1. Binary: (sites,
-    # their detection occasions) per block of sites sharing a detection count.
-    groups: tuple = ()
-
-
-def _by_value(values: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(value, sites holding it) for each distinct positive value."""
-    return [(int(v), np.flatnonzero(values == v)) for v in np.unique(values) if v > 0]
+    order: np.ndarray | None = None    # moment kernels: each site's Poisson moment order
+    blocks: tuple = ()                 # Binary: (sites, detection occasions) per detection count
 
 
 def _cells(rows: np.ndarray, values: np.ndarray, n_sites: int) -> np.ndarray:
@@ -188,14 +184,15 @@ def data_pass(dataset: Dataset) -> SiteData:
         if n_detected.max() > SUBSET_EXPANSION_CAP:
             raise ExpansionCapError(int(n_detected.max()), SUBSET_EXPANSION_CAP)
         blocks = []
-        for d, rows in _by_value(n_detected):
+        for d in np.unique(n_detected[n_detected > 0]):
+            rows = np.flatnonzero(n_detected == d)
             occasions = np.nonzero(detected[rows])[1].reshape(rows.size, d)
             step = 2 ** (SUBSET_EXPANSION_CAP - d)
             blocks += [(rows[k : k + step], occasions[k : k + step]) for k in range(0, rows.size, step)]
-        return SiteData(**common, constants=zeros, log_coef=zeros, groups=tuple(blocks))
+        return SiteData(**common, constants=zeros, log_coef=zeros, blocks=tuple(blocks))
 
     if family is Family.BINARY_T1:
-        return SiteData(**common, constants=zeros, log_coef=zeros, groups=tuple(_by_value(n_detected)))
+        return SiteData(**common, constants=zeros, log_coef=zeros, order=n_detected)
 
     log_y = np.log(det_counts)
     if not binomial:
@@ -214,9 +211,7 @@ def data_pass(dataset: Dataset) -> SiteData:
         else:
             constants = zeros
         log_coef = _cells(det_rows, det_counts * np.log(det_search) - gammaln(det_counts + 1.0), n_sites)
-        return SiteData(
-            **common, constants=constants, log_coef=log_coef, groups=tuple(_by_value(y.sum(axis=1)))
-        )
+        return SiteData(**common, constants=constants, log_coef=log_coef, order=y.sum(axis=1))
 
     # binomial thinning: anchor the series at the last occasion with the max count
     constants = _cells(det_rows, log_y, n_sites) if family is Family.COUNT_T1 else zeros
@@ -259,7 +254,7 @@ def _binary(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
     undetected = np.where(data.detected, 0.0, exposure).sum(axis=1)
     out = -lam * -np.expm1(-undetected)
     fallback = []
-    for rows, occasions in data.groups:
+    for rows, occasions in data.blocks:
         w = exposure[rows[:, None], occasions]
         sums = np.zeros((rows.size, 1))
         odd = np.zeros(1, dtype=bool)
@@ -315,9 +310,7 @@ def _binary_t1(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarra
     time_exposure += _cells(data.det_rows, rate[data.det_rows, data.det_cols] * data.det_time, lam.size)
     out = -lam * -np.expm1(-time_exposure)
     out += _cells(data.det_rows, log_rate[data.det_rows, data.det_cols], lam.size)
-    for m, rows in data.groups:
-        out[rows] += log_poisson_raw_moment(m, log_lam[rows] - time_exposure[rows])
-    return out
+    return out + special.log_poisson_raw_moment(data.order, log_lam - time_exposure)
 
 
 def _count_binomial(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
@@ -378,9 +371,7 @@ def _count_poisson(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.nd
     r, c = data.det_rows, data.det_cols
     out = -lam * -np.expm1(-total_exposure) + data.log_coef
     out += _cells(r, data.det_counts * log_rate[r, c], lam.size)
-    for m, rows in data.groups:
-        out[rows] += log_poisson_raw_moment(m, log_lam[rows] - total_exposure[rows])
-    return out
+    return out + special.log_poisson_raw_moment(data.order, log_lam - total_exposure)
 
 
 def irrelevant_constants(dataset: Dataset) -> float:

@@ -124,7 +124,7 @@ def _assign(obj, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyDesign:
     """Site-by-occasion layout with known search times.
 
@@ -160,7 +160,7 @@ class SurveyDesign:
         _assign(self, n_sites=int(n_sites), n_occasions=int(n_occasions), search_time=_readonly(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteRecord:
     """Observations for one site: per-occasion counts and detection times.
 
@@ -187,7 +187,7 @@ class SiteRecord:
         _assign(self, site=int(site), counts=_readonly(y), times=ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A survey's observations, stored as columns.
 
@@ -301,7 +301,7 @@ class Violation:
         return self.message + where
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Parameterization:
     """Model parameters on the log scale, optionally through design matrices.
 
@@ -404,7 +404,7 @@ class Parameterization:
         return self.free_values().size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteWorkspace:
     """Per-site quantities shared by the likelihood kernels.
 

@@ -1,27 +1,21 @@
 """Log-space special functions used by the likelihood kernels.
 
-Everything here works on log scale because the quantities involved
-(Stirling numbers, Poisson moments, hypergeometric partial sums) overflow
-double precision long before the model sizes of interest are reached.
+The Poisson moments and hypergeometric series overflow double precision
+long before the model sizes of interest, so everything works on log scale.
+Both series are positive and log-concave; one summer adds them up around
+their largest term.
 """
 from __future__ import annotations
 
 import math
 import sys
-import threading
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import SeriesConvergenceError
 
-__all__ = [
-    "log_sum_exp",
-    "safe_exp",
-    "Stirling2Table",
-    "log_stirling2",
-    "log_poisson_raw_moment",
-    "log_pfq_equal_order",
-]
+__all__ = ["log_sum_exp", "safe_exp", "log_poisson_raw_moment", "log_pfq_equal_order"]
 
 NEG_INF = float("-inf")
 
@@ -61,121 +55,155 @@ def log_sum_exp(values, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-class Stirling2Table:
-    """Triangular table of log Stirling numbers of the second kind.
-
-    Row n holds log S(n, k) for k = 0..n, built by the two-term recurrence
-    S(n, k) = k S(n-1, k) + S(n-1, k-1) evaluated with logaddexp so the
-    table stays exact in log space well past the overflow point of the
-    integer values (S(220, k) already exceeds 1e400).
-
-    Rows are appended under a lock and never mutated afterwards, so reads
-    of already-built rows are safe from multiple threads.
-    """
-
-    def __init__(self):
-        self._rows: list[np.ndarray] = [np.array([0.0])]
-        self._lock = threading.Lock()
-
-    @property
-    def max_n(self) -> int:
-        return len(self._rows) - 1
-
-    def ensure(self, n: int) -> None:
-        """Extend the table so row ``n`` exists."""
-        if n <= self.max_n:
-            return
-        with self._lock:
-            while self.max_n < n:
-                prev = self._rows[-1]
-                m = len(prev)  # building row index m
-                row = np.empty(m + 1)
-                row[0] = NEG_INF
-                if m > 1:
-                    ks = np.arange(1, m)
-                    row[1:m] = np.logaddexp(np.log(ks) + prev[1:m], prev[0 : m - 1])
-                row[m] = prev[m - 1]  # S(n, n) = S(n-1, n-1) = 1
-                self._rows.append(row)
-
-    def log_value(self, n: int, k: int) -> float:
-        if n < 0 or k < 0:
-            raise ValueError(f"Stirling arguments must be nonnegative, got n={n}, k={k}")
-        if k > n:
-            return NEG_INF
-        self.ensure(n)
-        return float(self._rows[n][k])
-
-    def log_row(self, n: int) -> np.ndarray:
-        """Read-only view of row n: log S(n, k) for k = 0..n."""
-        if n < 0:
-            raise ValueError(f"Stirling row index must be nonnegative, got {n}")
-        self.ensure(n)
-        return self._rows[n]
+# A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
+# at most _BLOCK window terms are evaluated at once.
+_SPREAD = 16.0
+_BLOCK = 2**16
+_LOG_TOL = math.log(1e-13)
 
 
-_TABLE = Stirling2Table()
+def _log_tail(log_r):
+    """log(r + r^2 + ...) for r = exp(log_r); +inf or NaN unless r < 1."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return log_r - np.log(-np.expm1(log_r))
 
 
-def log_stirling2(n: int, k: int) -> float:
-    """log S(n, k), the log count of partitions of n items into k nonempty blocks.
+def _peaks(log_ratio, rows, after):
+    """Index of the largest term of rows still rising at ``after``: gallop 1, 2,
+    4, ... terms on to a falling ratio, then cut that bracket in 32 per step.
+    +inf past 2^32 terms on."""
+    n = after + 2.0 ** np.arange(33)[:, None]
+    falling = log_ratio(rows, n) <= 0.0
+    k, i = falling.argmax(axis=0), np.arange(rows.size)
+    peak = np.where(falling[k, i], n[k, i], np.inf)
+    ok = np.isfinite(peak)
+    rows, lo, hi = rows[ok], np.where(k > 0, n[k - 1, i], after)[ok], peak[ok]
+    while np.any(hi - lo > 1.0):
+        n = lo + np.ceil((hi - lo) * np.arange(1, 33)[:, None] / 32.0)  # the last probe is hi
+        k, i = (log_ratio(rows, n) <= 0.0).argmax(axis=0), np.arange(rows.size)
+        lo, hi = np.where(k > 0, n[k - 1, i], lo), n[k, i]
+    peak[ok] = hi
+    return peak
 
-    Returns -inf where S(n, k) = 0 (k > n, or k = 0 with n > 0).
-    """
-    return _TABLE.log_value(n, k)
+
+def _windows(todo, start, lo, width, log_ratio):
+    """Per row: window log-sum relative to its first term, left and right tail
+    bounds relative to that sum (NaN or +inf: none yet), last log ratio. Rows
+    of equal width go together, one column each; no operation mixes columns."""
+    out = np.empty((4, todo.size))
+    out[1] = NEG_INF
+    widths = width[todo]
+    for w in sorted(set(widths.tolist())):
+        group = np.flatnonzero(widths == w)
+        step = max(1, _BLOCK // int(w))
+        for part in (group[s : s + step] for s in range(0, group.size, step)):
+            edge = lo[todo[part]]
+            # log t_{n+1}/t_n from the term before the window to its last term;
+            # rows that share their indices share one column of them
+            n = np.arange(-1.0, w)[:, None] + (edge[:1] if edge.min() == edge.max() else edge)
+            log_r = log_ratio(todo[part], np.maximum(n, start))
+            # going left the ratios only grow, so 1/ratio(lo - 1) bounds the left tail
+            inner = edge > start
+            if inner.any():
+                out[1, part[inner]] = _log_tail(-log_r[0, inner])
+            log_r[0] = 0.0
+            cum = np.cumsum(log_r, axis=0)  # log(t_{lo+j} / t_lo); the last is past the window
+            peak = cum[:-1].max(axis=0)
+            # summed along contiguous rows, so a row sums alike alone or batched
+            out[0, part] = peak + np.log(np.exp(np.ascontiguousarray((cum[:-1] - peak).T)).sum(axis=1))
+            out[2, part] = cum[-2] + _log_tail(log_r[-1])
+            out[3, part] = log_r[-1]
+    return out[0], out[1] - out[0], out[2] - out[0], out[3]
 
 
-def log_poisson_raw_moment(m: int, log_mu):
+def _log_series_sum(start, first, log_first, log_ratio, log_term):
+    """log sum_{n >= start} t_n for rows of positive, log-concave series.
+
+    ``log_first`` holds each row's log t_start, ``log_term(rows, n)`` the exact
+    log t_n at one index per row, and ``log_ratio(rows, n)`` log t_{n+1}/t_n,
+    non-increasing in n, at (w, k) or (w, 1) indices, one column per row.
+    Each row log-sum-exps a window, ``first`` terms from ``start`` at first,
+    doubled until the geometric bounds on both tails are below 1e-13 of the
+    sum. A window still rising at its end moves around the row's peak, found
+    by galloping and bisecting on the sign of the ratio: O(sqrt(peak)) terms.
+    Raises SeriesConvergenceError for a row still rising 2^32 terms on."""
+    lo = np.full(log_first.size, float(start))
+    width = np.full(log_first.size, float(first))
+    out = np.empty(log_first.size)
+    todo = np.arange(log_first.size)
+    while todo.size:
+        rel, left, right, last = _windows(todo, start, lo, width, log_ratio)
+        left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
+        done = left_ok & right_ok
+        rows, moved = todo[done], lo[todo[done]] > start
+        out[rows] = log_first[rows] + rel[done]
+        if moved.any():
+            out[rows[moved]] = log_term(rows[moved], lo[rows[moved]]) + rel[done][moved]
+        if done.all():
+            break
+        rising = last > 0.0
+        if rising.any():
+            rows = todo[rising]
+            peak = _peaks(log_ratio, rows, lo[rows] + width[rows] - 1.0)
+            k = np.isinf(peak).argmax()
+            if np.isinf(peak[k]):
+                raise SeriesConvergenceError("series peak past 2^32 terms", float(log_first[rows[k]] + rel[rising][k]), first)
+            width[rows] = first * 2.0 ** np.ceil(np.log2(np.maximum(1.0, _SPREAD * np.sqrt(peak) / first)))
+            lo[rows] = np.maximum(start, peak - width[rows] / 2)
+        # double the rest: to the right, to the left, or by half on each side
+        grow = ~done & ~rising
+        rows = todo[grow]
+        shift = np.where(left_ok[grow], 0.0, np.where(right_ok[grow], 1.0, 0.5)) * width[rows]
+        lo[rows] = np.maximum(start, lo[rows] - shift)
+        width[rows] *= 2.0
+        todo = todo[~done]
+    return out
+
+
+def log_poisson_raw_moment(m, log_mu):
     """log E[N^m] for N ~ Poisson(mu), passed as log mu.
 
-    Uses the moment expansion E[N^m] = sum_k S(m, k) mu^k, which turns the
-    infinite Poisson series into a finite sum of m log-space terms. m = 0
-    gives 0 (the zeroth moment is 1) for any mu >= 0, including mu = 0.
-    The order is one integer; ``log_mu`` may be a float or an array, and
-    the result has its shape.
+    Sums Dobinski's formula E[N^m] = e^{-mu} sum_{n >= 1} n^m mu^n / n!.
+    ``m`` is a nonnegative integer or integer array that broadcasts with
+    ``log_mu``; the result has the broadcast shape (a float for two scalars).
+    m = 0 gives 0 for any mu >= 0, and m >= 1 at mu = 0 gives -inf. Raises
+    SeriesConvergenceError where the largest term lies past 2^32 (mu > ~4e9).
     """
-    if m < 0:
-        raise ValueError(f"moment order must be nonnegative, got {m}")
-    log_mu = np.asarray(log_mu, dtype=float)
-    if m == 0:
-        return 0.0 if log_mu.ndim == 0 else np.zeros(log_mu.shape)
-    if np.any(np.isnan(log_mu)):
-        raise ValueError("log_mu must not be NaN")
-    # a zero rate (log_mu = -inf) makes every k >= 1 term -inf: E[N^m] = 0
-    row = _TABLE.log_row(m)[1:]
-    ks = np.arange(1, m + 1)
-    out = log_sum_exp(row + ks * log_mu[..., None], axis=-1)
-    return float(out) if log_mu.ndim == 0 else out
+    m, log_mu = np.asarray(m), np.asarray(log_mu, dtype=float)
+    if m.shape != log_mu.shape:
+        m, log_mu = np.broadcast_arrays(m, log_mu)
+    if m.size and m.min() < 0:
+        raise ValueError(f"moment order must be nonnegative, got {m.min()}")
+    if not np.all(log_mu[m > 0] < np.inf):
+        raise ValueError("log_mu must not be NaN or +inf")
+    out = np.where(m == 0, 0.0, NEG_INF)
+    rows = np.flatnonzero((m > 0) & (log_mu > NEG_INF))
+    order, log_mu = m.ravel()[rows], log_mu.ravel()[rows]
+
+    def log_ratio(i, n):
+        return order[i] * np.log1p(1.0 / n) + (log_mu[i] - np.log(n + 1.0))
+
+    def log_term(i, n):
+        return order[i] * np.log(n) + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
+
+    # 32 terms cover mu up to ~5 at the small orders of binary histories
+    out.flat[rows] = _log_series_sum(1, 32, log_mu - safe_exp(log_mu), log_ratio, log_term)
+    return float(out) if out.ndim == 0 else out
 
 
-# Terms summed in the first pass of the hypergeometric series; each later
-# pass doubles the chunk, so a row needing n terms costs at most ~2n.
-_FIRST_CHUNK = 16
-
-
-def log_pfq_equal_order(a, b, z, *, tol: float = 1e-13, max_terms: int = 10_000):
+def log_pfq_equal_order(a, b, z):
     """log pFq(a; b; z) for equal-length positive parameter vectors and z >= 0.
 
-    Every series term is positive, so the partial sums are accumulated in
-    log space with logaddexp and no cancellation occurs. Terms follow the
-    ratio recurrence t_{n+1}/t_n = prod(a+n)/prod(b+n) * z/(n+1); once that
-    ratio drops below 1 the remaining tail is bounded geometrically and the
-    sum stops when the bound falls below ``tol`` relative to the running
-    sum.
-
-    ``a`` and ``b`` may also be (R, p) arrays with ``z`` of shape (R,):
-    each row is an independent series and the result is an (R,) array.
-    Rows are summed together in chunks of terms that double in length,
-    and each row stops at its own first term that meets the bound.
-
-    Raises SeriesConvergenceError (carrying the partial sum of the first
-    row that failed) if any row does not meet the bound within
-    ``max_terms`` terms.
+    The terms start at t_0 = 1 and follow t_{n+1}/t_n = prod(a+n)/prod(b+n)
+    * z/(n+1); that ratio does not increase with n when each sorted a_i >= b_i
+    (as in the count kernels). ``a`` and ``b`` may also be (R, p) arrays with
+    ``z`` of shape (R,): each row is an independent series and the result an
+    (R,) array. Raises SeriesConvergenceError for a row whose largest term
+    lies past 2^32 (z > ~4e9).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"parameter vectors must have equal length, got {a.size} and {b.size}")
-    rowwise = a.ndim == 2
     upper = np.sort(np.atleast_2d(a), axis=1)
     lower = np.sort(np.atleast_2d(b), axis=1)
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -183,44 +211,23 @@ def log_pfq_equal_order(a, b, z, *, tol: float = 1e-13, max_terms: int = 10_000)
         raise ValueError(f"need one series argument per parameter row, got shape {z.shape}")
     if np.any(upper <= 0) or np.any(lower <= 0):
         raise ValueError("hypergeometric parameters must be positive")
-    if np.any(z < 0):
-        raise ValueError(f"series argument must be nonnegative, got {z.min()}")
+    if not np.all((z >= 0) & (z < np.inf)):
+        raise ValueError(f"series argument must be finite and nonnegative, got {z.min()} to {z.max()}")
 
     out = np.zeros(z.shape)
-    same = np.all(upper == lower, axis=1)
-    out[same] = z[same]  # pFq(a; a; z) = exp(z)
-    rows = np.flatnonzero(~same & (z > 0))  # z = 0 leaves the leading term, 1
-    upper, lower, log_z = upper[rows, :, None], lower[rows, :, None], np.log(z[rows])
-    log_tol = math.log(tol)
-    log_term = np.zeros(rows.size)
-    log_sum = np.zeros(rows.size)
-    start, length = 0, _FIRST_CHUNK
-    while rows.size and start < max_terms:
-        n = np.arange(start, min(start + length, max_terms), dtype=float)
-        log_ratio = (
-            np.log(upper + n).sum(axis=1) - np.log(lower + n).sum(axis=1)
-            + log_z[:, None] - np.log(n + 1.0)
-        )
-        # prepend the carried values so each row adds its terms in order
-        terms = np.cumsum(np.column_stack([log_term, log_ratio]), axis=1)[:, 1:]
-        sums = np.logaddexp.accumulate(np.column_stack([log_sum, terms]), axis=1)[:, 1:]
-        # ratios decrease, so once one is below 1 it bounds all later ones
-        falling = log_ratio < 0.0
-        log_r = np.where(falling, log_ratio, -1.0)
-        log_tail = terms + log_r - np.log(-np.expm1(log_r))
-        done = falling & (log_tail - sums < log_tol)
-        first = np.argmax(done, axis=1)
-        hit = done[np.arange(rows.size), first]
-        out[rows[hit]] = sums[hit, first[hit]]
-        keep = ~hit
-        rows, upper, lower, log_z = rows[keep], upper[keep], lower[keep], log_z[keep]
-        log_term, log_sum = terms[keep, -1], sums[keep, -1]
-        start += n.size
-        length *= 2
-    if rows.size:
-        raise SeriesConvergenceError(
-            f"hypergeometric series did not meet tolerance {tol} within {max_terms} terms",
-            float(log_sum[0]),
-            max_terms,
-        )
-    return out if rowwise else float(out[0])
+    rows = np.flatnonzero(z > 0)  # z = 0 leaves the leading term, 1
+    lower, gap, log_z = lower[rows].T, (upper - lower)[rows].T, np.log(z[rows])  # one column per row
+
+    def log_ratio(i, n):
+        # log((a + n) / (b + n)) = log1p((a - b) / (b + n)), exactly 0 for a = b
+        steps = np.log1p(gap[:, None, i] / (lower[:, None, i] + n)).sum(axis=0)
+        return steps + (log_z[i] - np.log(n + 1.0))
+
+    def log_term(i, n):
+        up, low = lower[:, i] + gap[:, i], lower[:, i]
+        pochhammer = gammaln(up + n) - gammaln(up) - gammaln(low + n) + gammaln(low)
+        return pochhammer.sum(axis=0) + n * log_z[i] - gammaln(n + 1.0)
+
+    # 16 terms cover z up to ~1 with a few unit-sized parameter gaps
+    out[rows] = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term)
+    return out if a.ndim == 2 else float(out[0])

@@ -27,7 +27,7 @@ from nmixtime.model import (
 )
 from nmixtime.oracle import OracleConfig, oracle_site_loglik
 from nmixtime.simulate import SimConfig, empirical_pmf_check, simulate_dataset
-from nmixtime.special import log_pfq_equal_order, log_poisson_raw_moment, log_stirling2
+from nmixtime.special import log_pfq_equal_order, log_poisson_raw_moment
 
 BIN = ObservationProcess.BINOMIAL_COUNT
 POI = ObservationProcess.POISSON_PROCESS
@@ -268,15 +268,15 @@ def test_criterion_6_mle_recovery(capsys):
 
 
 def test_criterion_7_special_functions(capsys):
-    worst_stirling = 0.0
-    for n in range(1, 11):
+    # E[N^m] = sum_k S(m, k) mu^k, with S(m, k) counted by partition enumeration
+    worst_partition = 0.0
+    for m in range(1, 11):
         blocks = {}
-        for part in set_partitions(list(range(n))):
+        for part in set_partitions(list(range(m))):
             blocks[len(part)] = blocks.get(len(part), 0) + 1
-        for k, count in blocks.items():
-            worst_stirling = max(
-                worst_stirling, abs(log_stirling2(n, k) - math.log(count))
-            )
+        for mu in (0.3, 1.0, 5.0, 17.5):
+            exact = math.log(sum(count * mu**k for k, count in blocks.items()))
+            worst_partition = max(worst_partition, abs(log_poisson_raw_moment(m, math.log(mu)) - exact))
     worst_moment = 0.0
     for m in range(1, 21):
         for mu in (0.3, 1.0, 5.0, 17.5, 50.0):
@@ -287,10 +287,10 @@ def test_criterion_7_special_functions(capsys):
     for a, b, z in ((0.7, 0.7, 1.3), (2.5, 2.5, 3.1), (1.1, 1.1, 0.0), (0.9, 2.2, 0.0)):
         expect = z if a == b else 0.0  # a = b gives e^z; z = 0 gives 1
         worst_pfq = max(worst_pfq, abs(log_pfq_equal_order([a], [b], z) - expect))
-    ok = worst_stirling < 1e-10 and worst_moment < 1e-10 and worst_pfq < 1e-12
+    ok = worst_partition < 1e-10 and worst_moment < 1e-10 and worst_pfq < 1e-12
     assert scoreboard(
         capsys, 7, ok,
-        f"partition-count match to 1e-10 (worst {worst_stirling:.1e}), "
+        f"moment vs partition counts to 1e-10 (worst {worst_partition:.1e}), "
         f"moment series rel err {worst_moment:.1e} (tol 1e-10), "
         f"series identities {worst_pfq:.1e} (tol 1e-12)",
     )

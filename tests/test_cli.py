@@ -260,11 +260,11 @@ def test_loglik_poisson_times_note_in_validate(tmp_path, capsys):
 
 
 def test_loglik_series_failure_exits_config(tmp_path, capsys):
-    # z = lambda * exp(-sum h T) near 5e4 is past the hypergeometric series' term cap
+    # at log lambda 800 the hypergeometric series peaks past its 2^32-term bound
     cfg = sim_config(tmp_path, model="Count", sites=2, **{"lambda": 5e4, "rate": 0.01})
     data = tmp_path / "data"
     assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
-    params = write_json(tmp_path / "p.json", {"lambda": 5e4, "rate": 0.01})
+    params = write_json(tmp_path / "p.json", {"log_lambda": 800.0, "rate": 0.01})
     capsys.readouterr()
     code = main(["loglik", "--data", str(data), "--model", "Count", "--params", params])
     assert code == 2

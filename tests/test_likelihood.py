@@ -374,6 +374,27 @@ def test_extreme_parameters_give_a_value_or_a_typed_error(case):
             assert not math.isnan(got.total) and got.total != math.inf, (log_lam, log_h, got.total)
 
 
+@pytest.mark.parametrize(
+    "process, lam, rate, seed",
+    [
+        # Count:M with z = lambda * exp(-sum h T) near 5e4: the series peaks far from n = 0
+        (BIN, 5e4, 0.01, 11),
+        # PCount:M with 4-5 thousand events per site: moment orders in the thousands
+        (POI, 2000.0, 0.55, 12),
+    ],
+    ids=["Count:M lambda 5e4", "PCount:M 4e3 events"],
+)
+def test_large_inputs_match_oracle(process, lam, rate, seed):
+    proto = Protocol.for_design(Family.COUNT, process, 4)
+    p = Parameterization(math.log(lam), math.log(rate))
+    ds = simulate_dataset(SimConfig(proto, SurveyDesign(5, 4, 1.0), p, seed=seed))
+    if process is POI:
+        assert 4000 <= ds.counts.sum(axis=1).min() and ds.counts.sum(axis=1).max() <= 5000
+    got = total_loglik(ds, p).per_site
+    for i in range(ds.n_sites):
+        assert got[i] == pytest.approx(oracle_site_loglik(ds, p, i), abs=1e-8), i
+
+
 def test_data_pass_is_kept_and_data_errors_repeat():
     ds = one_site(Family.COUNT, BIN, [2, 1])
     first = ds.site_data

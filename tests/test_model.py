@@ -178,6 +178,22 @@ class TestDatasetColumns:
             Dataset.from_arrays(proto, SurveyDesign(2, 2, 1.0), counts, [[1, 0], [0, 0]], [])
 
 
+def test_array_holders_compare_by_identity():
+    # field-by-field equality would compare arrays elementwise and raise
+    a, b = SurveyDesign(2, 2, 1.0), SurveyDesign(2, 2, 1.0)
+    assert a == a and not a == b
+    proto = Protocol.for_design(Family.COUNT, BIN, 2)
+    counts = np.array([[1, 0], [2, 3]])
+    d1, d2 = Dataset.from_arrays(proto, a, counts), Dataset.from_arrays(proto, a, counts)
+    assert d1 == d1 and d1 != d2
+    p = Parameterization(0.0, np.zeros((2, 2)))
+    assert p == p and p != Parameterization(0.0, np.zeros((2, 2)))
+    assert SiteRecord(0, [1, 2]) != SiteRecord(0, [1, 2])
+    assert len({a: 0, b: 1, d1: 2, d2: 3, p: 4}) == 5
+    # protocols hold no arrays and keep value equality
+    assert Protocol.for_design(Family.COUNT, BIN, 2) == proto
+
+
 class TestWorkspace:
     def test_detection_split_of_exposure(self):
         # one detected and one undetected occasion, unit exposure each

@@ -8,10 +8,8 @@ from scipy.special import logsumexp
 
 from nmixtime.errors import SeriesConvergenceError
 from nmixtime.special import (
-    Stirling2Table,
     log_pfq_equal_order,
     log_poisson_raw_moment,
-    log_stirling2,
     log_sum_exp,
     safe_exp,
 )
@@ -41,49 +39,42 @@ def stirling2_exact(n_max):
     return table
 
 
-def test_stirling_pinned_values():
-    assert log_stirling2(3, 3) == 0.0
-    assert log_stirling2(3, 2) == pytest.approx(math.log(3), abs=1e-14)
-    assert log_stirling2(4, 2) == pytest.approx(math.log(7), abs=1e-14)
-    assert log_stirling2(0, 0) == 0.0
-    assert log_stirling2(5, 0) == -math.inf
-    assert log_stirling2(2, 5) == -math.inf
+MUS = (1e-3, 0.3, 1.0, 2.5, 7.0, 40.0)
+
+
+def test_poisson_moment_pinned_polynomials():
+    # E[N^m] is the Touchard polynomial sum_k S(m, k) mu^k
+    for mu in MUS:
+        assert log_poisson_raw_moment(3, math.log(mu)) == pytest.approx(
+            math.log(mu + 3 * mu**2 + mu**3), rel=1e-13
+        ), mu
+        assert log_poisson_raw_moment(4, math.log(mu)) == pytest.approx(
+            math.log(mu + 7 * mu**2 + 6 * mu**3 + mu**4), rel=1e-13
+        ), mu
     with pytest.raises(ValueError):
-        log_stirling2(-1, 0)
+        log_poisson_raw_moment(-1, 0.0)
+    with pytest.raises(ValueError):
+        log_poisson_raw_moment(2, math.nan)
 
 
-def test_stirling_matches_partition_enumeration():
-    for n in range(1, 11):
-        counts = [0] * (n + 1)
-        for part in set_partitions(list(range(n))):
-            counts[len(part)] += 1
-        for k in range(1, n + 1):
-            assert log_stirling2(n, k) == pytest.approx(
-                math.log(counts[k]), rel=1e-12
-            ), (n, k)
+def test_poisson_moment_matches_partition_enumeration():
+    # S(m, k) counted as the partitions of m items into k blocks
+    for m in range(1, 11):
+        blocks = [0] * (m + 1)
+        for part in set_partitions(list(range(m))):
+            blocks[len(part)] += 1
+        for mu in MUS:
+            want = math.log(sum(c * mu**k for k, c in enumerate(blocks)))
+            assert log_poisson_raw_moment(m, math.log(mu)) == pytest.approx(want, rel=1e-12), (m, mu)
 
 
-def test_stirling_matches_integer_recurrence():
+def test_poisson_moment_matches_integer_stirling_sums():
     exact = stirling2_exact(15)
-    for n in range(16):
-        for k in range(n + 1):
-            got = log_stirling2(n, k)
-            if exact[n][k] == 0:
-                assert got == -math.inf
-            else:
-                assert got == pytest.approx(math.log(exact[n][k]), rel=1e-12)
-
-
-def test_stirling_table_growth_consistency():
-    fresh = Stirling2Table()
-    big_first = fresh.log_value(60, 17)
-    grown = Stirling2Table()
-    for n in (5, 23, 60):
-        grown.log_value(n, min(n, 17))
-    assert grown.log_value(60, 17) == big_first
-    row = fresh.log_row(12)
-    for k in range(13):
-        assert row[k] == fresh.log_value(12, k)
+    for m in range(16):
+        for mu in MUS:
+            want = math.log(sum(c * mu**k for k, c in enumerate(exact[m])))
+            got = log_poisson_raw_moment(m, math.log(mu))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (m, mu)
 
 
 def test_log_sum_exp_pinned():
@@ -141,6 +132,15 @@ def test_poisson_moment_matches_direct_series():
             assert got == pytest.approx(want, rel=1e-10), (m, mu)
 
 
+def test_poisson_moment_at_large_orders_matches_direct_series():
+    # PCount sites with thousands of events: the peak term lies far from n = 1
+    for m in (300, 1500, 4470, 5000):
+        for mu in (0.5, 40.0, 800.0, 2000.0):
+            got = log_poisson_raw_moment(m, math.log(mu))
+            want = moment_by_direct_series(m, mu)
+            assert got == pytest.approx(want, rel=1e-12), (m, mu)
+
+
 def test_pfq_identities():
     # equal parameter multisets collapse to exp(z)
     for z in (0.0, 0.1, 2.0, 10.0):
@@ -167,10 +167,19 @@ def test_pfq_validation_and_convergence():
         log_pfq_equal_order([1.0, 2.0], [2.0], 1.0)
     with pytest.raises(ValueError):
         log_pfq_equal_order([1.0], [2.0], -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            log_pfq_equal_order([1.0], [2.0], bad)
+    # the terms z^n / (n+1)! rise past any term bound: the error carries the
+    # log-sum of the terms it did add
+    z = 1e300
     with pytest.raises(SeriesConvergenceError) as info:
-        log_pfq_equal_order([1.0], [2.0], 30.0, max_terms=5)
-    assert info.value.n_terms == 5
-    assert math.isfinite(info.value.partial_log_sum)
+        log_pfq_equal_order([1.0], [2.0], z)
+    n = np.arange(info.value.n_terms)
+    assert info.value.n_terms >= 1
+    assert info.value.partial_log_sum == pytest.approx(
+        float(logsumexp(n * math.log(z) - [math.lgamma(k + 2.0) for k in n])), rel=1e-13
+    )
 
 
 def test_poisson_moment_array_matches_scalar_loop():
@@ -180,6 +189,14 @@ def test_poisson_moment_array_matches_scalar_loop():
         want = [log_poisson_raw_moment(m, float(x)) for x in log_mu]
         assert got.shape == log_mu.shape
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # an array of orders, with peaks from n = 1 out to n ~ 6000, broadcast
+    # against a column of log-means
+    orders = np.array([0, 1, 4, 17, 300, 4470])
+    got = log_poisson_raw_moment(orders, log_mu[:, None])
+    assert got.shape == (log_mu.size, orders.size)
+    for i, x in enumerate(log_mu):
+        want = [log_poisson_raw_moment(int(m), float(x)) for m in orders]
+        np.testing.assert_allclose(got[i], want, rtol=1e-15, atol=0.0)
 
 
 def test_pfq_rows_match_single_calls():
@@ -191,20 +208,27 @@ def test_pfq_rows_match_single_calls():
     b[::7] = a[::7]  # pFq(a; a; z) = exp(z)
     z = rng.uniform(0.0, 40.0, r)
     z[::9] = 0.0
+    # rows whose peaks lie far from 0, as at large abundance
+    far = rng.integers(100, 600, 12)
+    a = np.vstack([a, np.repeat(far[:, None] + 1.0, p, axis=1)])
+    b = np.vstack([b, far[:, None] - rng.integers(0, 50, (12, p)) + 1.0])
+    z = np.concatenate([z, rng.uniform(1e3, 5e4, 12)])
+    r = z.size
     got = log_pfq_equal_order(a, b, z)
     want = [log_pfq_equal_order(a[i], b[i], z[i]) for i in range(r)]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_pfq_capped_row_raises_while_others_converge():
+    # the middle row's peak lies far past the series' bound on the peak index
     a = np.array([[2.0], [1.0], [3.0]])
     b = np.array([[1.0], [2.0], [1.0]])
-    z = np.array([0.5, 30.0, 1.0])
-    fine = log_pfq_equal_order(a[[0, 2]], b[[0, 2]], z[[0, 2]], max_terms=40)
+    z = np.array([0.5, 1e300, 1.0])
+    fine = log_pfq_equal_order(a[[0, 2]], b[[0, 2]], z[[0, 2]])
     assert np.all(np.isfinite(fine))
     with pytest.raises(SeriesConvergenceError) as together:
-        log_pfq_equal_order(a, b, z, max_terms=40)
+        log_pfq_equal_order(a, b, z)
     with pytest.raises(SeriesConvergenceError) as alone:
-        log_pfq_equal_order(a[1], b[1], z[1], max_terms=40)
-    assert together.value.n_terms == alone.value.n_terms == 40
+        log_pfq_equal_order(a[1], b[1], z[1])
+    assert together.value.n_terms == alone.value.n_terms
     assert together.value.partial_log_sum == alone.value.partial_log_sum
