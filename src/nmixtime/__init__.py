@@ -7,17 +7,14 @@ site surveys where a latent Poisson abundance drives what gets detected.
 
 from .errors import (
     DataFormatError,
-    ExpansionCapError,
     LikelihoodDomainError,
     NMixTimeError,
-    NumericalFallbackWarning,
     OracleConvergenceError,
     SeriesConvergenceError,
 )
 from .estimate import FitResult, ProfileResult, default_init, fit, profile_loglik
 from .likelihood import (
     LogLik,
-    SUBSET_EXPANSION_CAP,
     irrelevant_constants,
     total_loglik,
 )
@@ -43,20 +40,17 @@ __version__ = "0.1.0"
 __all__ = [
     "DataFormatError",
     "Dataset",
-    "ExpansionCapError",
     "Family",
     "FitResult",
     "LikelihoodDomainError",
     "LogLik",
     "NMixTimeError",
-    "NumericalFallbackWarning",
     "ObservationProcess",
     "OracleConfig",
     "OracleConvergenceError",
     "Parameterization",
     "ProfileResult",
     "Protocol",
-    "SUBSET_EXPANSION_CAP",
     "SeriesConvergenceError",
     "SimConfig",
     "SiteRecord",

@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 2 unusable configuration or data, or a numeric
 failure the closed forms cannot get past (a series or oracle that does not
-converge, an expansion cap, data outside the density's support), 3 fit
-completed but flagged (non-convergence or a degenerate Hessian), 4
-closed-form vs summation-oracle disagreement or oracle failure during
-validation. Every such failure prints one ``error: ...`` line to stderr.
+converge, data outside the density's support), 3 fit completed but
+flagged (non-convergence or a degenerate Hessian), 4 closed-form vs
+summation-oracle disagreement or oracle failure during validation. Every such failure prints one ``error: ...`` line to stderr.
 """
 from __future__ import annotations
 

@@ -13,18 +13,6 @@ class LikelihoodDomainError(NMixTimeError, ValueError):
     """Raised when data lie outside the support of the requested density."""
 
 
-class ExpansionCapError(NMixTimeError):
-    """Raised when an exact subset expansion would exceed the configured cap."""
-
-    def __init__(self, n_detections: int, cap: int):
-        self.n_detections = n_detections
-        self.cap = cap
-        super().__init__(
-            f"occasions too numerous for exact expansion: "
-            f"{n_detections} detection occasions exceed the cap of {cap}"
-        )
-
-
 class SeriesConvergenceError(NMixTimeError):
     """A series evaluation cannot meet its tail tolerance within its term bound.
 
@@ -48,7 +36,3 @@ class OracleConvergenceError(NMixTimeError):
         self.partial_value = partial_value
         self.n_terms = n_terms
         super().__init__(f"{message} (partial value {partial_value!r} after {n_terms} terms)")
-
-
-class NumericalFallbackWarning(UserWarning):
-    """Emitted when a closed-form kernel falls back to the summation oracle."""

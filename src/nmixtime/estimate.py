@@ -89,8 +89,8 @@ class _CountedLoglik:
 
     A series or oracle that cannot converge at the probed coefficients
     scores that proposal as impossible and is counted. Errors that depend
-    only on the data (an expansion cap, a record outside the density's
-    support) would make every proposal impossible, so they propagate.
+    only on the data (a record outside the density's support) would make
+    every proposal impossible, so they propagate.
     """
 
     def __init__(self, dataset: Dataset, template: Parameterization):

@@ -10,11 +10,6 @@ sites: four array kernels cover the sixteen distinct laws (binary records
 do not depend on the observation process, so the twenty variants share
 sixteen laws).
 
-The binary kernel with repeat visits is the one place where the exact
-expression alternates in sign; it monitors its own cancellation and
-scores the sites where double precision cannot support the expansion by
-the summation oracle, one at a time.
-
 Kernels return the log joint density of everything the protocol records,
 except that for three protocols a data-only factor is conventionally
 dropped (it shifts the log-likelihood without moving the maximum). Those
@@ -25,13 +20,12 @@ back, which is what any AIC computation uses.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ExpansionCapError, LikelihoodDomainError, NumericalFallbackWarning
+from .errors import LikelihoodDomainError
 from .model import (
     Dataset,
     Family,
@@ -40,33 +34,17 @@ from .model import (
     _workspace_from_rows,  # noqa: F401 -- perfbench/tracing.py rebinds this name
 )
 from . import special
-from .oracle import site_loglik_by_summation
-from .special import log_pfq_equal_order, log_sum_exp, safe_exp
+from .oracle import site_loglik_by_summation  # noqa: F401 -- perfbench/tracing.py rebinds this name
+from .special import log_pfq_equal_order, safe_exp
 from .special import log_poisson_raw_moment  # noqa: F401 -- perfbench/tracing.py rebinds this name
 
 __all__ = [
-    "SUBSET_EXPANSION_CAP",
     "LogLik",
     "SiteData",
     "data_pass",
     "total_loglik",
     "irrelevant_constants",
 ]
-
-# 2^cap signed terms is the practical limit of the exact detection-history
-# expansion; beyond it memory and cancellation both become unreasonable.
-# It also bounds the subset sums formed at once for a block of sites.
-SUBSET_EXPANSION_CAP = 20
-
-# The signed subset expansion computes g = pos - neg with pos, neg each
-# accurate to a few ulps, so the result's relative error is about
-# eps / (1 - exp(log_neg - log_pos)). Falling back once that gap drops
-# below ~4e-7 keeps the expansion good to ~1e-9 before the slower
-# summation takes over.
-_CANCELLATION_GUARD = 4e-7
-
-# Site indices named in the one fallback warning of a call.
-_NAMED_FALLBACKS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +78,18 @@ class SiteData:
     det_time: np.ndarray | None        # CountT: sum of the times; *T1: the first time
     constants: np.ndarray              # (R,) data-only log terms the kernels drop
     log_coef: np.ndarray               # (R,) data-only log terms the kernels keep
-    # Binomial counts: the series sites (not all detections on one occasion),
-    # their pFq parameters, and per-cell max_count - y for the leading term.
+    # Binomial counts: per-cell max_count - y for the leading term, the series
+    # sites (not all detections on one occasion) and their pFq parameters.
+    # Binary: the series sites are those with a detection.
     max_count: np.ndarray | None = None
     gap_cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     series_rows: np.ndarray | None = None
     upper: np.ndarray | None = None
     lower: np.ndarray | None = None
     order: np.ndarray | None = None    # moment kernels: each site's Poisson moment order
-    blocks: tuple = ()                 # Binary: (sites, detection occasions) per detection count
+    # Binary: per series site, the flat (R*J) cell index of each detecting
+    # occasion in occasion order, padded with -1 to the widest history
+    slots: np.ndarray | None = None
 
 
 def _cells(rows: np.ndarray, values: np.ndarray, n_sites: int) -> np.ndarray:
@@ -121,9 +102,8 @@ def data_pass(dataset: Dataset) -> SiteData:
 
     Records the density cannot score raise here: a negative count, a
     detection without its first time, a first time at the end of the
-    window with more detections to place, a CountT occasion whose times do
-    not match its count, and a binary history with more detection
-    occasions than the exact expansion allows.
+    window with more detections to place, and a CountT occasion whose
+    times do not match its count.
     """
     family, process = dataset.protocol.family, dataset.protocol.process
     binomial = process is ObservationProcess.BINOMIAL_COUNT
@@ -181,15 +161,12 @@ def data_pass(dataset: Dataset) -> SiteData:
     n_detected = detected.sum(axis=1)
 
     if family is Family.BINARY:
-        if n_detected.max() > SUBSET_EXPANSION_CAP:
-            raise ExpansionCapError(int(n_detected.max()), SUBSET_EXPANSION_CAP)
-        blocks = []
-        for d in np.unique(n_detected[n_detected > 0]):
-            rows = np.flatnonzero(n_detected == d)
-            occasions = np.nonzero(detected[rows])[1].reshape(rows.size, d)
-            step = 2 ** (SUBSET_EXPANSION_CAP - d)
-            blocks += [(rows[k : k + step], occasions[k : k + step]) for k in range(0, rows.size, step)]
-        return SiteData(**common, constants=zeros, log_coef=zeros, blocks=tuple(blocks))
+        series_rows = np.flatnonzero(n_detected)
+        # at least one column, so a survey without detections packs as (0, 1)
+        slots = np.full((series_rows.size, n_detected.max(initial=1)), -1)
+        rank = np.cumsum(detected, axis=1)[detected] - 1
+        slots[np.searchsorted(series_rows, det_rows), rank] = np.flatnonzero(detected)
+        return SiteData(**common, constants=zeros, log_coef=zeros, series_rows=series_rows, slots=slots)
 
     if family is Family.BINARY_T1:
         return SiteData(**common, constants=zeros, log_coef=zeros, order=n_detected)
@@ -242,57 +219,20 @@ def data_pass(dataset: Dataset) -> SiteData:
 def _binary(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
     """Detection/non-detection histories over one or more occasions.
 
-    Marginalizing abundance turns a history's probability into a signed
-    sum of exp(lambda * exp(-exposure)) terms over subsets of the detected
-    occasions. Positive and negative parts are each accumulated with
-    log-sum-exp; where their difference loses nearly all mass to rounding,
-    the summation oracle supplies the site's value instead.
+    Given abundance n, an occasion with exposure w misses all n individuals
+    with probability e^{-n w}. Mixing over n leaves e^{-lambda (1 - e^{-U})},
+    U the exposure of the undetected occasions, times the chance that every
+    detecting occasion detects someone when the abundance is Poisson with
+    mean lambda e^{-U}: a positive series in n, summed like the moments.
     """
     lam = safe_exp(log_lam)
-    rate = np.exp(log_rate)
-    exposure = rate * data.search_time
+    exposure = np.exp(log_rate) * data.search_time
     undetected = np.where(data.detected, 0.0, exposure).sum(axis=1)
     out = -lam * -np.expm1(-undetected)
-    fallback = []
-    for rows, occasions in data.blocks:
-        w = exposure[rows[:, None], occasions]
-        sums = np.zeros((rows.size, 1))
-        odd = np.zeros(1, dtype=bool)
-        for k in range(occasions.shape[1]):
-            sums = np.hstack([sums, sums + w[:, k : k + 1]])
-            odd = np.concatenate([odd, ~odd])
-        v = lam[rows, None] * np.exp(-(undetected[rows, None] + sums))
-        log_pos = log_sum_exp(v[:, ~odd], axis=1)
-        diff = log_sum_exp(v[:, odd], axis=1) - log_pos
-        # nothing there to detect, a detection without detection pressure, or
-        # a miss on an occasion that cannot miss
-        impossible = (lam[rows] == 0.0) | np.any(w <= 0.0, axis=1) | np.isinf(undetected[rows])
-        cancelled = ~impossible & ((diff >= 0.0) | (-np.expm1(np.minimum(diff, 0.0)) < _CANCELLATION_GUARD))
-        ok = ~impossible & ~cancelled
-        value = np.full(rows.size, -math.inf)
-        value[ok] = -lam[rows][ok] + log_pos[ok] + np.log(-np.expm1(diff[ok]))
-        out[rows] = value
-        fallback += rows[cancelled].tolist()
-    if fallback:
-        fallback.sort()
-        for i in fallback:
-            out[i] = site_loglik_by_summation(
-                Family.BINARY,
-                ObservationProcess.BINOMIAL_COUNT,
-                dataset.counts[i],
-                (),  # binary records hold no times
-                data.search_time[i],
-                rate[i],
-                float(log_lam[i]),
-                site=i,
-            )
-        named = ", ".join(str(i) for i in fallback[:_NAMED_FALLBACKS])
-        warnings.warn(
-            f"binary detection-history expansion lost precision at {len(fallback)} site(s) "
-            f"(first: {named}); substituting the summation oracle",
-            NumericalFallbackWarning,
-            stacklevel=3,
-        )
+    rows = data.series_rows
+    # a -1 slot reads the appended +inf, an occasion that cannot miss
+    w = np.append(exposure, np.inf)[data.slots]
+    out[rows] += special.log_poisson_detection_moment(w, log_lam[rows] - undetected[rows])
     return out
 
 

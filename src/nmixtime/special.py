@@ -1,9 +1,9 @@
 """Log-space special functions used by the likelihood kernels.
 
-The Poisson moments and hypergeometric series overflow double precision
-long before the model sizes of interest, so everything works on log scale.
-Both series are positive and log-concave; one summer adds them up around
-their largest term.
+The Poisson moments, detection-history expectations and hypergeometric
+series overflow double precision long before the model sizes of interest,
+so everything works on log scale. All three series are positive and
+log-concave; one summer adds them up around their largest term.
 """
 from __future__ import annotations
 
@@ -15,7 +15,13 @@ from scipy.special import gammaln
 
 from .errors import SeriesConvergenceError
 
-__all__ = ["log_sum_exp", "safe_exp", "log_poisson_raw_moment", "log_pfq_equal_order"]
+__all__ = [
+    "log_sum_exp",
+    "safe_exp",
+    "log_poisson_raw_moment",
+    "log_poisson_detection_moment",
+    "log_pfq_equal_order",
+]
 
 NEG_INF = float("-inf")
 
@@ -189,6 +195,51 @@ def log_poisson_raw_moment(m, log_mu):
     # 32 terms cover mu up to ~5 at the small orders of binary histories
     out.flat[rows] = _log_series_sum(1, 32, log_mu - safe_exp(log_mu), log_ratio, log_term)
     return float(out) if out.ndim == 0 else out
+
+
+def log_poisson_detection_moment(w, log_mu):
+    """log E[prod_j (1 - e^{-N w_j})] for N ~ Poisson(mu), passed as log mu.
+
+    This is the chance that each of d occasions detects at least one of N
+    individuals, occasion j missing each one with probability e^{-w_j}.
+    ``w`` is a (d,) vector with a scalar ``log_mu`` (a float result) or an
+    (R, d) array with ``log_mu`` of shape (R,), one row per expectation.
+    Exposures are nonnegative, d >= 1; a +inf entry is an occasion that
+    cannot miss, a factor of 1 for N >= 1, and a 0 entry makes the row -inf,
+    as does mu = 0. Sums sum_{n >= 1} Poi(n; mu) prod_j (1 - e^{-n w_j}),
+    whose n = 0 term is 0. Precision is ~eps * mu * log(mu) at large mu,
+    from the Poisson log-pmf of the terms. Raises SeriesConvergenceError
+    where the largest term lies past 2^32 (mu > ~4e9).
+    """
+    w, log_mu = np.asarray(w, dtype=float), np.asarray(log_mu, dtype=float)
+    scalar = log_mu.ndim == 0
+    if log_mu.ndim > 1 or w.ndim != log_mu.ndim + 1 or w.shape[:-1] != log_mu.shape or w.shape[-1] == 0:
+        raise ValueError(f"need one row of d >= 1 exposures per mean, got {w.shape} and {log_mu.shape}")
+    if not np.all(w >= 0.0):
+        raise ValueError("exposures must be nonnegative and not NaN")
+    if not np.all(log_mu < np.inf):
+        raise ValueError("log_mu must not be NaN or +inf")
+    w, log_mu = np.atleast_2d(w), np.atleast_1d(log_mu)
+    out = np.full(log_mu.shape, NEG_INF)
+    rows = np.flatnonzero((log_mu > NEG_INF) & np.all(w > 0.0, axis=1))
+    w, log_mu = w[rows].T, log_mu[rows]  # one column per row
+    hit = -np.expm1(-w)  # 1 - e^{-w}
+
+    def log_ratio(i, n):
+        # (1 - e^{-(n+1) w}) / (1 - e^{-n w}) = 1 + (1 - e^{-w}) / (e^{n w} - 1)
+        steps = np.log1p(hit[:, None, i] / np.expm1(w[:, None, i] * n)).sum(axis=0)
+        return steps + (log_mu[i] - np.log(n + 1.0))
+
+    def log_term(i, n):
+        detect = np.log(-np.expm1(-w[:, i] * n)).sum(axis=0)
+        return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
+
+    # e^{n w} overflows to +inf for large exposures, where the step is log1p(0)
+    with np.errstate(over="ignore"):
+        # 16 terms cover mu up to ~1 at once; larger means move to the peak
+        first = log_term(np.arange(rows.size), np.ones(rows.size))
+        out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
+    return float(out[0]) if scalar else out
 
 
 def log_pfq_equal_order(a, b, z):

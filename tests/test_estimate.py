@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nmixtime.estimate
-from nmixtime.errors import ExpansionCapError, OracleConvergenceError
+from nmixtime.errors import LikelihoodDomainError, OracleConvergenceError
 from nmixtime.estimate import (
     _CountedLoglik,
     default_init,
@@ -155,9 +155,9 @@ def test_unconverged_proposal_scores_impossible_and_data_errors_propagate(monkey
     assert loglik_fn(truth.free_values()) == -math.inf
     assert loglik_fn.convergence_failures == 1
 
-    def cap_exceeded(*args, **kwargs):
-        raise ExpansionCapError(25, 20)
+    def record_outside_support(*args, **kwargs):
+        raise LikelihoodDomainError("count must be nonnegative, got -1 at site 0")
 
-    monkeypatch.setattr(nmixtime.estimate, "total_loglik", cap_exceeded)
-    with pytest.raises(ExpansionCapError):
+    monkeypatch.setattr(nmixtime.estimate, "total_loglik", record_outside_support)
+    with pytest.raises(LikelihoodDomainError):
         loglik_fn(truth.free_values())

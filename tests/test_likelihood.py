@@ -13,12 +13,9 @@ from scipy.integrate import quad
 from scipy.stats import poisson
 
 import bruteforce as bf
-from nmixtime.errors import (
-    ExpansionCapError,
-    LikelihoodDomainError,
-    NMixTimeError,
-    NumericalFallbackWarning,
-)
+import nmixtime.likelihood
+import nmixtime.oracle
+from nmixtime.errors import LikelihoodDomainError, NMixTimeError
 from nmixtime.likelihood import irrelevant_constants, total_loglik
 from nmixtime.model import (
     Dataset,
@@ -124,26 +121,63 @@ class TestBinaryKernel:
         got = total_loglik(ds, Parameterization(-math.inf, 0.0))
         assert got.total == -math.inf
 
-    def test_expansion_cap(self):
+    def test_long_histories(self):
         j = 25
-        with pytest.raises(ExpansionCapError):
-            loglik(Family.BINARY, BIN, np.ones(j, dtype=int), search_time=np.full(j, 1.0), h=np.full(j, 1.0))
-        # at the cap the expansion is attempted; this width cancels too much,
-        # so the guard hands the site to the summation oracle
+        t_max = np.full(j, 1.0)
         mixed = np.zeros(j, dtype=int)
         mixed[:20] = 1
-        with pytest.warns(NumericalFallbackWarning):
-            val = loglik(Family.BINARY, BIN, mixed, search_time=np.full(j, 1.0), h=np.full(j, 0.3), lam=2.0)
-        want = bf.site_log_density(Family.BINARY, BIN, mixed, None, np.full(j, 1.0), np.full(j, 0.3), 2.0)
-        assert val == pytest.approx(want, rel=1e-9)
+        for counts, h, lam in ((np.ones(j, dtype=int), 1.0, 1.0), (mixed, 0.3, 2.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = loglik(Family.BINARY, BIN, counts, search_time=t_max, h=np.full(j, h), lam=lam)
+            want = bf.site_log_density(Family.BINARY, BIN, counts, None, t_max, np.full(j, h), lam)
+            assert got == pytest.approx(want, rel=1e-9)
 
-    def test_cancellation_falls_back_to_summation(self):
-        with pytest.warns(NumericalFallbackWarning):
+    def test_tiny_rates_match_summation(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = loglik(Family.BINARY, BIN, [1, 1], search_time=[1.0, 1.0], h=[1e-9, 1e-9], lam=0.5)
         want = bf.site_log_density(
             Family.BINARY, BIN, [1, 1], None, [1.0, 1.0], [1e-9, 1e-9], 0.5
         )
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("log_lam", [-700.0, -30.0])
+    def test_undetected_exposure_near_overflow_is_finite(self, log_lam):
+        # lambda e^{-U} underflows to 0, yet the record has probability
+        # ~lambda e^{-U}: its log is finite
+        ds = one_site(Family.BINARY, POI, [0, 1], search_time=[1.0, 1.1])
+        got = total_loglik(ds, Parameterization(log_lam, 709.5)).total
+        assert math.isfinite(got)
+        assert got == pytest.approx(log_lam - math.exp(709.5), rel=1e-12)
+
+    def test_thirty_occasions_match_oracle(self):
+        proto = Protocol.for_design(Family.BINARY, BIN, 30)
+        p = Parameterization(math.log(3.0), math.log(0.5))
+        ds = simulate_dataset(SimConfig(proto, SurveyDesign(20, 30, 1.0), p, seed=8))
+        assert ds.counts.sum(axis=1).max() > 20
+        got = total_loglik(ds, p).per_site
+        for i in range(ds.n_sites):
+            assert got[i] == pytest.approx(oracle_site_loglik(ds, p, i), abs=1e-8), i
+
+    def test_large_abundance_tiny_rate(self):
+        # mu = e^22 ~ 3.6e9 individuals, each detected with probability ~e^-30
+        # per occasion; the pinned value was summed with 60-digit arithmetic
+        got = loglik(Family.BINARY, BIN, [1, 1, 1], lam=math.exp(22.0), h=math.exp(-30.0))
+        assert got == pytest.approx(-24.000503179, abs=1e-5)
+
+    def test_against_subset_expansion(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 5, 8, 12):
+            j = d + 2
+            counts = np.zeros(j, dtype=int)
+            counts[rng.permutation(j)[:d]] = 1
+            t_max = rng.uniform(0.5, 2.0, size=j)
+            h = rng.uniform(0.5, 2.0, size=j) / t_max
+            lam = float(rng.uniform(0.5, 3.0))
+            got = loglik(Family.BINARY, BIN, counts, search_time=t_max, h=h, lam=lam)
+            want = bf.binary_subset_log_density(counts, t_max, h, lam)
+            assert got == pytest.approx(want, rel=1e-9), d
 
 
 class TestFirstTimeKernel:
@@ -366,9 +400,7 @@ def test_extreme_parameters_give_a_value_or_a_typed_error(case):
     for log_lam in LOG_LAMBDAS:
         for log_h in LOG_RATES:
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", NumericalFallbackWarning)
-                    got = total_loglik(ds, Parameterization(log_lam, log_h), include_constants=True)
+                got = total_loglik(ds, Parameterization(log_lam, log_h), include_constants=True)
             except NMixTimeError:
                 continue
             assert not math.isnan(got.total) and got.total != math.inf, (log_lam, log_h, got.total)
@@ -406,17 +438,19 @@ def test_data_pass_is_kept_and_data_errors_repeat():
             total_loglik(bad, Parameterization(0.0, 0.0))
 
 
-def test_fallback_warns_once_per_call():
+def tiny_rate_dataset():
     proto = Protocol.for_design(Family.BINARY, BIN, 2)
     records = [SiteRecord(0, [1, 1]), SiteRecord(1, [1, 0]), SiteRecord(2, [1, 1])]
     ds = Dataset(proto, SurveyDesign(3, 2, 1.0), records)
-    p = Parameterization(math.log(0.5), np.log([[1e-9, 1e-9], [0.5, 0.5], [1e-9, 1e-9]]))
+    return ds, Parameterization(math.log(0.5), np.log([[1e-9, 1e-9], [0.5, 0.5], [1e-9, 1e-9]]))
+
+
+def test_tiny_rate_sites_score_without_warning():
+    ds, p = tiny_rate_dataset()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = total_loglik(ds, p)
-    fallbacks = [w for w in caught if issubclass(w.category, NumericalFallbackWarning)]
-    assert len(fallbacks) == 1
-    assert "2 site(s)" in str(fallbacks[0].message)
+    assert not caught, [str(w.message) for w in caught]
     for i in range(3):
         assert got.per_site[i] == pytest.approx(oracle_site_loglik(ds, p, i), abs=1e-8)
 
@@ -430,7 +464,7 @@ LAWS = [
 ]
 
 # all-zero sites, ties at the max count, one to three detecting occasions;
-# the last site's rates are tiny, which cancels the binary expansion
+# the last site's rates are tiny
 MIXED_COUNTS = [[0, 0, 0], [2, 2, 1], [1, 0, 0], [3, 0, 1], [1, 1, 0], [0, 2, 0], [1, 1, 1], [1, 1, 0]]
 
 
@@ -464,8 +498,7 @@ def test_mixed_patterns_match_oracle_and_single_sites(law):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = total_loglik(ds, p).per_site
-    fell_back = any(issubclass(w.category, NumericalFallbackWarning) for w in caught)
-    assert fell_back == (family is Family.BINARY)
+    assert not caught, [str(w.message) for w in caught]
     for i in range(ds.n_sites):
         assert got[i] == pytest.approx(oracle_site_loglik(ds, p, i), abs=1e-8), i
     log_lam, log_rate = p.resolve(ds.design)
@@ -476,7 +509,19 @@ def test_mixed_patterns_match_oracle_and_single_sites(law):
             SurveyDesign(1, j, ds.design.search_time[i]),
             [SiteRecord(0, rec.counts, rec.times)],
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NumericalFallbackWarning)
-            value = total_loglik(alone, Parameterization(log_lam[i], log_rate[i])).total
+        value = total_loglik(alone, Parameterization(log_lam[i], log_rate[i])).total
         assert value == pytest.approx(got[i], rel=1e-14, abs=0.0), i
+
+
+def test_no_kernel_reaches_the_oracle(monkeypatch):
+    # the oracle checks the kernels, so no kernel may lean on it
+    def oracle_called(*args, **kwargs):
+        raise AssertionError("a kernel called the summation oracle")
+
+    monkeypatch.setattr(nmixtime.likelihood, "site_loglik_by_summation", oracle_called)
+    monkeypatch.setattr(nmixtime.oracle, "site_loglik_by_summation", oracle_called)
+    for law in LAWS:
+        ds, p = mixed_dataset(*law)
+        assert np.all(np.isfinite(total_loglik(ds, p).per_site)), law
+    ds, p = tiny_rate_dataset()
+    assert np.all(np.isfinite(total_loglik(ds, p).per_site))

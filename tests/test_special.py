@@ -1,6 +1,7 @@
 """Special-function checks against enumeration and direct summation."""
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import logsumexp
 from nmixtime.errors import SeriesConvergenceError
 from nmixtime.special import (
     log_pfq_equal_order,
+    log_poisson_detection_moment,
     log_poisson_raw_moment,
     log_sum_exp,
     safe_exp,
@@ -232,3 +234,73 @@ def test_pfq_capped_row_raises_while_others_converge():
         log_pfq_equal_order(a[1], b[1], z[1])
     assert together.value.n_terms == alone.value.n_terms
     assert together.value.partial_log_sum == alone.value.partial_log_sum
+
+
+def detection_moment_by_direct_series(w, mu):
+    """log sum_{n >= 1} Poi(n; mu) prod_j (1 - e^{-n w_j}) over a wide fixed range."""
+    n_hi = int(mu + 40.0 * math.sqrt(mu) + 200)
+    n = np.arange(1, n_hi + 1, dtype=float)
+    terms = n * math.log(mu) - [math.lgamma(v + 1) for v in n] - mu
+    terms += sum(np.log(-np.expm1(-n * x)) for x in w)
+    return float(logsumexp(terms))
+
+
+def test_detection_moment_closed_forms():
+    for mu in (0.05, 1.0, 3.0, 40.0):
+        for a in (0.01, 0.5, 2.0):
+            # one occasion: 1 - E[e^{-N a}] = 1 - exp(-mu (1 - e^{-a}))
+            want = math.log(-math.expm1(-mu * -math.expm1(-a)))
+            assert log_poisson_detection_moment([a], math.log(mu)) == pytest.approx(want, rel=1e-13)
+            # two occasions by inclusion-exclusion
+            b = 1.3
+            both = 1.0 - sum(math.exp(-mu * -math.expm1(-x)) for x in (a, b)) + math.exp(-mu * -math.expm1(-a - b))
+            got = log_poisson_detection_moment([a, b], math.log(mu))
+            assert got == pytest.approx(math.log(both), rel=1e-12), (mu, a)
+        # occasions that cannot miss detect whenever N >= 1
+        got = log_poisson_detection_moment([math.inf, math.inf], math.log(mu))
+        assert got == pytest.approx(math.log(-math.expm1(-mu)), rel=1e-13)
+    assert log_poisson_detection_moment([0.0, 1.0], 0.0) == -math.inf
+    assert log_poisson_detection_moment([1.0], -math.inf) == -math.inf
+
+
+def test_detection_moment_matches_direct_series():
+    rng = np.random.default_rng(11)
+    for mu in (0.3, 5.0, 60.0, 2000.0, 1e5):
+        for d in (1, 4, 30):
+            w = rng.uniform(0.001, 3.0, d)
+            got = log_poisson_detection_moment(w, math.log(mu))
+            want = detection_moment_by_direct_series(w, mu)
+            # terms carry the Poisson log-pmf floor, ~eps * mu * log(mu) absolute
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * mu), (mu, d)
+
+
+def test_detection_moment_rows_match_single_calls():
+    rng = np.random.default_rng(12)
+    r, d = 40, 6
+    w = rng.uniform(1e-3, 3.0, (r, d))
+    widths = rng.integers(1, d + 1, r)
+    w[np.arange(d) >= widths[:, None]] = math.inf  # shorter histories, padded
+    log_mu = rng.uniform(-3.0, 9.0, r)
+    got = log_poisson_detection_moment(w, log_mu)
+    assert got.shape == (r,)
+    want = [log_poisson_detection_moment(w[i, : widths[i]], log_mu[i]) for i in range(r)]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_detection_moment_validation_and_limits():
+    for w, log_mu in (([math.nan], 0.0), ([-1.0], 0.0), ([], 0.0), ([1.0], [0.0]), ([[1.0]], 0.0), ([[[1.0]]], [[0.0]])):
+        with pytest.raises(ValueError):
+            log_poisson_detection_moment(w, log_mu)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            log_poisson_detection_moment([1.0], bad)
+    with pytest.raises(SeriesConvergenceError):
+        log_poisson_detection_moment([1.0], 23.0)
+    # exposures whose e^{n w} overflows, and a mean that underflows, raise no
+    # RuntimeWarning and keep their limits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = log_poisson_detection_moment([1e300, 1.0], 0.0)
+        tiny = log_poisson_detection_moment([1.0, 2.0], -1e308)
+    assert huge == log_poisson_detection_moment([math.inf, 1.0], 0.0)
+    assert tiny == pytest.approx(-1e308 + math.log(-math.expm1(-1.0)) + math.log(-math.expm1(-2.0)), rel=1e-15)
