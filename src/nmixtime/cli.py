@@ -29,7 +29,7 @@ from .datafiles import (
     write_dataset,
 )
 from .errors import DataFormatError, NMixTimeError, OracleConvergenceError
-from .estimate import CONDITION_FLAG_THRESHOLD, fit
+from .estimate import fit
 from .likelihood import total_loglik
 from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, validate_dataset
 from .oracle import OracleConfig, oracle_site_logliks
@@ -173,11 +173,7 @@ def cmd_fit(args) -> int:
         "messages": result.messages,
     }
     _emit(payload, args.out)
-    flagged = (not result.converged) or (
-        not math.isfinite(result.hessian_condition)
-        or result.hessian_condition > CONDITION_FLAG_THRESHOLD
-    )
-    return EXIT_FIT_FLAGGED if flagged else EXIT_OK
+    return EXIT_FIT_FLAGGED if result.flagged else EXIT_OK
 
 
 def cmd_loglik(args) -> int:

@@ -37,6 +37,11 @@ FD_REL_STEP = 1e-4
 RIDGE_NOISE_SAFETY = 32.0
 
 
+def _flagged(converged: bool, condition: float) -> bool:
+    """Not converged, or a Hessian too ill-conditioned to trust the standard errors."""
+    return not converged or not math.isfinite(condition) or condition > CONDITION_FLAG_THRESHOLD
+
+
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a maximum-likelihood fit.
@@ -56,6 +61,10 @@ class FitResult:
     n_evals: int
     hessian_condition: float
     messages: list[str] = field(default_factory=list)
+
+    @property
+    def flagged(self) -> bool:
+        return _flagged(self.converged, self.hessian_condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +121,11 @@ class _CountedLoglik:
         return value
 
 
-def finite_difference_hessian(f, x, rel_step: float = FD_REL_STEP) -> np.ndarray:
+def finite_difference_hessian(f, x) -> np.ndarray:
     """Central finite-difference Hessian of f at x, step relative to |x|."""
     x = np.asarray(x, dtype=float)
     k = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = FD_REL_STEP * np.maximum(1.0, np.abs(x))
     hess = np.empty((k, k))
     f0 = f(x)
     for a in range(k):
@@ -131,8 +140,10 @@ def finite_difference_hessian(f, x, rel_step: float = FD_REL_STEP) -> np.ndarray
     return hess
 
 
-def _curvature_report(loglik_fn, x) -> tuple[np.ndarray, np.ndarray, float, list[str]]:
+def _curvature_report(loglik_fn, x, f0: float) -> tuple[np.ndarray, np.ndarray, float, list[str]]:
     """Covariance, standard errors, condition number, and any complaints.
+
+    ``f0`` is ``loglik_fn(x)``, which the optimizer has already evaluated.
 
     Eigenvalues below the finite-difference noise resolution are treated as
     exact zeros: a second difference cannot distinguish them from a flat
@@ -151,7 +162,6 @@ def _curvature_report(loglik_fn, x) -> tuple[np.ndarray, np.ndarray, float, list
         return nan_cov, nan_se, math.inf, messages
 
     steps = FD_REL_STEP * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
-    f0 = float(loglik_fn(np.asarray(x, dtype=float)))
     eps = float(np.finfo(float).eps)
     resolution = RIDGE_NOISE_SAFETY * eps * (1.0 + abs(f0)) / float(np.min(steps)) ** 2
     eigs = np.linalg.eigvalsh(info)
@@ -221,11 +231,10 @@ def fit(
 
     x0 = template.free_values()
     best = minimize(objective, x0, method="Nelder-Mead", options=options)
-    cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x)
+    cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x, -best.fun)
 
     messages: list[str] = []
-    flagged = (not best.success) or cond > CONDITION_FLAG_THRESHOLD or not math.isfinite(cond)
-    if flagged and multistart > 0:
+    if _flagged(best.success, cond) and multistart > 0:
         rng = np.random.default_rng(seed)
         improved = False
         for _ in range(multistart):
@@ -239,7 +248,7 @@ def fit(
             + (" and improved the optimum" if improved else "; no restart did better")
         )
         if improved:
-            cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x)
+            cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x, -best.fun)
     if not best.success:
         messages.append(f"optimizer stopped without meeting tolerances: {best.message}")
     if loglik_fn.convergence_failures:

@@ -6,9 +6,11 @@ two parts. The data-only part (counts, detection masks, first times, time
 sums, series parameters, lgamma sums and the data-only constants) is
 built once per dataset by ``data_pass`` and cached on the dataset as
 ``Dataset.site_data``. The parameter part is numpy arithmetic across all
-sites: four array kernels cover the sixteen distinct laws (binary records
+sites: three array kernels cover the sixteen distinct laws (binary records
 do not depend on the observation process, so the twenty variants share
-sixteen laws).
+sixteen laws). The data pass also checks every record against the
+protocol's support and picks the kernel, so an evaluation never branches
+on the protocol.
 
 Kernels return the log joint density of everything the protocol records,
 except that for three protocols a data-only factor is conventionally
@@ -19,7 +21,7 @@ back, which is what any AIC computation uses.
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ from .model import (
     Family,
     ObservationProcess,
     Parameterization,
+    record_faults,
     _workspace_from_rows,  # noqa: F401 -- perfbench/tracing.py rebinds this name
 )
 from . import special
@@ -68,14 +71,17 @@ class SiteData:
     Per-cell arrays are (R, J). The ``det_*`` arrays list the cells with
     at least one detection in row-major order, so per-site sums of a
     per-detection term are one ``np.bincount`` over ``det_rows``.
+    ``kernel(data, log_lam, log_rate)`` is the protocol's law.
     """
 
-    search_time: np.ndarray            # (R, J)
+    family: Family                     # picks the binomial count kernel's per-cell law
+    kernel: Callable[["SiteData", np.ndarray, np.ndarray], np.ndarray]
+    window: np.ndarray                 # (R, J) search time; BinaryT1: the first time where detected
     detected: np.ndarray               # (R, J) counts > 0
     det_rows: np.ndarray               # site of each detection cell
     det_cols: np.ndarray               # occasion of each detection cell
-    det_counts: np.ndarray             # count of each detection cell
-    det_time: np.ndarray | None        # CountT: sum of the times; *T1: the first time
+    det_counts: np.ndarray             # count of each detection cell (1 for binary families)
+    det_time: np.ndarray               # sum of each detection cell's times (*T1: the first time)
     constants: np.ndarray              # (R,) data-only log terms the kernels drop
     log_coef: np.ndarray               # (R,) data-only log terms the kernels keep
     # Binomial counts: per-cell max_count - y for the leading term, the series
@@ -86,7 +92,7 @@ class SiteData:
     series_rows: np.ndarray | None = None
     upper: np.ndarray | None = None
     lower: np.ndarray | None = None
-    order: np.ndarray | None = None    # moment kernels: each site's Poisson moment order
+    order: np.ndarray | None = None    # raw-moment kernel: each site's Poisson moment order
     # Binary: per series site, the flat (R*J) cell index of each detecting
     # occasion in occasion order, padded with -1 to the widest history
     slots: np.ndarray | None = None
@@ -98,60 +104,33 @@ def _cells(rows: np.ndarray, values: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def data_pass(dataset: Dataset) -> SiteData:
-    """Build every data-only array the protocol's kernel reads.
+    """Build every data-only array the protocol's kernel reads, and pick the kernel.
 
-    Records the density cannot score raise here: a negative count, a
-    detection without its first time, a first time at the end of the
-    window with more detections to place, and a CountT occasion whose
-    times do not match its count.
+    A record outside the protocol's support, any one that ``record_faults``
+    (and so ``validate_dataset``) reports, raises LikelihoodDomainError
+    naming the first such cell; past that check every record is scorable.
     """
-    family, process = dataset.protocol.family, dataset.protocol.process
-    binomial = process is ObservationProcess.BINOMIAL_COUNT
+    faults, _ = record_faults(dataset)
+    if faults:
+        raise LikelihoodDomainError(
+            f"{dataset.protocol.label} cannot score {len(faults)} record(s); first: {faults[0]}"
+        )
+    family = dataset.protocol.family
+    binomial = dataset.protocol.process is ObservationProcess.BINOMIAL_COUNT
     t_max = dataset.design.search_time
     n_sites = dataset.n_sites
     y = dataset.counts
-    if np.any(y < 0):
-        i, j = np.argwhere(y < 0)[0]
-        raise LikelihoodDomainError(f"count must be nonnegative, got {y[i, j]} at site {i}")
     detected = y > 0
     det_rows, det_cols = np.nonzero(detected)
     det_counts = y[detected]
     det_search = t_max[detected]
-
-    det_time = None
-    if family.records_first_time or (binomial and family is Family.COUNT_T):
-        sizes = dataset.times_per_cell[detected]
-        if family is Family.COUNT_T and binomial:
-            bad = np.flatnonzero(sizes != det_counts)
-            if bad.size:
-                k = bad[0]
-                raise LikelihoodDomainError(
-                    f"occasion {det_cols[k]} at site {det_rows[k]} needs {det_counts[k]} "
-                    f"recorded times, has {sizes[k]}"
-                )
-            cell = np.repeat(np.arange(y.size), dataset.times_per_cell.ravel())
-            det_time = np.bincount(cell, weights=dataset.times_flat, minlength=y.size)[detected.ravel()]
-        elif family.records_first_time:
-            bad = np.flatnonzero(sizes == 0)
-            if bad.size:
-                k = bad[0]
-                raise LikelihoodDomainError(
-                    f"site {det_rows[k]} occasion {det_cols[k]} has a detection "
-                    "without a recorded first time"
-                )
-            det_time = dataset.times_flat[dataset.times_start[detected]]
-            edge = (det_counts > 1) & (det_time >= det_search)
-            if binomial and np.any(edge):
-                k = np.flatnonzero(edge)[0]
-                raise LikelihoodDomainError(
-                    f"first detection at the end of the window at site {det_rows[k]} "
-                    f"occasion {det_cols[k]} leaves no room for the remaining "
-                    f"{det_counts[k] - 1} detections"
-                )
+    cell = np.repeat(np.arange(y.size), dataset.times_per_cell.ravel())
+    det_time = np.bincount(cell, weights=dataset.times_flat, minlength=y.size)[detected.ravel()]
 
     zeros = np.zeros(n_sites)
     common = dict(
-        search_time=t_max,
+        family=family,
+        window=t_max,
         detected=detected,
         det_rows=det_rows,
         det_cols=det_cols,
@@ -166,10 +145,16 @@ def data_pass(dataset: Dataset) -> SiteData:
         slots = np.full((series_rows.size, n_detected.max(initial=1)), -1)
         rank = np.cumsum(detected, axis=1)[detected] - 1
         slots[np.searchsorted(series_rows, det_rows), rank] = np.flatnonzero(detected)
-        return SiteData(**common, constants=zeros, log_coef=zeros, series_rows=series_rows, slots=slots)
+        return SiteData(
+            **common, kernel=_binary, constants=zeros, log_coef=zeros, series_rows=series_rows, slots=slots
+        )
 
     if family is Family.BINARY_T1:
-        return SiteData(**common, constants=zeros, log_coef=zeros, order=n_detected)
+        # a detecting occasion exposes its individuals only up to the first time
+        window = t_max.copy()
+        window[detected] = det_time
+        common.update(window=window)
+        return SiteData(**common, kernel=_raw_moment, constants=zeros, log_coef=zeros, order=n_detected)
 
     log_y = np.log(det_counts)
     if not binomial:
@@ -179,16 +164,15 @@ def data_pass(dataset: Dataset) -> SiteData:
         elif family is Family.COUNT_T1:
             # the first time is the minimum of y uniforms on (0, T)
             multi = det_counts > 1
-            inside = det_time < det_search
-            spread = np.full(det_counts.size, -math.inf)
-            spread[~multi] = 0.0
-            ok = multi & inside
-            spread[ok] = (det_counts[ok] - 1) * np.log1p(-det_time[ok] / det_search[ok])
+            spread = np.zeros(det_counts.size)
+            spread[multi] = (det_counts[multi] - 1) * np.log1p(-det_time[multi] / det_search[multi])
             constants = _cells(det_rows, log_y - np.log(det_search) + spread, n_sites)
         else:
             constants = zeros
         log_coef = _cells(det_rows, det_counts * np.log(det_search) - gammaln(det_counts + 1.0), n_sites)
-        return SiteData(**common, constants=constants, log_coef=log_coef, order=y.sum(axis=1))
+        return SiteData(
+            **common, kernel=_raw_moment, constants=constants, log_coef=log_coef, order=y.sum(axis=1)
+        )
 
     # binomial thinning: anchor the series at the last occasion with the max count
     constants = _cells(det_rows, log_y, n_sites) if family is Family.COUNT_T1 else zeros
@@ -206,6 +190,7 @@ def data_pass(dataset: Dataset) -> SiteData:
     gap_rows, gap_cols = np.nonzero(gap)
     return SiteData(
         **common,
+        kernel=_count_binomial,
         constants=constants,
         log_coef=choose - lg_max,
         max_count=max_count,
@@ -216,7 +201,7 @@ def data_pass(dataset: Dataset) -> SiteData:
     )
 
 
-def _binary(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
+def _binary(data: SiteData, log_lam, log_rate) -> np.ndarray:
     """Detection/non-detection histories over one or more occasions.
 
     Given abundance n, an occasion with exposure w misses all n individuals
@@ -226,7 +211,7 @@ def _binary(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
     mean lambda e^{-U}: a positive series in n, summed like the moments.
     """
     lam = safe_exp(log_lam)
-    exposure = np.exp(log_rate) * data.search_time
+    exposure = np.exp(log_rate) * data.window
     undetected = np.where(data.detected, 0.0, exposure).sum(axis=1)
     out = -lam * -np.expm1(-undetected)
     rows = data.series_rows
@@ -236,24 +221,25 @@ def _binary(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
     return out
 
 
-def _binary_t1(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
-    """Detection histories augmented with each occasion's first detection time.
+def _raw_moment(data: SiteData, log_lam, log_rate) -> np.ndarray:
+    """Poisson-process counts, and detection histories with first times.
 
-    The mixture over abundance reduces to a Poisson raw moment of order
-    equal to the number of detecting occasions, evaluated at the
-    time-weighted exposure: rate times the first time on detecting
-    occasions, rate times the search time elsewhere.
+    Both mix the abundance out into a Poisson raw moment whose order is
+    the site's summed count (for BinaryT1, its number of detecting
+    occasions), at the exposure rate times ``window`` summed over the
+    occasions; each detection adds its log rate. Poisson counts can exceed
+    the latent abundance, so the usual max-count support bound does not
+    apply.
     """
     lam = safe_exp(log_lam)
-    rate = np.exp(log_rate)
-    time_exposure = np.where(data.detected, 0.0, rate * data.search_time).sum(axis=1)
-    time_exposure += _cells(data.det_rows, rate[data.det_rows, data.det_cols] * data.det_time, lam.size)
-    out = -lam * -np.expm1(-time_exposure)
-    out += _cells(data.det_rows, log_rate[data.det_rows, data.det_cols], lam.size)
-    return out + special.log_poisson_raw_moment(data.order, log_lam - time_exposure)
+    exposure = (np.exp(log_rate) * data.window).sum(axis=1)
+    r, c = data.det_rows, data.det_cols
+    out = -lam * -np.expm1(-exposure) + data.log_coef
+    out += _cells(r, data.det_counts * log_rate[r, c], lam.size)
+    return out + special.log_poisson_raw_moment(data.order, log_lam - exposure)
 
 
-def _count_binomial(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
+def _count_binomial(data: SiteData, log_lam, log_rate) -> np.ndarray:
     """Counts under binomial thinning of a shared abundance, with their times.
 
     The abundance sum collapses to its leading term at n = max count times
@@ -264,24 +250,23 @@ def _count_binomial(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.n
     because the times carry the y log p of their truncation with the
     opposite sign.
     """
-    family = dataset.protocol.family
     n_sites = log_lam.size
     lam = safe_exp(log_lam)
     rate = np.exp(log_rate)
-    exposure = rate * data.search_time
+    exposure = rate * data.window
     total_exposure = exposure.sum(axis=1)
     r, c, y = data.det_rows, data.det_cols, data.det_counts
     log_h, h = log_rate[r, c], rate[r, c]
-    if family is Family.COUNT:
+    if data.family is Family.COUNT:
         cell = y * np.log(-np.expm1(-exposure[r, c]))
-    elif family is Family.COUNT_T:
+    elif data.family is Family.COUNT_T:
         cell = y * log_h - h * data.det_time
     else:
         # the first time is the minimum of y truncated exponentials
         t1 = data.det_time
         cell = log_h - h * t1
         multi = y > 1
-        later = -np.expm1(-h[multi] * (data.search_time[r, c][multi] - t1[multi]))
+        later = -np.expm1(-h[multi] * (data.window[r, c][multi] - t1[multi]))
         cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + np.log(later))
     gap_rows, gap_cols, gap = data.gap_cells
     out = np.multiply(data.max_count, log_lam, out=np.zeros(n_sites), where=data.max_count > 0)
@@ -297,21 +282,6 @@ def _count_binomial(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.n
         # the series replaces the exp(z) the plain form above assumed
         out[rows] += log_pfq_equal_order(data.upper[finite], data.lower[finite], z) - z
     return out
-
-
-def _count_poisson(dataset: Dataset, data: SiteData, log_lam, log_rate) -> np.ndarray:
-    """Counts when each individual produces a Poisson stream of detections.
-
-    One expression covers single and repeat visits: a Poisson raw moment
-    of order equal to the site's summed count. Counts here can exceed the
-    latent abundance, so the usual max-count support bound does not apply.
-    """
-    lam = safe_exp(log_lam)
-    total_exposure = (np.exp(log_rate) * data.search_time).sum(axis=1)
-    r, c = data.det_rows, data.det_cols
-    out = -lam * -np.expm1(-total_exposure) + data.log_coef
-    out += _cells(r, data.det_counts * log_rate[r, c], lam.size)
-    return out + special.log_poisson_raw_moment(data.order, log_lam - total_exposure)
 
 
 def irrelevant_constants(dataset: Dataset) -> float:
@@ -335,18 +305,9 @@ def total_loglik(
     """Log-likelihood of a dataset: independent sites, summed in site order."""
     data = dataset.site_data
     log_lam, log_rate = params.resolve(dataset.design)
-    family = dataset.protocol.family
-    if family is Family.BINARY:
-        kernel = _binary
-    elif family is Family.BINARY_T1:
-        kernel = _binary_t1
-    elif dataset.protocol.process is ObservationProcess.POISSON_PROCESS:
-        kernel = _count_poisson
-    else:
-        kernel = _count_binomial
     # log(0) and exp overflow are the limits these kernels are written for
     with np.errstate(divide="ignore", over="ignore"):
-        per_site = kernel(dataset, data, log_lam, log_rate)
+        per_site = data.kernel(data, log_lam, log_rate)
     if include_constants:
         per_site = per_site + data.constants
     return LogLik(float(per_site.sum()), per_site, include_constants)

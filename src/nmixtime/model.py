@@ -26,6 +26,7 @@ __all__ = [
     "Parameterization",
     "SiteWorkspace",
     "Violation",
+    "record_faults",
     "validate_dataset",
     "build_workspace",
 ]
@@ -486,32 +487,21 @@ def build_workspace(dataset: Dataset, params: Parameterization, site: int) -> Si
     )
 
 
-def validate_dataset(dataset: Dataset) -> list[Violation]:
-    """Check the recorded values of a dataset against its protocol.
+def record_faults(dataset: Dataset) -> tuple[list[Violation], np.ndarray]:
+    """Check every cell's recorded values against the protocol's support.
 
-    Returns an empty list when the dataset is clean; otherwise one
-    Violation per problem found, in site and occasion order (the scan does
-    not stop at the first). A cell's first failing check among a negative
-    count, a binary response above 1, a times length that does not match
-    the count and a time that is not positive and finite ends that cell's
-    scan; unsorted times and a time past the search window are both
-    reported. Detection times exactly at the end of the search window are
-    legal but unusual, so they raise one warning per call instead.
+    Returns one Violation per faulty cell, in site and occasion order (the
+    scan does not stop at the first), and the flat (R*J,) mask of the clean
+    cells whose last detection time equals the search time. A cell's first
+    failing check among a negative count, a binary response above 1, a
+    times length that does not match the count and a time that is not
+    positive and finite ends that cell's scan; unsorted times and a time
+    past the search window are both reported. A first detection time at
+    the end of the window is a fault when the cell has later detections to
+    place, since those have no time left.
     """
-    out: list[Violation] = []
-    proto, design = dataset.protocol, dataset.design
+    family, design = dataset.protocol.family, dataset.design
     j_total = design.n_occasions
-
-    expected_visits = Visits.SINGLE if j_total == 1 else Visits.MULTIPLE
-    if proto.visits is not expected_visits:
-        out.append(
-            Violation(
-                f"protocol declares {proto.visits.value} visits "
-                f"but the design has {j_total} occasion(s)"
-            )
-        )
-
-    family = proto.family
     y, size = dataset.counts.ravel(), dataset.times_per_cell.ravel()
     if family.records_all_times:
         want = y
@@ -537,6 +527,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     unsorted = timed & any_in_cell(~first & (t < np.roll(t, 1)))
     exceeds = timed & any_in_cell(t > t_max[cell])
     edge = timed & ~exceeds & any_in_cell(last & (t == t_max[cell]))
+    crowded = edge & (y > 1) if family.records_first_time else np.zeros_like(edge)
 
     faults = (
         (negative, "negative count"),
@@ -545,11 +536,38 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
         (bad_value, "detection times must be positive and finite"),
         (unsorted, "detection times must be sorted ascending"),
         (exceeds, "detection time exceeds search time"),
+        (crowded, "first detection time equals search time, leaving no room for later detections"),
     )
     found = sorted((c, k) for k, (mask, _) in enumerate(faults) for c in np.flatnonzero(mask).tolist())
+    out: list[Violation] = []
     for c, k in found:
         message = faults[k][1] or f"times length != expected ({size[c]} recorded, {want[c]} required)"
         out.append(Violation(message, site=c // j_total, occasion=c % j_total))
+    return out, edge & ~crowded
+
+
+def validate_dataset(dataset: Dataset) -> list[Violation]:
+    """Check a dataset against its protocol: the visit count and every record.
+
+    Returns an empty list when the dataset is clean; otherwise a visits
+    mismatch, if any, followed by the ``record_faults`` violations, which
+    are exactly the records ``total_loglik`` refuses to score. Detection
+    times exactly at the end of the search window are otherwise legal but
+    unusual, so they raise one warning per call instead.
+    """
+    proto = dataset.protocol
+    j_total = dataset.design.n_occasions
+    out: list[Violation] = []
+    expected_visits = Visits.SINGLE if j_total == 1 else Visits.MULTIPLE
+    if proto.visits is not expected_visits:
+        out.append(
+            Violation(
+                f"protocol declares {proto.visits.value} visits "
+                f"but the design has {j_total} occasion(s)"
+            )
+        )
+    faults, edge = record_faults(dataset)
+    out.extend(faults)
     if np.any(edge):
         c = int(np.flatnonzero(edge)[0])
         warnings.warn(

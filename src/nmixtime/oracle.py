@@ -48,11 +48,14 @@ class OracleConfig:
     per_site_cap: int = 100_000
 
 
+def _n_max_for(kappa: int, lam: float) -> int:
+    """Truncation point: the largest count plus a generous Poisson upper tail."""
+    return kappa + math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0)
+
+
 def _default_n_max(dataset: Dataset, params: Parameterization) -> int:
     log_lam, _ = params.resolve(dataset.design)
-    lam_max = safe_exp(float(log_lam.max()))
-    kappa_max = int(dataset.counts.max())
-    return kappa_max + math.ceil(lam_max + 12.0 * math.sqrt(lam_max) + 50.0)
+    return _n_max_for(int(dataset.counts.max()), safe_exp(float(log_lam.max())))
 
 
 def _conditional_log_density(
@@ -190,10 +193,7 @@ def site_loglik_by_summation(
     exposure = rate * search_time
 
     lam = safe_exp(log_lambda)
-    if cfg.n_max is not None:
-        n_max = cfg.n_max
-    else:
-        n_max = kappa + math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0)
+    n_max = cfg.n_max if cfg.n_max is not None else _n_max_for(kappa, lam)
     if n_max < kappa:
         raise ValueError(
             f"n_max={n_max} is below the minimum feasible abundance {kappa} at site {site}"

@@ -184,6 +184,17 @@ def test_fit_invalid_data_exits_config(tmp_path, capsys):
     assert "invalid data" in capsys.readouterr().err
 
 
+def test_fit_first_time_at_window_end_exits_config(tmp_path, capsys):
+    # two detections whose first comes at the window's end: no density scores it
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,2\n")
+    times = tmp_path / "times.csv"
+    times.write_text("site,occasion,detection_index,time\n1,1,1,1.0\n")
+    code = main(["fit", "--counts", str(counts), "--times", str(times), "--model", "CountT1"])
+    assert code == 2
+    assert "invalid data: first detection time equals search time" in capsys.readouterr().err
+
+
 def test_single_visit_binary_fit_flags_and_exits_3(tmp_path, capsys):
     cfg = sim_config(
         tmp_path, model="Binary", sites=80, occasions=1, **{"lambda": 2.0, "rate": 1.0}

@@ -5,6 +5,7 @@ mixture summation, no shared code with the package) and checked stable
 under a deeper truncation before being pinned here.
 """
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from nmixtime.model import (
     Protocol,
     SiteRecord,
     SurveyDesign,
+    validate_dataset,
 )
 from nmixtime.oracle import oracle_site_loglik
 from nmixtime.simulate import SimConfig, simulate_dataset
@@ -436,6 +438,37 @@ def test_data_pass_is_kept_and_data_errors_repeat():
     for _ in range(2):
         with pytest.raises(LikelihoodDomainError):
             total_loglik(bad, Parameterization(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "family, process, count, times",
+    [
+        pytest.param(Family.COUNT, BIN, -1, [], id="negative count"),
+        pytest.param(Family.BINARY, BIN, 2, [], id="Binary response 2"),
+        pytest.param(Family.BINARY_T1, POI, 2, [0.5], id="BinaryT1 response 2"),
+        pytest.param(Family.COUNT_T, BIN, 2, [0.5], id="times length"),
+        pytest.param(Family.BINARY_T1, BIN, 1, [], id="missing first time"),
+        pytest.param(Family.COUNT_T, BIN, 1, [0.0], id="time 0"),
+        pytest.param(Family.COUNT_T1, POI, 1, [math.nan], id="time NaN"),
+        pytest.param(Family.COUNT_T, POI, 2, [0.6, 0.3], id="unsorted"),
+        pytest.param(Family.COUNT_T, BIN, 1, [1.7], id="past the window"),
+        pytest.param(Family.COUNT_T1, BIN, 2, [1.0], id="CountT1 first time at T"),
+        pytest.param(Family.COUNT_T1, POI, 2, [1.0], id="PCountT1 first time at T"),
+    ],
+)
+def test_every_record_fault_raises_at_its_cell(family, process, count, times):
+    # a clean detection at site 0 occasion 0, the fault at site 1 occasion 1
+    first = [0.5] if family.records_times else []
+    ds = Dataset(
+        Protocol.for_design(family, process, 2),
+        SurveyDesign(2, 2, 1.0),
+        [SiteRecord(0, [1, 0], [first, []]), SiteRecord(1, [0, count], [[], times])],
+    )
+    found = validate_dataset(ds)
+    assert [(v.site, v.occasion) for v in found] == [(1, 1)]
+    for _ in range(2):
+        with pytest.raises(LikelihoodDomainError, match=re.escape(str(found[0]))):
+            total_loglik(ds, Parameterization(0.0, 0.0))
 
 
 def tiny_rate_dataset():
