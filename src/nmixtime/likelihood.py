@@ -57,11 +57,14 @@ class LogLik:
     total: float
     per_site: np.ndarray
     irrelevant_constants_included: bool
+    score: np.ndarray | None = None    # gradient of ``total`` over the free coefficients
 
     def __post_init__(self):
-        arr = np.asarray(self.per_site, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "per_site", arr)
+        for name in ("per_site", "score"):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name), dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +74,13 @@ class SiteData:
     Per-cell arrays are (R, J). The ``det_*`` arrays list the cells with
     at least one detection in row-major order, so per-site sums of a
     per-detection term are one ``np.bincount`` over ``det_rows``.
-    ``kernel(data, log_lam, log_rate)`` is the protocol's law.
+    ``kernel(data, log_lam, log_rate)`` is the protocol's law; with
+    ``score=True`` it also returns the per-site derivative along log lambda
+    (R,) and the per-cell derivative along log rate (R, J).
     """
 
     family: Family                     # picks the binomial count kernel's per-cell law
-    kernel: Callable[["SiteData", np.ndarray, np.ndarray], np.ndarray]
+    kernel: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]]
     window: np.ndarray                 # (R, J) search time; BinaryT1: the first time where detected
     detected: np.ndarray               # (R, J) counts > 0
     det_rows: np.ndarray               # site of each detection cell
@@ -201,7 +206,7 @@ def data_pass(dataset: Dataset) -> SiteData:
     )
 
 
-def _binary(data: SiteData, log_lam, log_rate) -> np.ndarray:
+def _binary(data: SiteData, log_lam, log_rate, score=False):
     """Detection/non-detection histories over one or more occasions.
 
     Given abundance n, an occasion with exposure w misses all n individuals
@@ -209,6 +214,9 @@ def _binary(data: SiteData, log_lam, log_rate) -> np.ndarray:
     U the exposure of the undetected occasions, times the chance that every
     detecting occasion detects someone when the abundance is Poisson with
     mean lambda e^{-U}: a positive series in n, summed like the moments.
+    The abundance mean under that series' tilted terms, nu, gives the
+    scores: nu - lambda along log lambda, and -nu times the exposure of
+    each undetected occasion.
     """
     lam = safe_exp(log_lam)
     exposure = np.exp(log_rate) * data.window
@@ -217,11 +225,21 @@ def _binary(data: SiteData, log_lam, log_rate) -> np.ndarray:
     rows = data.series_rows
     # a -1 slot reads the appended +inf, an occasion that cannot miss
     w = np.append(exposure, np.inf)[data.slots]
-    out[rows] += special.log_poisson_detection_moment(w, log_lam[rows] - undetected[rows])
-    return out
+    log_mu = log_lam - undetected
+    if not score:
+        out[rows] += special.log_poisson_detection_moment(w, log_mu[rows])
+        return out
+    series, d_log_mu, d_w = special.log_poisson_detection_moment(w, log_mu[rows], score=True)
+    out[rows] += series
+    nu = safe_exp(log_mu)
+    nu[rows] += d_log_mu
+    d_rate = np.where(data.detected, 0.0, -exposure * nu[:, None])
+    cells = data.slots >= 0
+    d_rate.flat[data.slots[cells]] = exposure.flat[data.slots[cells]] * d_w[cells]
+    return out, nu - lam, d_rate
 
 
-def _raw_moment(data: SiteData, log_lam, log_rate) -> np.ndarray:
+def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
     """Poisson-process counts, and detection histories with first times.
 
     Both mix the abundance out into a Poisson raw moment whose order is
@@ -229,17 +247,26 @@ def _raw_moment(data: SiteData, log_lam, log_rate) -> np.ndarray:
     occasions), at the exposure rate times ``window`` summed over the
     occasions; each detection adds its log rate. Poisson counts can exceed
     the latent abundance, so the usual max-count support bound does not
-    apply.
+    apply. With nu the abundance mean under the moment's tilted terms, the
+    scores are nu - lambda along log lambda and y - nu times the exposure
+    along each cell's log rate.
     """
     lam = safe_exp(log_lam)
-    exposure = (np.exp(log_rate) * data.window).sum(axis=1)
+    cell_exposure = np.exp(log_rate) * data.window
+    exposure = cell_exposure.sum(axis=1)
     r, c = data.det_rows, data.det_cols
     out = -lam * -np.expm1(-exposure) + data.log_coef
     out += _cells(r, data.det_counts * log_rate[r, c], lam.size)
-    return out + special.log_poisson_raw_moment(data.order, log_lam - exposure)
+    if not score:
+        return out + special.log_poisson_raw_moment(data.order, log_lam - exposure)
+    moment, d_log_mu = special.log_poisson_raw_moment(data.order, log_lam - exposure, score=True)
+    nu = safe_exp(log_lam - exposure) + d_log_mu
+    d_rate = -cell_exposure * nu[:, None]
+    d_rate[r, c] += data.det_counts
+    return out + moment, nu - lam, d_rate
 
 
-def _count_binomial(data: SiteData, log_lam, log_rate) -> np.ndarray:
+def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     """Counts under binomial thinning of a shared abundance, with their times.
 
     The abundance sum collapses to its leading term at n = max count times
@@ -248,7 +275,10 @@ def _count_binomial(data: SiteData, log_lam, log_rate) -> np.ndarray:
     Each detecting occasion adds y log p for Count; for CountT and CountT1
     the density of the recorded times given the counts replaces it,
     because the times carry the y log p of their truncation with the
-    opposite sign.
+    opposite sign. The scores take nu, the series index's mean under its
+    tilted terms (z itself where the series is exp(z)): max count - lambda
+    + nu along log lambda, and along each cell's log rate the cell term's
+    derivative less (gap + nu) times the exposure.
     """
     n_sites = log_lam.size
     lam = safe_exp(log_lam)
@@ -259,15 +289,22 @@ def _count_binomial(data: SiteData, log_lam, log_rate) -> np.ndarray:
     log_h, h = log_rate[r, c], rate[r, c]
     if data.family is Family.COUNT:
         cell = y * np.log(-np.expm1(-exposure[r, c]))
+        if score:
+            d_cell = y * exposure[r, c] / np.expm1(exposure[r, c])
     elif data.family is Family.COUNT_T:
         cell = y * log_h - h * data.det_time
+        if score:
+            d_cell = y - h * data.det_time
     else:
         # the first time is the minimum of y truncated exponentials
         t1 = data.det_time
         cell = log_h - h * t1
         multi = y > 1
-        later = -np.expm1(-h[multi] * (data.window[r, c][multi] - t1[multi]))
-        cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + np.log(later))
+        later_exposure = h[multi] * (data.window[r, c][multi] - t1[multi])
+        cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + np.log(-np.expm1(-later_exposure)))
+        if score:
+            d_cell = 1.0 - h * t1
+            d_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + later_exposure / np.expm1(later_exposure))
     gap_rows, gap_cols, gap = data.gap_cells
     out = np.multiply(data.max_count, log_lam, out=np.zeros(n_sites), where=data.max_count > 0)
     out += data.log_coef + _cells(r, cell, n_sites)
@@ -277,11 +314,20 @@ def _count_binomial(data: SiteData, log_lam, log_rate) -> np.ndarray:
     rows = data.series_rows
     finite = np.isfinite(out[rows])
     rows = rows[finite]
+    nu = safe_exp(log_lam - total_exposure) if score else None
     if rows.size:
         z = safe_exp(log_lam[rows] - total_exposure[rows])
         # the series replaces the exp(z) the plain form above assumed
-        out[rows] += log_pfq_equal_order(data.upper[finite], data.lower[finite], z) - z
-    return out
+        series = log_pfq_equal_order(data.upper[finite], data.lower[finite], z, score=score)
+        if score:
+            series, nu[rows] = series
+        out[rows] += series - z
+    if not score:
+        return out
+    d_rate = -exposure * nu[:, None]
+    d_rate[gap_rows, gap_cols] -= gap * exposure[gap_rows, gap_cols]
+    d_rate[r, c] += d_cell
+    return out, data.max_count - lam + nu, d_rate
 
 
 def irrelevant_constants(dataset: Dataset) -> float:
@@ -300,14 +346,27 @@ def irrelevant_constants(dataset: Dataset) -> float:
 
 
 def total_loglik(
-    dataset: Dataset, params: Parameterization, *, include_constants: bool = False
+    dataset: Dataset, params: Parameterization, *, include_constants: bool = False, score: bool = False
 ) -> LogLik:
-    """Log-likelihood of a dataset: independent sites, summed in site order."""
+    """Log-likelihood of a dataset: independent sites, summed in site order.
+
+    With ``score=True`` the result also carries the exact gradient of the
+    total over ``params.free_values()``; ``total`` is the same either way.
+    Where a rate or abundance overflows, or the total is -inf, the gradient
+    may hold NaN or infinite entries.
+    """
     data = dataset.site_data
     log_lam, log_rate = params.resolve(dataset.design)
-    # log(0) and exp overflow are the limits these kernels are written for
-    with np.errstate(divide="ignore", over="ignore"):
-        per_site = data.kernel(data, log_lam, log_rate)
-    if include_constants:
-        per_site = per_site + data.constants
-    return LogLik(float(per_site.sum()), per_site, include_constants)
+    # log(0) and exp overflow, also in the sum over sites, are the limits these
+    # kernels are written for; at those limits a score can meet 0 * inf: NaN
+    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if score else {})}
+    with np.errstate(**limits):
+        if score:
+            per_site, d_log_lam, d_log_rate = data.kernel(data, log_lam, log_rate, score=True)
+            gradient = params.free_gradient(d_log_lam, d_log_rate)
+        else:
+            per_site, gradient = data.kernel(data, log_lam, log_rate), None
+        if include_constants:
+            per_site = per_site + data.constants
+        total = float(per_site.sum())
+    return LogLik(total, per_site, include_constants, gradient)

@@ -384,6 +384,26 @@ class Parameterization:
             )
         return ll, lr
 
+    def free_gradient(self, d_log_lambda: np.ndarray, d_log_rate: np.ndarray) -> np.ndarray:
+        """Chain rule back through ``resolve``: derivatives with respect to the
+        per-site log abundance (R,) and per-cell log rate (R, J) as a gradient
+        over the free coefficients, in ``free_values()`` order."""
+        if self.site_covariates is not None:
+            g_lam = self.site_covariates.T @ d_log_lambda
+        elif self.log_lambda.size == 1:
+            g_lam = d_log_lambda.sum()
+        else:
+            g_lam = d_log_lambda
+        if self.rate_covariates is not None:
+            g_rate = np.tensordot(self.rate_covariates, d_log_rate, axes=([0, 1], [0, 1]))
+        elif self.log_rate.shape == d_log_rate.shape:
+            g_rate = d_log_rate
+        elif self.log_rate.size == 1:
+            g_rate = d_log_rate.sum()
+        else:  # one rate per occasion
+            g_rate = d_log_rate.sum(axis=0)
+        return np.concatenate([np.ravel(g_lam), np.ravel(g_rate)])
+
     # --- flat coefficient vector view, used by the fitting routines ---
 
     def free_values(self) -> np.ndarray:

@@ -92,12 +92,15 @@ def _peaks(log_ratio, rows, after):
     return peak
 
 
-def _windows(todo, start, lo, width, log_ratio):
+def _windows(todo, start, lo, width, log_ratio, scores):
     """Per row: window log-sum relative to its first term, left and right tail
-    bounds relative to that sum (NaN or +inf: none yet), last log ratio. Rows
-    of equal width go together, one column each; no operation mixes columns."""
+    bounds relative to that sum (NaN or +inf: none yet), last log ratio, and
+    the term-weighted mean of each score over the window (None without
+    ``scores``). Rows of equal width go together, one column each; no
+    operation mixes columns."""
     out = np.empty((4, todo.size))
     out[1] = NEG_INF
+    tilted = None
     widths = width[todo]
     for w in sorted(set(widths.tolist())):
         group = np.flatnonzero(widths == w)
@@ -116,13 +119,22 @@ def _windows(todo, start, lo, width, log_ratio):
             cum = np.cumsum(log_r, axis=0)  # log(t_{lo+j} / t_lo); the last is past the window
             peak = cum[:-1].max(axis=0)
             # summed along contiguous rows, so a row sums alike alone or batched
-            out[0, part] = peak + np.log(np.exp(np.ascontiguousarray((cum[:-1] - peak).T)).sum(axis=1))
+            terms = np.exp(np.ascontiguousarray((cum[:-1] - peak).T))
+            mass = terms.sum(axis=1)
+            out[0, part] = peak + np.log(mass)
             out[2, part] = cum[-2] + _log_tail(log_r[-1])
             out[3, part] = log_r[-1]
-    return out[0], out[1] - out[0], out[2] - out[0], out[3]
+            if scores is not None:
+                s = scores(todo[part], n[1:])
+                s = np.ascontiguousarray(np.swapaxes(np.broadcast_to(s, s.shape[:1] + cum[:-1].shape), 1, 2))
+                if tilted is None:
+                    tilted = np.empty((s.shape[0], todo.size))
+                tilted[:, part] = (s * terms).sum(axis=2) / mass
+            del terms  # not held while the next part builds its arrays: peak memory
+    return out[0], out[1] - out[0], out[2] - out[0], out[3], tilted
 
 
-def _log_series_sum(start, first, log_first, log_ratio, log_term):
+def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     """log sum_{n >= start} t_n for rows of positive, log-concave series.
 
     ``log_first`` holds each row's log t_start, ``log_term(rows, n)`` the exact
@@ -132,17 +144,27 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term):
     doubled until the geometric bounds on both tails are below 1e-13 of the
     sum. A window still rising at its end moves around the row's peak, found
     by galloping and bisecting on the sign of the ratio: O(sqrt(peak)) terms.
-    Raises SeriesConvergenceError for a row still rising 2^32 terms on."""
+    Raises SeriesConvergenceError for a row still rising 2^32 terms on.
+
+    With ``scores(rows, n)``, which gives q per-term scores s_n as a (q, ...)
+    array broadcasting with ``n``, also returns the (q, rows) tilted means
+    sum t_n s_n / sum t_n over each row's final window: the derivative of
+    the log-sum along a parameter whose log-term derivative is s_n."""
     lo = np.full(log_first.size, float(start))
     width = np.full(log_first.size, float(first))
     out = np.empty(log_first.size)
+    means = None
     todo = np.arange(log_first.size)
     while todo.size:
-        rel, left, right, last = _windows(todo, start, lo, width, log_ratio)
+        rel, left, right, last, tilted = _windows(todo, start, lo, width, log_ratio, scores)
         left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
         done = left_ok & right_ok
         rows, moved = todo[done], lo[todo[done]] > start
         out[rows] = log_first[rows] + rel[done]
+        if tilted is not None:
+            if means is None:
+                means = np.empty((tilted.shape[0], log_first.size))
+            means[:, rows] = tilted[:, done]
         if moved.any():
             out[rows[moved]] = log_term(rows[moved], lo[rows[moved]]) + rel[done][moved]
         if done.all():
@@ -163,10 +185,20 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term):
         lo[rows] = np.maximum(start, lo[rows] - shift)
         width[rows] *= 2.0
         todo = todo[~done]
-    return out
+    if scores is None:
+        return out
+    if means is None:  # no rows, so no window asked the scores for their count
+        means = np.empty((len(scores(todo, np.zeros((1, 0)))), 0))
+    return out, means
 
 
-def log_poisson_raw_moment(m, log_mu):
+def _index(rows, n):
+    """The term index n as the one per-term score: for terms proportional
+    to x^n, its tilted mean is the derivative of the log-sum along log x."""
+    return n[None]
+
+
+def log_poisson_raw_moment(m, log_mu, score=False):
     """log E[N^m] for N ~ Poisson(mu), passed as log mu.
 
     Sums Dobinski's formula E[N^m] = e^{-mu} sum_{n >= 1} n^m mu^n / n!.
@@ -174,6 +206,10 @@ def log_poisson_raw_moment(m, log_mu):
     ``log_mu``; the result has the broadcast shape (a float for two scalars).
     m = 0 gives 0 for any mu >= 0, and m >= 1 at mu = 0 gives -inf. Raises
     SeriesConvergenceError where the largest term lies past 2^32 (mu > ~4e9).
+
+    With ``score=True`` returns the pair (value, d value / d log mu), the
+    derivative being E_t[n] - mu under the tilted terms (0 for m = 0, and its
+    limit 1 at mu = 0).
     """
     m, log_mu = np.asarray(m), np.asarray(log_mu, dtype=float)
     if m.shape != log_mu.shape:
@@ -193,11 +229,19 @@ def log_poisson_raw_moment(m, log_mu):
         return order[i] * np.log(n) + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
 
     # 32 terms cover mu up to ~5 at the small orders of binary histories
-    out.flat[rows] = _log_series_sum(1, 32, log_mu - safe_exp(log_mu), log_ratio, log_term)
-    return float(out) if out.ndim == 0 else out
+    first = log_mu - safe_exp(log_mu)
+    if not score:
+        out.flat[rows] = _log_series_sum(1, 32, first, log_ratio, log_term)
+        return float(out) if out.ndim == 0 else out
+    d_log_mu = np.where(m == 0, 0.0, 1.0)
+    out.flat[rows], (mean,) = _log_series_sum(1, 32, first, log_ratio, log_term, _index)
+    d_log_mu.flat[rows] = mean - safe_exp(log_mu)
+    if out.ndim == 0:
+        return float(out), float(d_log_mu)
+    return out, d_log_mu
 
 
-def log_poisson_detection_moment(w, log_mu):
+def log_poisson_detection_moment(w, log_mu, score=False):
     """log E[prod_j (1 - e^{-N w_j})] for N ~ Poisson(mu), passed as log mu.
 
     This is the chance that each of d occasions detects at least one of N
@@ -210,6 +254,10 @@ def log_poisson_detection_moment(w, log_mu):
     whose n = 0 term is 0. Precision is ~eps * mu * log(mu) at large mu,
     from the Poisson log-pmf of the terms. Raises SeriesConvergenceError
     where the largest term lies past 2^32 (mu > ~4e9).
+
+    With ``score=True`` returns (value, d value / d log mu, d value / d w):
+    E_t[n] - mu and E_t[n / (e^{n w_j} - 1)] under the tilted terms, shaped
+    like ``log_mu`` and ``w``; both are NaN on rows whose value is -inf.
     """
     w, log_mu = np.asarray(w, dtype=float), np.asarray(log_mu, dtype=float)
     scalar = log_mu.ndim == 0
@@ -234,15 +282,28 @@ def log_poisson_detection_moment(w, log_mu):
         detect = np.log(-np.expm1(-w[:, i] * n)).sum(axis=0)
         return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
 
+    def scores(i, n):
+        # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf
+        per_occasion = n / np.expm1(w[:, None, i] * n)
+        return np.concatenate([np.broadcast_to(n, per_occasion.shape[1:])[None], per_occasion])
+
     # e^{n w} overflows to +inf for large exposures, where the step is log1p(0)
     with np.errstate(over="ignore"):
         # 16 terms cover mu up to ~1 at once; larger means move to the peak
         first = log_term(np.arange(rows.size), np.ones(rows.size))
-        out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
-    return float(out[0]) if scalar else out
+        if not score:
+            out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
+            return float(out[0]) if scalar else out
+        out[rows], means = _log_series_sum(1, 16, first, log_ratio, log_term, scores)
+    d_log_mu, d_w = np.full(out.shape, np.nan), np.full((out.size, hit.shape[0]), np.nan)
+    d_log_mu[rows] = means[0] - safe_exp(log_mu)
+    d_w[rows] = means[1:].T
+    if scalar:
+        return float(out[0]), float(d_log_mu[0]), d_w[0]
+    return out, d_log_mu, d_w
 
 
-def log_pfq_equal_order(a, b, z):
+def log_pfq_equal_order(a, b, z, score=False):
     """log pFq(a; b; z) for equal-length positive parameter vectors and z >= 0.
 
     The terms start at t_0 = 1 and follow t_{n+1}/t_n = prod(a+n)/prod(b+n)
@@ -251,6 +312,9 @@ def log_pfq_equal_order(a, b, z):
     ``z`` of shape (R,): each row is an independent series and the result an
     (R,) array. Raises SeriesConvergenceError for a row whose largest term
     lies past 2^32 (z > ~4e9).
+
+    With ``score=True`` returns the pair (value, d value / d log z), the
+    derivative being E_t[n] under the tilted terms (0 at z = 0).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -280,5 +344,9 @@ def log_pfq_equal_order(a, b, z):
         return pochhammer.sum(axis=0) + n * log_z[i] - gammaln(n + 1.0)
 
     # 16 terms cover z up to ~1 with a few unit-sized parameter gaps
-    out[rows] = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term)
-    return out if a.ndim == 2 else float(out[0])
+    if not score:
+        out[rows] = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term)
+        return out if a.ndim == 2 else float(out[0])
+    d_log_z = np.zeros(z.shape)
+    out[rows], (d_log_z[rows],) = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term, _index)
+    return (out, d_log_z) if a.ndim == 2 else (float(out[0]), float(d_log_z[0]))

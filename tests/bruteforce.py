@@ -169,6 +169,17 @@ def binary_subset_log_density(counts, search_time, rate, lam: float) -> float:
     return math.log(math.fsum(terms))
 
 
+def tilted_mean(log_terms, values) -> float:
+    """sum_n t_n v_n / sum_n t_n for terms given as log t_n, summed directly.
+
+    This is the derivative of log sum_n t_n along a parameter whose
+    derivative of log t_n is v_n.
+    """
+    log_terms = np.asarray(log_terms, dtype=float)
+    weights = np.exp(log_terms - logsumexp(log_terms))
+    return float(np.sum(weights * np.asarray(values, dtype=float)))
+
+
 def dataset_log_density(dataset, params, n_hi: int | None = None) -> np.ndarray:
     """Per-site exact log densities for a whole dataset (constants included)."""
     log_lam, log_rate = params.resolve(dataset.design)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nmixtime.estimate
-from nmixtime.errors import LikelihoodDomainError, OracleConvergenceError
+from nmixtime.errors import LikelihoodDomainError, OracleConvergenceError, SeriesConvergenceError
 from nmixtime.estimate import (
     _CountedLoglik,
     default_init,
@@ -137,6 +137,23 @@ def test_finite_difference_hessian_on_quadratic():
     assert np.allclose(h, -a, atol=1e-6)
 
 
+def test_finite_difference_hessian_reuses_the_value_at_x():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -0.5 * float(x @ x)
+
+    x = np.array([0.4, -0.2, 1.0])
+    fresh = finite_difference_hessian(f, x)
+    assert len(calls) == 2 * x.size**2 + 1
+    f0 = f(x)
+    calls.clear()
+    reused = finite_difference_hessian(f, x, f0)
+    assert len(calls) == 2 * x.size**2  # only the off-centre points
+    np.testing.assert_array_equal(reused, fresh)
+
+
 def test_fit_reports_eval_count_and_messages_list():
     ds, _ = simulated(Family.COUNT, 30, 2, 2.0, 1.0, seed=55)
     res = fit(ds)
@@ -161,3 +178,58 @@ def test_unconverged_proposal_scores_impossible_and_data_errors_propagate(monkey
     monkeypatch.setattr(nmixtime.estimate, "total_loglik", record_outside_support)
     with pytest.raises(LikelihoodDomainError):
         loglik_fn(truth.free_values())
+
+
+def test_fit_on_scores_takes_few_evaluations():
+    # BFGS on the exact score, plus the 2 k^2 = 8 values of the Hessian
+    ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
+    res = fit(ds)
+    assert res.converged and not res.flagged
+    assert res.n_evals <= 30
+
+
+def test_fit_stops_at_its_evaluation_budget():
+    ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
+    res = fit(ds, max_evals=3, multistart=0)
+    assert not res.converged
+    assert any("stopped after 3 evaluations" in m for m in res.messages)
+    assert res.n_evals <= 3 + 8  # the search, then the Hessian's values
+
+
+def test_impossible_proposals_on_the_search_path_are_rejected(monkeypatch):
+    # the first steps from the default start overshoot log lambda = 1.3; the
+    # optimum lies at ~1.12, so the search backs off and still converges
+    ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
+    free = fit(ds)
+    assert free.estimates.free_values()[0] < 1.2
+    original = nmixtime.estimate.total_loglik
+
+    def series_fails_past_a_wall(dataset, params, **kwargs):
+        if float(params.log_lambda) > 1.3:
+            raise SeriesConvergenceError("series peak past 2^32 terms", 0.0, 16)
+        return original(dataset, params, **kwargs)
+
+    monkeypatch.setattr(nmixtime.estimate, "total_loglik", series_fails_past_a_wall)
+    walled = fit(ds)
+    assert walled.converged and not walled.flagged
+    assert any("scored as impossible" in m for m in walled.messages)
+    np.testing.assert_allclose(walled.estimates.free_values(), free.estimates.free_values(), atol=1e-5)
+    assert walled.loglik == pytest.approx(free.loglik, abs=1e-8)
+
+
+def test_covariate_fit_recovers_all_coefficients():
+    r, j = 300, 3
+    rng = np.random.default_rng(1)
+    x = np.column_stack([np.ones(r), rng.normal(size=r)])
+    z = np.stack([np.ones((r, j)), rng.normal(size=(r, j))], axis=2)
+    truth = Parameterization([math.log(2.0), 0.5], [0.0, -0.4], site_covariates=x, rate_covariates=z)
+    proto = Protocol.for_design(Family.COUNT, BIN, j)
+    ds = simulate_dataset(SimConfig(proto, SurveyDesign(r, j, 1.0), truth, seed=1))
+    start = default_init(ds)
+    init = Parameterization(
+        [float(start.log_lambda), 0.0], [float(start.log_rate), 0.0], site_covariates=x, rate_covariates=z
+    )
+    res = fit(ds, init=init)
+    assert res.converged and not res.flagged
+    assert res.estimates.n_free == 4
+    assert np.all(np.abs(res.estimates.free_values() - truth.free_values()) < 3.0 * res.se)

@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
+from bruteforce import tilted_mean
 from nmixtime.errors import SeriesConvergenceError
 from nmixtime.special import (
     log_pfq_equal_order,
@@ -304,3 +305,83 @@ def test_detection_moment_validation_and_limits():
         tiny = log_poisson_detection_moment([1.0, 2.0], -1e308)
     assert huge == log_poisson_detection_moment([math.inf, 1.0], 0.0)
     assert tiny == pytest.approx(-1e308 + math.log(-math.expm1(-1.0)) + math.log(-math.expm1(-2.0)), rel=1e-15)
+
+
+# Scores: the summer's tilted means against direct sums and shift identities.
+
+
+def test_pfq_score_is_the_tilted_mean_and_the_shift_identity():
+    cases = [
+        ([2.0], [1.0], 0.7),
+        ([3.0, 5.0], [1.0, 2.0], 4.0),
+        ([4.0, 4.0, 4.0], [2.0, 3.0, 4.0], 30.0),
+        ([26.0, 26.0], [20.0, 3.0], 800.0),  # the window moves to the peak
+    ]
+    for a, b, z in cases:
+        value, d_log_z = log_pfq_equal_order(a, b, z, score=True)
+        assert value == log_pfq_equal_order(a, b, z)
+        n = np.arange(0.0, z + 40.0 * math.sqrt(z) + 200.0)
+        log_terms = sum(gammaln(x + n) - gammaln(x) for x in a) - sum(gammaln(x + n) - gammaln(x) for x in b)
+        log_terms += n * math.log(z) - gammaln(n + 1.0)
+        assert d_log_z == pytest.approx(tilted_mean(log_terms, n), rel=1e-11), (a, b, z)
+        # z d/dz pFq(a; b; z) = z (prod a / prod b) pFq(a + 1; b + 1; z)
+        shifted = log_pfq_equal_order(np.add(a, 1.0), np.add(b, 1.0), z)
+        want = z * math.prod(a) / math.prod(b) * math.exp(shifted - value)
+        assert d_log_z == pytest.approx(want, rel=1e-11), (a, b, z)
+    assert log_pfq_equal_order([2.0], [1.0], 0.0, score=True) == (0.0, 0.0)
+
+
+def test_pfq_scores_of_rows_match_single_calls():
+    a = np.array([[3.0, 3.0], [2.0, 2.0], [40.0, 40.0], [5.0, 5.0]])
+    b = np.array([[1.0, 2.0], [2.0, 2.0], [30.0, 11.0], [1.0, 4.0]])
+    z = np.array([1.5, 3.0, 2e3, 0.0])
+    _, rows = log_pfq_equal_order(a, b, z, score=True)
+    single = [log_pfq_equal_order(a[i], b[i], z[i], score=True)[1] for i in range(z.size)]
+    np.testing.assert_allclose(rows, single, rtol=1e-14, atol=0.0)
+    assert rows[1] == pytest.approx(3.0, rel=1e-14)  # pFq(a; a; z) = e^z
+
+
+def test_raw_moment_score_is_the_tilted_mean_and_the_moment_ratio():
+    for m in (1, 2, 5, 20, 300):
+        for mu in (0.01, 0.7, 4.0, 60.0, 2000.0):
+            value, d_log_mu = log_poisson_raw_moment(m, math.log(mu), score=True)
+            assert value == log_poisson_raw_moment(m, math.log(mu))
+            n = np.arange(1.0, mu + m + 40.0 * math.sqrt(mu + m) + 200.0)
+            log_terms = m * np.log(n) + n * math.log(mu) - gammaln(n + 1.0)
+            assert d_log_mu + mu == pytest.approx(tilted_mean(log_terms, n), rel=1e-11), (m, mu)
+            # d log E[N^m] / d log mu = E[N^{m+1}] / E[N^m] - mu
+            ratio = math.exp(log_poisson_raw_moment(m + 1, math.log(mu)) - value)
+            assert d_log_mu == pytest.approx(ratio - mu, rel=1e-9, abs=1e-9 * mu), (m, mu)
+    orders = np.array([0, 0, 3, 3, 7])
+    log_mu = np.array([1.0, -math.inf, -math.inf, 0.5, 8.0])
+    values, scores = log_poisson_raw_moment(orders, log_mu, score=True)
+    np.testing.assert_array_equal(values, log_poisson_raw_moment(orders, log_mu))
+    # order 0 has no dependence on mu; E_t[n] -> 1 as mu -> 0
+    assert scores[0] == scores[1] == 0.0 and scores[2] == 1.0
+    single = [log_poisson_raw_moment(int(m), float(x), score=True)[1] for m, x in zip(orders, log_mu)]
+    np.testing.assert_allclose(scores, single, rtol=1e-14, atol=0.0)
+
+
+def test_detection_moment_scores_are_tilted_means():
+    rng = np.random.default_rng(13)
+    for mu in (0.3, 5.0, 60.0, 2000.0):
+        for d in (1, 4, 12):
+            w = rng.uniform(0.01, 3.0, d)
+            value, d_log_mu, d_w = log_poisson_detection_moment(w, math.log(mu), score=True)
+            assert value == log_poisson_detection_moment(w, math.log(mu))
+            n = np.arange(1.0, mu + 40.0 * math.sqrt(mu) + 200.0)
+            log_terms = n * math.log(mu) - gammaln(n + 1.0) + sum(np.log(-np.expm1(-n * x)) for x in w)
+            assert d_log_mu + mu == pytest.approx(tilted_mean(log_terms, n), rel=1e-11), (mu, d)
+            with np.errstate(over="ignore"):
+                want = [tilted_mean(log_terms, n / np.expm1(n * x)) for x in w]
+            # a score that falls off fast with n, such as e^{-n w} near 1e-135,
+            # weighs the window's left tail more than the sum does
+            np.testing.assert_allclose(d_w, want, rtol=1e-10, atol=1e-12)
+    # a padded occasion that cannot miss has score 0 and leaves the rest as they were
+    short = log_poisson_detection_moment([0.4, 1.1], 1.0, score=True)
+    padded = log_poisson_detection_moment([[0.4, 1.1, math.inf]], [1.0], score=True)
+    assert padded[0][0] == short[0] and padded[1][0] == short[1]
+    np.testing.assert_array_equal(padded[2][0], [*short[2], 0.0])
+    # rows whose value is -inf carry no score
+    _, d_log_mu, d_w = log_poisson_detection_moment([[0.0, 1.0], [1.0, 1.0]], [0.0, -math.inf], score=True)
+    assert np.all(np.isnan(d_log_mu)) and np.all(np.isnan(d_w))
