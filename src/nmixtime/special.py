@@ -3,7 +3,15 @@
 The Poisson moments, detection-history expectations and hypergeometric
 series overflow double precision long before the model sizes of interest,
 so everything works on log scale. All three series are positive and
-log-concave; one summer adds them up around their largest term.
+log-concave; one summer adds them up around their largest term. A row
+whose peak lies far from the series' start sums every k-th exact term
+times k, with k ~ sigma / 4 for a bell of width sigma: by Poisson
+summation the aliasing error is ~exp(-2 pi^2 sigma^2 / k^2) (Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56
+(2014) 385-458), so such a row costs ~16 sqrt(peak) / k ~ 64 sqrt(peak) /
+sigma exact terms, a few hundred at most whatever the peak, rather than
+O(sqrt(peak)). The bound of 2^32 on the peak index limits the precision
+of the terms (~eps n log n), not the cost.
 """
 from __future__ import annotations
 
@@ -61,8 +69,9 @@ def log_sum_exp(values, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-# A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
-# at most _BLOCK window terms are evaluated at once.
+# A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side)
+# and costs 16 sqrt(peak) / k ~ 64 sqrt(peak) / sigma exact terms at stride k
+# (see _strides); at most _BLOCK window terms are evaluated at once.
 _SPREAD = 16.0
 _BLOCK = 2**16
 _LOG_TOL = math.log(1e-13)
@@ -92,41 +101,72 @@ def _peaks(log_ratio, rows, after):
     return peak
 
 
-def _windows(todo, start, lo, width, log_ratio, scores):
+def _strides(log_ratio, rows, peak, width):
+    """Sampling stride of windows placed around each row's peak.
+
+    The terms near the peak form a smooth bell of width sigma, read from the
+    slope of the log ratio: sigma^2 = 2d / (log_ratio(peak - d) -
+    log_ratio(peak + d)) with d = ceil(sqrt(peak)). At k = 2^floor(log2(sigma
+    / 4)) the aliasing of a sum of every k-th term, exp(-2 pi^2 sigma^2 /
+    k^2), is below exp(-316). The stride is at most width / 16, and 1 where
+    sigma < 8 or the slope is not finite and positive."""
+    d = np.ceil(np.sqrt(peak))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        before, after = log_ratio(rows, np.stack([peak - d, peak + d]))
+        sigma = np.sqrt(2.0 * d / (before - after))
+        k = np.minimum(2.0 ** np.floor(np.log2(sigma / 4.0)), width / 16.0)
+    return np.where((sigma >= 8.0) & (sigma < np.inf), k, 1.0)
+
+
+def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores):
     """Per row: window log-sum relative to its first term, left and right tail
     bounds relative to that sum (NaN or +inf: none yet), last log ratio, and
     the term-weighted mean of each score over the window (None without
-    ``scores``). Rows of equal width go together, one column each; no
-    operation mixes columns."""
+    ``scores``). Rows of equal width and stride go together, one column each;
+    no operation mixes columns."""
     out = np.empty((4, todo.size))
     out[1] = NEG_INF
     tilted = None
-    widths = width[todo]
-    for w in sorted(set(widths.tolist())):
-        group = np.flatnonzero(widths == w)
-        step = max(1, _BLOCK // int(w))
+    widths, strides = width[todo], stride[todo]
+    if strides.max() > 1.0:
+        groups = set(zip(widths.tolist(), strides.tolist()))
+    else:  # no row strides, the usual case: width alone, at a third of the cost
+        groups = {(w, 1.0) for w in set(widths.tolist())}
+    for w, k in sorted(groups):
+        group = np.flatnonzero((widths == w) & (strides == k))
+        step = max(1, _BLOCK // int(w // k))
         for part in (group[s : s + step] for s in range(0, group.size, step)):
-            edge = lo[todo[part]]
-            # log t_{n+1}/t_n from the term before the window to its last term;
-            # rows that share their indices share one column of them
-            n = np.arange(-1.0, w)[:, None] + (edge[:1] if edge.min() == edge.max() else edge)
-            log_r = log_ratio(todo[part], np.maximum(n, start))
+            rows, edge = todo[part], lo[todo[part]]
+            if k == 1:
+                # log t_{n+1}/t_n from the term before the window to its last term;
+                # rows that share their indices share one column of them
+                n = np.arange(-1.0, w)[:, None] + (edge[:1] if edge.min() == edge.max() else edge)
+                log_r = log_ratio(rows, np.maximum(n, start))
+                before, last = log_r[0].copy(), log_r[-1]
+                log_r[0] = 0.0
+                # log(t_{lo+j} / t_lo); the last is past the window
+                log_t, n = np.cumsum(log_r, axis=0)[:-1], n[1:]
+            else:
+                # exact terms at every k-th index, each standing for k terms, and
+                # the log ratios before the window and at its last sample
+                n = edge + np.arange(0.0, w, k)[:, None]
+                log_t = log_term(rows, n)
+                log_t = log_t - log_t[0]
+                before, last = log_ratio(rows, np.stack([edge - 1.0, n[-1]]))
             # going left the ratios only grow, so 1/ratio(lo - 1) bounds the left tail
             inner = edge > start
             if inner.any():
-                out[1, part[inner]] = _log_tail(-log_r[0, inner])
-            log_r[0] = 0.0
-            cum = np.cumsum(log_r, axis=0)  # log(t_{lo+j} / t_lo); the last is past the window
-            peak = cum[:-1].max(axis=0)
+                out[1, part[inner]] = _log_tail(-before[inner])
+            peak = log_t.max(axis=0)
             # summed along contiguous rows, so a row sums alike alone or batched
-            terms = np.exp(np.ascontiguousarray((cum[:-1] - peak).T))
+            terms = np.exp(np.ascontiguousarray((log_t - peak).T))
             mass = terms.sum(axis=1)
-            out[0, part] = peak + np.log(mass)
-            out[2, part] = cum[-2] + _log_tail(log_r[-1])
-            out[3, part] = log_r[-1]
+            out[0, part] = peak + np.log(k * mass)
+            out[2, part] = log_t[-1] + _log_tail(last)
+            out[3, part] = last
             if scores is not None:
-                s = scores(todo[part], n[1:])
-                s = np.ascontiguousarray(np.swapaxes(np.broadcast_to(s, s.shape[:1] + cum[:-1].shape), 1, 2))
+                s = scores(rows, n)
+                s = np.ascontiguousarray(np.swapaxes(np.broadcast_to(s, s.shape[:1] + log_t.shape), 1, 2))
                 if tilted is None:
                     tilted = np.empty((s.shape[0], todo.size))
                 tilted[:, part] = (s * terms).sum(axis=2) / mass
@@ -137,26 +177,35 @@ def _windows(todo, start, lo, width, log_ratio, scores):
 def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     """log sum_{n >= start} t_n for rows of positive, log-concave series.
 
-    ``log_first`` holds each row's log t_start, ``log_term(rows, n)`` the exact
-    log t_n at one index per row, and ``log_ratio(rows, n)`` log t_{n+1}/t_n,
-    non-increasing in n, at (w, k) or (w, 1) indices, one column per row.
+    ``log_first`` holds each row's log t_start; ``log_term(rows, n)`` gives the
+    exact log t_n and ``log_ratio(rows, n)`` log t_{n+1}/t_n, non-increasing
+    in n, both at (w, k) or (w, 1) indices, one column per row.
     Each row log-sum-exps a window, ``first`` terms from ``start`` at first,
     doubled until the geometric bounds on both tails are below 1e-13 of the
     sum. A window still rising at its end moves around the row's peak, found
-    by galloping and bisecting on the sign of the ratio: O(sqrt(peak)) terms.
-    Raises SeriesConvergenceError for a row still rising 2^32 terms on.
+    by galloping and bisecting on the sign of the ratio, and spans
+    16 sqrt(peak) indices. Clear of ``start``, it sums every k-th exact term
+    times k, with k ~ sigma / 4 for a bell of width sigma (see _strides): the
+    aliasing error is ~exp(-316), and a row costs ~16 sqrt(peak) / k ~
+    64 sqrt(peak) / sigma exact terms rather than O(sqrt(peak)). A window that
+    grows back to ``start`` sums every term again. Raises
+    SeriesConvergenceError for a row still rising 2^32 terms on; that bound
+    limits the precision of the terms (their lgamma floor, ~eps n log n),
+    not the cost.
 
     With ``scores(rows, n)``, which gives q per-term scores s_n as a (q, ...)
     array broadcasting with ``n``, also returns the (q, rows) tilted means
-    sum t_n s_n / sum t_n over each row's final window: the derivative of
-    the log-sum along a parameter whose log-term derivative is s_n."""
+    sum t_n s_n / sum t_n over each row's final window, with the same samples
+    and weights: the derivative of the log-sum along a parameter whose
+    log-term derivative is s_n."""
     lo = np.full(log_first.size, float(start))
     width = np.full(log_first.size, float(first))
+    stride = np.ones(log_first.size)
     out = np.empty(log_first.size)
     means = None
     todo = np.arange(log_first.size)
     while todo.size:
-        rel, left, right, last, tilted = _windows(todo, start, lo, width, log_ratio, scores)
+        rel, left, right, last, tilted = _windows(todo, start, lo, width, stride, log_ratio, log_term, scores)
         left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
         done = left_ok & right_ok
         rows, moved = todo[done], lo[todo[done]] > start
@@ -166,7 +215,8 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
                 means = np.empty((tilted.shape[0], log_first.size))
             means[:, rows] = tilted[:, done]
         if moved.any():
-            out[rows[moved]] = log_term(rows[moved], lo[rows[moved]]) + rel[done][moved]
+            rows = rows[moved]
+            out[rows] = log_term(rows, lo[rows][None])[0] + rel[done][moved]
         if done.all():
             break
         rising = last > 0.0
@@ -178,12 +228,16 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
                 raise SeriesConvergenceError("series peak past 2^32 terms", float(log_first[rows[k]] + rel[rising][k]), first)
             width[rows] = first * 2.0 ** np.ceil(np.log2(np.maximum(1.0, _SPREAD * np.sqrt(peak) / first)))
             lo[rows] = np.maximum(start, peak - width[rows] / 2)
+            # a window truncated at start is no smooth bell: it keeps stride 1
+            clear = lo[rows] > start
+            stride[rows[clear]] = _strides(log_ratio, rows[clear], peak[clear], width[rows[clear]])
         # double the rest: to the right, to the left, or by half on each side
         grow = ~done & ~rising
         rows = todo[grow]
         shift = np.where(left_ok[grow], 0.0, np.where(right_ok[grow], 1.0, 0.5)) * width[rows]
         lo[rows] = np.maximum(start, lo[rows] - shift)
         width[rows] *= 2.0
+        stride[rows[lo[rows] == start]] = 1.0  # grown back to start: no smooth bell
         todo = todo[~done]
     if scores is None:
         return out
@@ -279,7 +333,7 @@ def log_poisson_detection_moment(w, log_mu, score=False):
         return steps + (log_mu[i] - np.log(n + 1.0))
 
     def log_term(i, n):
-        detect = np.log(-np.expm1(-w[:, i] * n)).sum(axis=0)
+        detect = np.log(-np.expm1(-w[:, None, i] * n)).sum(axis=0)
         return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
 
     def scores(i, n):
@@ -290,7 +344,7 @@ def log_poisson_detection_moment(w, log_mu, score=False):
     # e^{n w} overflows to +inf for large exposures, where the step is log1p(0)
     with np.errstate(over="ignore"):
         # 16 terms cover mu up to ~1 at once; larger means move to the peak
-        first = log_term(np.arange(rows.size), np.ones(rows.size))
+        first = log_term(np.arange(rows.size), np.ones((1, rows.size)))[0]
         if not score:
             out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
             return float(out[0]) if scalar else out
@@ -339,7 +393,7 @@ def log_pfq_equal_order(a, b, z, score=False):
         return steps + (log_z[i] - np.log(n + 1.0))
 
     def log_term(i, n):
-        up, low = lower[:, i] + gap[:, i], lower[:, i]
+        up, low = lower[:, None, i] + gap[:, None, i], lower[:, None, i]
         pochhammer = gammaln(up + n) - gammaln(up) - gammaln(low + n) + gammaln(low)
         return pochhammer.sum(axis=0) + n * log_z[i] - gammaln(n + 1.0)
 

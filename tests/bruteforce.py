@@ -24,7 +24,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 from scipy.stats import binom, poisson
 
 from nmixtime.model import Family, ObservationProcess
@@ -176,8 +176,37 @@ def tilted_mean(log_terms, values) -> float:
     derivative of log t_n is v_n.
     """
     log_terms = np.asarray(log_terms, dtype=float)
-    weights = np.exp(log_terms - logsumexp(log_terms))
-    return float(np.sum(weights * np.asarray(values, dtype=float)))
+    # both sums over the same weights: a log-sum of size L, rounded, would
+    # scale weights normalised by it by 1 + eps * L
+    weights = np.exp(log_terms - np.max(log_terms))
+    return float(np.sum(weights * np.asarray(values, dtype=float)) / np.sum(weights))
+
+
+def series_window(mode: float, sd: float, start: int) -> np.ndarray:
+    """Every index n >= start within 40 standard deviations of the mode: a
+    fixed window wide enough that a direct sum over it is the whole series."""
+    return np.arange(max(start, math.floor(mode - 40.0 * sd)), math.ceil(mode + 40.0 * sd) + 1, dtype=float)
+
+
+def raw_moment_log_terms(m: int, mu: float, n: np.ndarray) -> np.ndarray:
+    """log(n^m e^{-mu} mu^n / n!): the terms of Dobinski's E[N^m], N ~ Poisson(mu)."""
+    return m * np.log(n) + n * math.log(mu) - gammaln(n + 1.0) - mu
+
+
+def detection_log_terms(w, mu: float, n: np.ndarray) -> np.ndarray:
+    """log(Poi(n; mu) prod_j (1 - e^{-n w_j})): the terms of E[prod_j (1 - e^{-N w_j})]."""
+    detect = sum(np.log(-np.expm1(-n * x)) for x in w)
+    return detect + n * math.log(mu) - gammaln(n + 1.0) - mu
+
+
+def pfq_log_terms(a, b, z: float, n: np.ndarray) -> np.ndarray:
+    """log(prod (a)_n / prod (b)_n z^n / n!): the terms of pFq(a; b; z).
+
+    The sorted upper and lower parameters go in pairs, whose log-gammas at
+    large n cancel pair by pair with their rounding."""
+    pairs = zip(sorted(a), sorted(b))
+    rising = sum(gammaln(x + n) - gammaln(y + n) - gammaln(x) + gammaln(y) for x, y in pairs)
+    return rising + n * math.log(z) - gammaln(n + 1.0)
 
 
 def dataset_log_density(dataset, params, n_hi: int | None = None) -> np.ndarray:

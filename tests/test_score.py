@@ -101,3 +101,29 @@ def test_score_at_the_limits_warns_nothing():
                     except SeriesConvergenceError:
                         continue
                     assert got.total == total_loglik(ds, params).total
+
+
+@pytest.mark.parametrize(
+    "family, process",
+    [
+        (Family.COUNT, ObservationProcess.BINOMIAL_COUNT),
+        (Family.COUNT, ObservationProcess.POISSON_PROCESS),
+        (Family.BINARY_T1, ObservationProcess.BINOMIAL_COUNT),
+    ],
+    ids=["Count:M", "PCount:M", "BinaryT1:M"],
+)
+def test_far_peak_scores_match_central_differences(family, process):
+    # a 200-site, 4-occasion field survey probed at abundances near the
+    # series' bound on the peak index, where every series row strides
+    proto = Protocol.for_design(family, process, 4)
+    truth = Parameterization(math.log(3.0), math.log(0.5))
+    ds = simulate_dataset(SimConfig(proto, SurveyDesign(200, 4, 1.0), truth, seed=1))
+    for log_lam in (20.0, 22.0):
+        params = Parameterization(log_lam, math.log(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = total_loglik(ds, params, score=True)
+            want = central_differences(ds, params)
+        assert np.isfinite(got.total) and np.all(np.isfinite(got.score)), log_lam
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got.score - want)) <= 1e-6 * scale, (log_lam, got.score, want)

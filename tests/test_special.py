@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+import bruteforce
 from bruteforce import tilted_mean
+from nmixtime import special
 from nmixtime.errors import SeriesConvergenceError
 from nmixtime.special import (
     log_pfq_equal_order,
@@ -385,3 +387,174 @@ def test_detection_moment_scores_are_tilted_means():
     # rows whose value is -inf carry no score
     _, d_log_mu, d_w = log_poisson_detection_moment([[0.0, 1.0], [1.0, 1.0]], [0.0, -math.inf], score=True)
     assert np.all(np.isnan(d_log_mu)) and np.all(np.isnan(d_w))
+
+
+# Far peaks: windows clear of the series' start sum every k-th exact term
+# times k, at a stride set by the width of the row's own bell.
+
+EPS = np.finfo(float).eps
+
+
+def lgamma_floor(peak):
+    """The rounding of exact log terms near index ``peak``: ~eps n log n."""
+    return EPS * peak * math.log(peak)
+
+
+def term_reads(monkeypatch):
+    """Record, per call, how many indices a row's exact log terms are read at:
+    1 for the first term of a window, more for a window sampled at a stride."""
+    reads = []
+    real = special._log_series_sum
+
+    def counted_sum(start, first, log_first, log_ratio, log_term, scores=None):
+        def counted(rows, n):
+            reads.append(np.shape(n)[0])
+            return log_term(rows, n)
+
+        return real(start, first, log_first, log_ratio, counted, scores)
+
+    monkeypatch.setattr(special, "_log_series_sum", counted_sum)
+    return reads
+
+
+@pytest.mark.parametrize("peak", [1e3, 1e5, 1e7])
+def test_far_peaks_match_direct_sums_of_exact_terms(peak, monkeypatch):
+    reads = term_reads(monkeypatch)
+    log_mu, floor = math.log(peak), lgamma_floor(peak)
+    n = bruteforce.series_window(peak, math.sqrt(peak), 1)
+    for m in (1, 3):
+        value, d_log_mu = log_poisson_raw_moment(m, log_mu, score=True)
+        log_terms = bruteforce.raw_moment_log_terms(m, peak, n)
+        want = float(logsumexp(log_terms))
+        assert abs(value - want) <= max(1e-12 * abs(want), floor), (m, value, want)
+        assert d_log_mu + peak == pytest.approx(tilted_mean(log_terms, n), rel=1e-10), m
+    # exposures of order 1 / mu keep the occasion scores n / (e^{n w} - 1) of order mu
+    w = np.array([0.5, 2.0, 9.0]) / peak
+    value, d_log_mu, d_w = log_poisson_detection_moment(w, log_mu, score=True)
+    log_terms = bruteforce.detection_log_terms(w, peak, n)
+    want = float(logsumexp(log_terms))
+    assert abs(value - want) <= max(1e-12 * abs(want), floor), (value, want)
+    assert d_log_mu + peak == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
+    np.testing.assert_allclose(d_w, [tilted_mean(log_terms, n / np.expm1(n * x)) for x in w], rtol=1e-10)
+    a, b = [5.0, 12.0], [1.0, 3.0]
+    value, d_log_z = log_pfq_equal_order(a, b, peak, score=True)
+    n = bruteforce.series_window(peak, math.sqrt(peak), 0)
+    log_terms = bruteforce.pfq_log_terms(a, b, peak, n)
+    want = float(logsumexp(log_terms))
+    assert abs(value - want) <= max(1e-12 * abs(want), floor), (value, want)
+    assert d_log_z == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
+    assert min(reads) == 1 and max(reads) > 1  # the windows were sampled at a stride
+
+
+def test_rows_mixing_strided_unstrided_and_empty_match_single_calls(monkeypatch):
+    reads = term_reads(monkeypatch)
+    # empty, first-window, moved (sigma < 8) and strided rows
+    log_mu = np.array([-math.inf, *np.log([0.5, 3.0, 30.0, 1e-10, 2e3, 1e5, 1e7])])
+    orders = np.array([3, 3, 0, 2, 10**4, 1, 40, 3])
+    rows = log_poisson_raw_moment(orders, log_mu, score=True)
+    single = [log_poisson_raw_moment(int(m), float(x), score=True) for m, x in zip(orders, log_mu)]
+    for got, want in zip(rows, zip(*single)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    w = np.outer(np.exp(-log_mu[1:]), [0.5, 1.0, 4.0])
+    w = np.vstack([w[:2], [[0.0, 1.0, 1.0]], w, [[1.0, 1.0, 1.0]]])  # a zero exposure and a zero mean
+    mus = np.concatenate([log_mu[1:3], [0.0], log_mu[1:], [-math.inf]])
+    rows = log_poisson_detection_moment(w, mus, score=True)
+    single = [log_poisson_detection_moment(w[i], mus[i], score=True) for i in range(mus.size)]
+    for got, want in zip(rows, zip(*single)):
+        np.testing.assert_allclose(got, np.array(want), rtol=1e-14, atol=0.0)
+    z = np.array([0.0, 1.5, 40.0, 2e3, 1e5, 1e7])
+    a = np.tile([5.0, 12.0], (z.size, 1))
+    b = np.tile([1.0, 3.0], (z.size, 1))
+    rows = log_pfq_equal_order(a, b, z, score=True)
+    single = [log_pfq_equal_order(a[i], b[i], z[i], score=True) for i in range(z.size)]
+    for got, want in zip(rows, zip(*single)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert max(reads) > 1
+
+
+def test_far_peak_cost_is_bounded_whatever_the_peak():
+    # Dobinski's rows for E[N] = mu: n mu^n e^{-mu} / n!, from n = 1
+    reads = {}
+    for mu in (1e4, 1e6, 1e9):
+        log_mu = math.log(mu)
+        count = [0]
+
+        def log_ratio(i, n):
+            count[0] += np.size(n)
+            return np.log1p(1.0 / n) + (log_mu - np.log(n + 1.0))
+
+        def log_term(i, n):
+            count[0] += np.size(n)
+            return np.log(n) + n * log_mu - gammaln(n + 1.0) - mu
+
+        value = special._log_series_sum(1, 32, np.array([log_mu - mu]), log_ratio, log_term)
+        assert value[0] == pytest.approx(log_mu, abs=2 * lgamma_floor(mu)), mu
+        reads[mu] = count[0]
+    assert max(reads.values()) < 2000, reads
+    assert reads[1e9] <= 2 * reads[1e4], reads
+
+
+def reflected_poisson(top, mu):
+    """Callbacks of the finite series t_n = Poi(top - n; mu), 0 <= n <= top,
+    whose bell is cut off at n = 0 or at n = top when mu is near top or 0."""
+    log_mu = math.log(mu)
+
+    def log_ratio(i, n):
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(top - n, 0.0)) - log_mu + np.zeros(i.shape)
+
+    def log_term(i, n):
+        k = top - n
+        return np.where(k >= 0, k * log_mu - mu - gammaln(np.maximum(k, 0.0) + 1.0), -math.inf)
+
+    return log_ratio, log_term
+
+
+@pytest.mark.parametrize(
+    "top, mu, strides_first",
+    [
+        (1e4 + 40.0, 1e4, False),  # a wide bell whose window is placed at n = 0
+        (1e4 + 300.0, 1e4, True),  # a strided window whose tails send it back to n = 0
+        (1e6, 0.5, False),  # the peak at the last term: the ratio past it is -inf
+    ],
+)
+def test_windows_cut_off_by_a_series_end_sum_every_term(top, mu, strides_first):
+    log_ratio, log_term = reflected_poisson(top, mu)
+    reads = []
+
+    def counted(i, n):
+        reads.append(np.shape(n)[0])
+        return log_term(i, n)
+
+    got = special._log_series_sum(0, 16, log_term(np.arange(1), np.zeros((1, 1)))[0], log_ratio, counted)
+    want = float(logsumexp(log_term(None, np.arange(top + 1.0))))
+    # a stride across the cut-off would be wrong by 3e-4 or more
+    assert abs(got[0] - want) <= max(1e-12 * abs(want), lgamma_floor(top)), (got, want)
+    assert (max(reads, default=1) > 1) == strides_first
+
+
+def test_narrow_bells_keep_stride_one(monkeypatch):
+    reads = term_reads(monkeypatch)
+    # a large moment order at a tiny mean: the peak near n = 330 has sigma ~ 3
+    m, mu = 10**4, 1e-10
+    n = bruteforce.series_window(330.0, 5.0, 1)
+    want = float(logsumexp(bruteforce.raw_moment_log_terms(m, mu, n)))
+    assert log_poisson_raw_moment(m, math.log(mu)) == pytest.approx(want, rel=1e-12)
+    # three large parameter gaps at a small argument: terms ~ (1e6^3 z)^n / n!^4,
+    # sigma ~ 7 around n ~ 200
+    a, b, z = [1e6] * 3, [1.0] * 3, 1.6e-9
+    n = bruteforce.series_window(200.0, 10.0, 0)
+    want = float(logsumexp(bruteforce.pfq_log_terms(a, b, z, n)))
+    assert abs(log_pfq_equal_order(a, b, z) - want) <= lgamma_floor(1e6)
+    assert reads and max(reads) == 1
+
+
+def test_stride_is_one_for_a_flat_or_non_finite_slope():
+    # log ratios at peak -+ d per row: flat, NaN, falling to -inf, rising, and
+    # a bell of width sigma = sqrt(2 * 1000 / 2e-3) = 1000
+    ends = np.array([[0.0, math.nan, 1.0, -1.0, 1e-3], [0.0, -1.0, -math.inf, 1.0, -1e-3]])
+    peak = np.full(5, 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special._strides(lambda i, n: ends, np.arange(5), peak, np.full(5, 2.0**14))
+    np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 1.0, 128.0])
