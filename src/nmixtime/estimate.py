@@ -1,12 +1,13 @@
 """Maximum-likelihood fitting, curvature-based uncertainty, and profiles.
 
-Fitting runs the quasi-Newton BFGS search over the free log-scale
-coefficients on the exact score: every kernel returns its gradient, the
-series parts as means under their own tilted terms, so each step costs
-one value-and-gradient evaluation and covariate coefficient vectors fit
-as readily as two scalars. Standard errors come from a central
-finite-difference Hessian of the log-likelihood at the optimum; a huge
-condition number there is reported, not hidden, because for some
+Fitting runs a trust-region Newton search over the free log-scale
+coefficients on the exact Hessian: every kernel returns its gradient and
+its Hessian, the series parts as means and covariances under their own
+tilted terms, so each step costs one evaluation of value, score and
+Hessian, and covariate coefficient vectors fit as readily as two
+scalars. Standard errors come from the inverse of the exact observed
+information at the optimum, read from the search's last evaluation; a
+huge condition number there is reported, not hidden, because for some
 protocols (single-visit binary or count data with constant parameters)
 abundance and detection rate are genuinely not separately identifiable.
 """
@@ -26,17 +27,15 @@ __all__ = [
     "FitResult",
     "ProfileResult",
     "default_init",
-    "finite_difference_hessian",
     "fit",
     "profile_loglik",
 ]
 
 CONDITION_FLAG_THRESHOLD = 1e10
-FD_REL_STEP = 1e-4
-# A second difference of f carries rounding noise of order eps * |f| / step^2,
-# so eigenvalues smaller than a few dozen times that are indistinguishable
-# from an exact zero.
-RIDGE_NOISE_SAFETY = 32.0
+# Eigenvalues of the information within this many times the residual score
+# plus rounding at the optimum are indistinguishable from an exact zero
+# (see _curvature_report).
+RIDGE_SAFETY = 32.0
 
 
 def _flagged(converged: bool, condition: float) -> bool:
@@ -51,7 +50,9 @@ class FitResult:
     ``loglik`` and ``aic`` include the protocol's data-only constant terms,
     so AIC values are comparable across refits of the same data.
     ``covariance`` (and ``se``) refer to the free coefficients in the order
-    given by ``estimates.free_values()``.
+    given by ``estimates.free_values()``. ``n_evals`` counts likelihood
+    evaluations over the whole fit, restarts included; one evaluation is a
+    value, a score and a Hessian.
     """
 
     estimates: Parameterization
@@ -98,10 +99,11 @@ def default_init(dataset: Dataset) -> Parameterization:
 class _CountedLoglik:
     """Log-likelihood as a function of the free coefficient vector.
 
-    Calling it gives the value; ``scored`` gives the value and its gradient.
-    A series or oracle that cannot converge at the probed coefficients
-    scores that proposal as impossible (-inf, with a zero gradient) and is
-    counted; a NaN value or a non-finite gradient also scores impossible.
+    ``curved`` gives the value, its gradient and its Hessian from one
+    evaluation; calling it gives the value alone. A series or oracle that
+    cannot converge at the probed coefficients scores that proposal as
+    impossible (-inf, with a zero gradient and Hessian) and is counted; a
+    NaN value or a non-finite gradient or Hessian also scores impossible.
     Errors that depend only on the data (a record outside the density's
     support) would make every proposal impossible, so they propagate.
     """
@@ -112,44 +114,46 @@ class _CountedLoglik:
         self.n_evals = 0
         self.convergence_failures = 0
 
-    def scored(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self._evaluate(x, score=True)
-
     def __call__(self, x: np.ndarray) -> float:
-        return self._evaluate(x, score=False)[0]
+        return self.curved(x)[0]
 
-    def _evaluate(self, x: np.ndarray, score: bool) -> tuple[float, np.ndarray | None]:
+    def curved(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         self.n_evals += 1
-        impossible = (-math.inf, np.zeros(np.size(x)) if score else None)
+        k = np.size(x)
+        impossible = (-math.inf, np.zeros(k), np.zeros((k, k)))
         try:
             params = self.template.with_free_values(x)
-            got = total_loglik(self.dataset, params, score=score)
+            got = total_loglik(self.dataset, params, hessian=True)
         except (SeriesConvergenceError, OracleConvergenceError):
             self.convergence_failures += 1
             return impossible
-        if not got.total > -math.inf or (score and not np.all(np.isfinite(got.score))):
+        if not (got.total > -math.inf and np.all(np.isfinite(got.score)) and np.all(np.isfinite(got.hessian))):
             return impossible
-        return got.total, got.score
+        return got.total, got.score, got.hessian
 
 
-def _maximize(scored, x0: np.ndarray, tol: float, max_evals: int):
-    """BFGS ascent of ``scored(x) -> (value, gradient)`` from ``x0``.
+def _maximize(curved, x0: np.ndarray, tol: float, max_evals: int):
+    """Trust-region Newton ascent of ``curved(x) -> (value, gradient,
+    Hessian)`` from ``x0`` (Nocedal & Wright, Numerical Optimization, ch. 4).
 
-    The search stops once the largest score is below sqrt(tol), which
-    leaves at most ~tol/2 of log-likelihood unattained wherever the
-    curvature is at least one, or after ``max_evals`` evaluations. It also
-    counts as converged when no step can raise the value any more (a
-    rounding floor) while the quasi-Newton model predicts less than ``tol``
-    left to gain. Returns scipy's result for the negated log-likelihood
-    with ``success`` set to that verdict.
+    Each proposal costs one evaluation, which serves the value, the
+    gradient and the Hessian. The search stops once the score's norm is
+    below sqrt(tol), which leaves at most ~tol/2 of log-likelihood
+    unattained wherever the curvature is at least one, or after
+    ``max_evals`` evaluations. Returns scipy's result for the negated
+    log-likelihood; its ``hess`` is the observed information at ``x`` and
+    ``success`` also requires a finite optimum.
     """
     n_evals, spent = 0, False
+    last: dict = {}
 
-    def objective(x):
+    def negated(x):
         nonlocal n_evals
-        n_evals += 1
-        value, grad = scored(x)
-        return -value, -grad
+        if "x" not in last or not np.array_equal(last["x"], x):
+            n_evals += 1
+            value, grad, hess = curved(x)
+            last.update(x=np.copy(x), out=(-value, -grad, -hess))
+        return last["out"]
 
     def check_budget(_):
         nonlocal spent
@@ -158,62 +162,44 @@ def _maximize(scored, x0: np.ndarray, tol: float, max_evals: int):
             raise StopIteration
 
     res = minimize(
-        objective, x0, jac=True, method="BFGS", callback=check_budget,
+        lambda x: negated(x)[0], x0, method="trust-exact", callback=check_budget,
+        jac=lambda x: negated(x)[1], hess=lambda x: negated(x)[2],
         options={"gtol": math.sqrt(tol), "maxiter": max_evals},
     )
     if spent:
         res.success, res.message = False, f"stopped after {max_evals} evaluations"
-    elif res.status == 2 and np.isfinite(res.fun):
-        res.success = bool(0.5 * res.jac @ res.hess_inv @ res.jac <= tol)
+    res.success = bool(res.success and np.isfinite(res.fun))
     return res
 
 
-def finite_difference_hessian(f, x, f0: float | None = None) -> np.ndarray:
-    """Central finite-difference Hessian of f at x, step relative to |x|.
-
-    ``f0`` is f(x) when the caller already has it."""
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    h = FD_REL_STEP * np.maximum(1.0, np.abs(x))
-    hess = np.empty((k, k))
-    if f0 is None:
-        f0 = f(x)
-    for a in range(k):
-        ea = np.zeros(k)
-        ea[a] = h[a]
-        hess[a, a] = (f(x + ea) - 2.0 * f0 + f(x - ea)) / h[a] ** 2
-        for b in range(a + 1, k):
-            eb = np.zeros(k)
-            eb[b] = h[b]
-            quad = f(x + ea + eb) - f(x + ea - eb) - f(x - ea + eb) + f(x - ea - eb)
-            hess[a, b] = hess[b, a] = quad / (4.0 * h[a] * h[b])
-    return hess
-
-
-def _curvature_report(loglik_fn, x, f0: float) -> tuple[np.ndarray, np.ndarray, float, list[str]]:
+def _curvature_report(
+    info: np.ndarray, score: np.ndarray, f0: float
+) -> tuple[np.ndarray, np.ndarray, float, list[str]]:
     """Covariance, standard errors, condition number, and any complaints.
 
-    ``f0`` is ``loglik_fn(x)``, which the optimizer has already evaluated.
+    ``info`` is the exact observed information at the optimum, ``score``
+    the gradient left there and ``f0`` the log-likelihood, all from the
+    optimizer's last evaluation at its estimate.
 
-    Eigenvalues below the finite-difference noise resolution are treated as
-    exact zeros: a second difference cannot distinguish them from a flat
-    ridge, and dividing by one would report a covariance made of rounding
-    error. Such fits get an infinite condition number and the near-singular
-    flag instead.
+    Eigenvalues below the resolution of that stopping point are treated as
+    exact zeros. On a ridge f = phi(r(x)) the information's eigenvalue along
+    the ridge is phi'(r) v^T (d^2 r) v, and phi' vanishes at the optimum
+    only as fast as the residual score does; rounding adds eps * |f0|. So
+    an eigenvalue within a few dozen times ||score|| + eps (1 + |f0|) cannot
+    be told from a flat ridge, and dividing by one would report a
+    covariance made of the stopping tolerance. Such fits get an infinite
+    condition number and the near-singular flag instead.
     """
-    k = x.size
+    k = info.shape[0]
     messages: list[str] = []
     nan_cov = np.full((k, k), math.nan)
     nan_se = np.full(k, math.nan)
-    hess = finite_difference_hessian(loglik_fn, x, f0)
-    info = -hess  # observed information
     if not np.all(np.isfinite(info)):
         messages.append("hessian contains non-finite entries; no standard errors available")
         return nan_cov, nan_se, math.inf, messages
 
-    steps = FD_REL_STEP * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
     eps = float(np.finfo(float).eps)
-    resolution = RIDGE_NOISE_SAFETY * eps * (1.0 + abs(f0)) / float(np.min(steps)) ** 2
+    resolution = RIDGE_SAFETY * (float(np.max(np.abs(score), initial=0.0)) + eps * (1.0 + abs(f0)))
     eigs = np.linalg.eigvalsh(info)
     lam_max = float(eigs[-1])
     lam_min_abs = float(np.min(np.abs(eigs)))
@@ -227,9 +213,9 @@ def _curvature_report(loglik_fn, x, f0: float) -> tuple[np.ndarray, np.ndarray, 
         cond = math.inf
         messages.append(
             f"hessian condition number exceeds {CONDITION_FLAG_THRESHOLD:.0e}: the "
-            f"smallest eigenvalue ({lam_min_abs:.1e}) is below the finite-difference "
-            f"noise resolution ({resolution:.1e}), so the likelihood is flat along "
-            "some coefficient direction and standard errors are unreliable"
+            f"smallest eigenvalue ({lam_min_abs:.1e}) is below the resolution of the "
+            f"residual score and rounding ({resolution:.1e}), so the likelihood is flat "
+            "along some coefficient direction and standard errors are unreliable"
         )
         cov = np.linalg.pinv(info, rcond=resolution / lam_max)
     else:
@@ -279,8 +265,8 @@ def fit(
     template = init if init is not None else default_init(dataset)
     loglik_fn = _CountedLoglik(dataset, template)
     x0 = template.free_values()
-    best = _maximize(loglik_fn.scored, x0, tol, max_evals)
-    cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x, -best.fun)
+    best = _maximize(loglik_fn.curved, x0, tol, max_evals)
+    cov, se, cond, curv_messages = _curvature_report(best.hess, best.jac, -best.fun)
 
     messages: list[str] = []
     if _flagged(best.success, cond) and multistart > 0:
@@ -288,7 +274,7 @@ def fit(
         improved = False
         for _ in range(multistart):
             start = x0 + rng.normal(0.0, jitter_sd, size=x0.size)
-            trial = _maximize(loglik_fn.scored, start, tol, max_evals)
+            trial = _maximize(loglik_fn.curved, start, tol, max_evals)
             if trial.fun < best.fun:
                 best = trial
                 improved = True
@@ -297,7 +283,7 @@ def fit(
             + (" and improved the optimum" if improved else "; no restart did better")
         )
         if improved:
-            cov, se, cond, curv_messages = _curvature_report(loglik_fn, best.x, -best.fun)
+            cov, se, cond, curv_messages = _curvature_report(best.hess, best.jac, -best.fun)
     if not best.success:
         messages.append(f"optimizer stopped without meeting tolerances: {best.message}")
     if loglik_fn.convergence_failures:
@@ -360,8 +346,8 @@ def profile_loglik(
             full = np.empty(k)
             full[coef_index] = _g
             full[others] = xo
-            value, grad = loglik_fn.scored(full)
-            return value, grad[others]
+            value, grad, hess = loglik_fn.curved(full)
+            return value, grad[others], hess[np.ix_(others, others)]
 
         # Start from the previous grid point's optimum and from the caller's
         # init. Warm starts alone can drag a plateau excursion at one grid

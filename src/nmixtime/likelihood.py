@@ -52,15 +52,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LogLik:
-    """Total and per-site log-likelihood for one dataset and parameter set."""
+    """Total and per-site log-likelihood for one dataset and parameter set.
+
+    ``score`` and ``hessian`` are present when ``total_loglik`` was asked
+    for them (``hessian=True`` brings both); all arrays are read-only.
+    """
 
     total: float
     per_site: np.ndarray
     irrelevant_constants_included: bool
     score: np.ndarray | None = None    # gradient of ``total`` over the free coefficients
+    hessian: np.ndarray | None = None  # its (k, k) Hessian over them
 
     def __post_init__(self):
-        for name in ("per_site", "score"):
+        for name in ("per_site", "score", "hessian"):
             if getattr(self, name) is not None:
                 arr = np.asarray(getattr(self, name), dtype=float)
                 arr.flags.writeable = False
@@ -76,11 +81,13 @@ class SiteData:
     per-detection term are one ``np.bincount`` over ``det_rows``.
     ``kernel(data, log_lam, log_rate)`` is the protocol's law; with
     ``score=True`` it also returns the per-site derivative along log lambda
-    (R,) and the per-cell derivative along log rate (R, J).
+    (R,) and the per-cell derivative along log rate (R, J), and with
+    ``score=2`` also each site's (1 + J, 1 + J) Hessian over (log lambda,
+    log rate_1, ..., log rate_J).
     """
 
     family: Family                     # picks the binomial count kernel's per-cell law
-    kernel: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]]
+    kernel: Callable[..., np.ndarray | tuple[np.ndarray, ...]]
     window: np.ndarray                 # (R, J) search time; BinaryT1: the first time where detected
     detected: np.ndarray               # (R, J) counts > 0
     det_rows: np.ndarray               # site of each detection cell
@@ -106,6 +113,20 @@ class SiteData:
 def _cells(rows: np.ndarray, values: np.ndarray, n_sites: int) -> np.ndarray:
     """Per-site sums of per-cell values, in occasion order."""
     return np.bincount(rows, weights=values, minlength=n_sites)
+
+
+def _series_hessian(lam, exposure, nu, var):
+    """Per-site Hessian (R, 1 + J, 1 + J) over (log lambda, log rate_j) of
+    -lambda + l(log lambda - sum_j exposure_j), each exposure a rate times a
+    fixed window, for a series l with first and second derivatives nu and
+    var along its argument (its tilted mean and variance of n)."""
+    n_sites, n_occasions = exposure.shape
+    d_arg = np.concatenate([np.ones((n_sites, 1)), -exposure], axis=1)
+    hess = var[:, None, None] * d_arg[:, :, None] * d_arg[:, None, :]
+    hess[:, 0, 0] -= lam
+    diagonal = np.arange(1, 1 + n_occasions)
+    hess[:, diagonal, diagonal] -= nu[:, None] * exposure
+    return hess
 
 
 def data_pass(dataset: Dataset) -> SiteData:
@@ -216,7 +237,8 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     mean lambda e^{-U}: a positive series in n, summed like the moments.
     The abundance mean under that series' tilted terms, nu, gives the
     scores: nu - lambda along log lambda, and -nu times the exposure of
-    each undetected occasion.
+    each undetected occasion. The series' Hessian over (log mu, w) reaches
+    (log lambda, log rate) through log mu = log lambda - U and w_j = e_j.
     """
     lam = safe_exp(log_lam)
     exposure = np.exp(log_rate) * data.window
@@ -229,14 +251,30 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     if not score:
         out[rows] += special.log_poisson_detection_moment(w, log_mu[rows])
         return out
-    series, d_log_mu, d_w = special.log_poisson_detection_moment(w, log_mu[rows], score=True)
+    series, d_log_mu, d_w, *second = special.log_poisson_detection_moment(w, log_mu[rows], score=score)
     out[rows] += series
-    nu = safe_exp(log_mu)
+    mu = safe_exp(log_mu)
+    nu = mu.copy()
     nu[rows] += d_log_mu
-    d_rate = np.where(data.detected, 0.0, -exposure * nu[:, None])
+    missed = np.where(data.detected, 0.0, exposure)
+    d_rate = -missed * nu[:, None]
     cells = data.slots >= 0
     d_rate.flat[data.slots[cells]] = exposure.flat[data.slots[cells]] * d_w[cells]
-    return out, nu - lam, d_rate
+    if not second:
+        return out, nu - lam, d_rate
+    # l = mu outside the series rows; inside, the series' Hessian carries the rest
+    hess = _series_hessian(lam, missed, nu, mu)
+    n_occasions = exposure.shape[1]
+    jac = np.zeros((rows.size, 1 + data.slots.shape[1], 1 + n_occasions))
+    jac[:, 0, 0] = 1.0
+    jac[:, 0, 1:] = -missed[rows]
+    # a padded slot's entries are 0; its zero factor lands on an arbitrary occasion
+    slot = np.arange(1, jac.shape[1])
+    jac[np.arange(rows.size)[:, None], slot, 1 + data.slots % n_occasions] = np.where(cells, w, 0.0)
+    hess[rows] += np.swapaxes(jac, 1, 2) @ second[0] @ jac
+    diagonal = np.arange(1, 1 + n_occasions)
+    hess[:, diagonal, diagonal] += np.where(data.detected, d_rate, 0.0)
+    return out, nu - lam, d_rate, hess
 
 
 def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
@@ -249,7 +287,7 @@ def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
     the latent abundance, so the usual max-count support bound does not
     apply. With nu the abundance mean under the moment's tilted terms, the
     scores are nu - lambda along log lambda and y - nu times the exposure
-    along each cell's log rate.
+    along each cell's log rate; the Hessian adds that mean's variance.
     """
     lam = safe_exp(log_lam)
     cell_exposure = np.exp(log_rate) * data.window
@@ -259,11 +297,14 @@ def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
     out += _cells(r, data.det_counts * log_rate[r, c], lam.size)
     if not score:
         return out + special.log_poisson_raw_moment(data.order, log_lam - exposure)
-    moment, d_log_mu = special.log_poisson_raw_moment(data.order, log_lam - exposure, score=True)
-    nu = safe_exp(log_lam - exposure) + d_log_mu
+    moment, d_log_mu, *second = special.log_poisson_raw_moment(data.order, log_lam - exposure, score=score)
+    mu = safe_exp(log_lam - exposure)
+    nu = mu + d_log_mu
     d_rate = -cell_exposure * nu[:, None]
     d_rate[r, c] += data.det_counts
-    return out + moment, nu - lam, d_rate
+    if not second:
+        return out + moment, nu - lam, d_rate
+    return out + moment, nu - lam, d_rate, _series_hessian(lam, cell_exposure, nu, mu + second[0])
 
 
 def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
@@ -278,7 +319,9 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     opposite sign. The scores take nu, the series index's mean under its
     tilted terms (z itself where the series is exp(z)): max count - lambda
     + nu along log lambda, and along each cell's log rate the cell term's
-    derivative less (gap + nu) times the exposure.
+    derivative less (gap + nu) times the exposure. The Hessian adds the
+    variance of that index (z again where the series is exp(z)) and each
+    cell term's second derivative.
     """
     n_sites = log_lam.size
     lam = safe_exp(log_lam)
@@ -291,10 +334,15 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
         cell = y * np.log(-np.expm1(-exposure[r, c]))
         if score:
             d_cell = y * exposure[r, c] / np.expm1(exposure[r, c])
+        if score == 2:
+            q = exposure[r, c] / np.expm1(exposure[r, c])
+            d2_cell = y * q * (1.0 - q - exposure[r, c])
     elif data.family is Family.COUNT_T:
         cell = y * log_h - h * data.det_time
         if score:
             d_cell = y - h * data.det_time
+        if score == 2:
+            d2_cell = -h * data.det_time
     else:
         # the first time is the minimum of y truncated exponentials
         t1 = data.det_time
@@ -305,6 +353,10 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
         if score:
             d_cell = 1.0 - h * t1
             d_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + later_exposure / np.expm1(later_exposure))
+        if score == 2:
+            q = later_exposure / np.expm1(later_exposure)
+            d2_cell = -h * t1
+            d2_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + q * (1.0 - q - later_exposure))
     gap_rows, gap_cols, gap = data.gap_cells
     out = np.multiply(data.max_count, log_lam, out=np.zeros(n_sites), where=data.max_count > 0)
     out += data.log_coef + _cells(r, cell, n_sites)
@@ -315,11 +367,14 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     finite = np.isfinite(out[rows])
     rows = rows[finite]
     nu = safe_exp(log_lam - total_exposure) if score else None
+    var = nu.copy() if score == 2 else None
     if rows.size:
         z = safe_exp(log_lam[rows] - total_exposure[rows])
         # the series replaces the exp(z) the plain form above assumed
         series = log_pfq_equal_order(data.upper[finite], data.lower[finite], z, score=score)
-        if score:
+        if score == 2:
+            series, nu[rows], var[rows] = series
+        elif score:
             series, nu[rows] = series
         out[rows] += series - z
     if not score:
@@ -327,7 +382,12 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     d_rate = -exposure * nu[:, None]
     d_rate[gap_rows, gap_cols] -= gap * exposure[gap_rows, gap_cols]
     d_rate[r, c] += d_cell
-    return out, data.max_count - lam + nu, d_rate
+    if score != 2:
+        return out, data.max_count - lam + nu, d_rate
+    hess = _series_hessian(lam, exposure, nu, var)
+    hess[gap_rows, 1 + gap_cols, 1 + gap_cols] -= gap * exposure[gap_rows, gap_cols]
+    hess[r, 1 + c, 1 + c] += d2_cell
+    return out, data.max_count - lam + nu, d_rate, hess
 
 
 def irrelevant_constants(dataset: Dataset) -> float:
@@ -346,27 +406,38 @@ def irrelevant_constants(dataset: Dataset) -> float:
 
 
 def total_loglik(
-    dataset: Dataset, params: Parameterization, *, include_constants: bool = False, score: bool = False
+    dataset: Dataset,
+    params: Parameterization,
+    *,
+    include_constants: bool = False,
+    score: bool = False,
+    hessian: bool = False,
 ) -> LogLik:
     """Log-likelihood of a dataset: independent sites, summed in site order.
 
     With ``score=True`` the result also carries the exact gradient of the
-    total over ``params.free_values()``; ``total`` is the same either way.
+    total over ``params.free_values()``; with ``hessian=True`` it carries
+    that gradient and the exact (k, k) Hessian over the same coefficients,
+    minus the observed information. ``total`` is the same either way.
     Where a rate or abundance overflows, or the total is -inf, the gradient
-    may hold NaN or infinite entries.
+    and Hessian may hold NaN or infinite entries.
     """
     data = dataset.site_data
     log_lam, log_rate = params.resolve(dataset.design)
+    order = 2 if hessian else int(score)
     # log(0) and exp overflow, also in the sum over sites, are the limits these
     # kernels are written for; at those limits a score can meet 0 * inf: NaN
-    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if score else {})}
+    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if order else {})}
+    curvature = None
     with np.errstate(**limits):
-        if score:
-            per_site, d_log_lam, d_log_rate = data.kernel(data, log_lam, log_rate, score=True)
+        if order:
+            per_site, d_log_lam, d_log_rate, *second = data.kernel(data, log_lam, log_rate, score=order)
             gradient = params.free_gradient(d_log_lam, d_log_rate)
+            if second:
+                curvature = params.free_hessian(dataset.design, second[0])
         else:
             per_site, gradient = data.kernel(data, log_lam, log_rate), None
         if include_constants:
             per_site = per_site + data.constants
         total = float(per_site.sum())
-    return LogLik(total, per_site, include_constants, gradient)
+    return LogLik(total, per_site, include_constants, gradient, curvature)

@@ -404,6 +404,20 @@ class Parameterization:
             g_rate = d_log_rate.sum(axis=0)
         return np.concatenate([np.ravel(g_lam), np.ravel(g_rate)])
 
+    def free_hessian(self, design: SurveyDesign, hess: np.ndarray) -> np.ndarray:
+        """Chain rule back through ``resolve`` for per-site Hessians (R, 1 + J,
+        1 + J) over (log abundance, log rate_1, ..., log rate_J): the (k, k)
+        Hessian over the free coefficients. ``resolve`` is linear in them, so
+        column c is ``free_gradient`` of each site's Hessian applied to the
+        resolved unit coefficient vector c."""
+        columns = []
+        for unit in np.eye(self.n_free):
+            ll, lr = self.with_free_values(unit).resolve(design)
+            along = hess @ np.concatenate([ll[:, None], lr], axis=1)[:, :, None]
+            columns.append(self.free_gradient(along[:, 0, 0], along[:, 1:, 0]))
+        out = np.column_stack(columns)
+        return 0.5 * (out + out.T)
+
     # --- flat coefficient vector view, used by the fitting routines ---
 
     def free_values(self) -> np.ndarray:

@@ -118,15 +118,16 @@ def _strides(log_ratio, rows, peak, width):
     return np.where((sigma >= 8.0) & (sigma < np.inf), k, 1.0)
 
 
-def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores):
+def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, covary):
     """Per row: window log-sum relative to its first term, left and right tail
-    bounds relative to that sum (NaN or +inf: none yet), last log ratio, and
-    the term-weighted mean of each score over the window (None without
-    ``scores``). Rows of equal width and stride go together, one column each;
-    no operation mixes columns."""
+    bounds relative to that sum (NaN or +inf: none yet), last log ratio, the
+    term-weighted mean of each score over the window (None without
+    ``scores``) and the term-weighted covariance of the first ``covary``
+    scores (None without). Rows of equal width and stride go together, one
+    column each; no operation mixes columns."""
     out = np.empty((4, todo.size))
     out[1] = NEG_INF
-    tilted = None
+    tilted = cov = None
     widths, strides = width[todo], stride[todo]
     if strides.max() > 1.0:
         groups = set(zip(widths.tolist(), strides.tolist()))
@@ -134,7 +135,8 @@ def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores):
         groups = {(w, 1.0) for w in set(widths.tolist())}
     for w, k in sorted(groups):
         group = np.flatnonzero((widths == w) & (strides == k))
-        step = max(1, _BLOCK // int(w // k))
+        # a covariance takes covary^2 products per window term
+        step = max(1, _BLOCK // (int(w // k) * max(1, covary) ** 2))
         for part in (group[s : s + step] for s in range(0, group.size, step)):
             rows, edge = todo[part], lo[todo[part]]
             if k == 1:
@@ -170,11 +172,17 @@ def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores):
                 if tilted is None:
                     tilted = np.empty((s.shape[0], todo.size))
                 tilted[:, part] = (s * terms).sum(axis=2) / mass
+                if covary:
+                    if cov is None:
+                        cov = np.empty((todo.size, covary, covary))
+                    # centred on the means just taken, over the same samples and weights
+                    dev = np.swapaxes(s[:covary] - tilted[:covary, part, None], 0, 1)
+                    cov[part] = (dev * terms[:, None]) @ np.swapaxes(dev, 1, 2) / mass[:, None, None]
             del terms  # not held while the next part builds its arrays: peak memory
-    return out[0], out[1] - out[0], out[2] - out[0], out[3], tilted
+    return out[0], out[1] - out[0], out[2] - out[0], out[3], tilted, cov
 
 
-def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
+def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None, covary=0):
     """log sum_{n >= start} t_n for rows of positive, log-concave series.
 
     ``log_first`` holds each row's log t_start; ``log_term(rows, n)`` gives the
@@ -197,15 +205,22 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     array broadcasting with ``n``, also returns the (q, rows) tilted means
     sum t_n s_n / sum t_n over each row's final window, with the same samples
     and weights: the derivative of the log-sum along a parameter whose
-    log-term derivative is s_n."""
+    log-term derivative is s_n. With ``covary`` > 0, also returns the
+    (rows, covary, covary) tilted covariances of the first ``covary`` scores,
+    sum t_n (s_n - m)(s_n - m)^T / sum t_n about those means m, over the same
+    window: the second derivative of the log-sum along such parameters, less
+    the tilted mean of the log-terms' own second derivatives (Louis, JRSS-B
+    44 (1982) 226-233)."""
     lo = np.full(log_first.size, float(start))
     width = np.full(log_first.size, float(first))
     stride = np.ones(log_first.size)
     out = np.empty(log_first.size)
-    means = None
+    means = covs = None
     todo = np.arange(log_first.size)
     while todo.size:
-        rel, left, right, last, tilted = _windows(todo, start, lo, width, stride, log_ratio, log_term, scores)
+        rel, left, right, last, tilted, cov = _windows(
+            todo, start, lo, width, stride, log_ratio, log_term, scores, covary
+        )
         left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
         done = left_ok & right_ok
         rows, moved = todo[done], lo[todo[done]] > start
@@ -214,6 +229,10 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
             if means is None:
                 means = np.empty((tilted.shape[0], log_first.size))
             means[:, rows] = tilted[:, done]
+        if cov is not None:
+            if covs is None:
+                covs = np.empty((log_first.size, covary, covary))
+            covs[rows] = cov[done]
         if moved.any():
             rows = rows[moved]
             out[rows] = log_term(rows, lo[rows][None])[0] + rel[done][moved]
@@ -243,7 +262,9 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
         return out
     if means is None:  # no rows, so no window asked the scores for their count
         means = np.empty((len(scores(todo, np.zeros((1, 0)))), 0))
-    return out, means
+    if not covary:
+        return out, means
+    return out, means, np.empty((0, covary, covary)) if covs is None else covs
 
 
 def _index(rows, n):
@@ -263,7 +284,8 @@ def log_poisson_raw_moment(m, log_mu, score=False):
 
     With ``score=True`` returns the pair (value, d value / d log mu), the
     derivative being E_t[n] - mu under the tilted terms (0 for m = 0, and its
-    limit 1 at mu = 0).
+    limit 1 at mu = 0). With ``score=2`` also returns the second derivative
+    Var_t[n] - mu (0 for m = 0 and at mu = 0).
     """
     m, log_mu = np.asarray(m), np.asarray(log_mu, dtype=float)
     if m.shape != log_mu.shape:
@@ -288,11 +310,14 @@ def log_poisson_raw_moment(m, log_mu, score=False):
         out.flat[rows] = _log_series_sum(1, 32, first, log_ratio, log_term)
         return float(out) if out.ndim == 0 else out
     d_log_mu = np.where(m == 0, 0.0, 1.0)
-    out.flat[rows], (mean,) = _log_series_sum(1, 32, first, log_ratio, log_term, _index)
+    out.flat[rows], (mean,), *var = _log_series_sum(1, 32, first, log_ratio, log_term, _index, int(score == 2))
     d_log_mu.flat[rows] = mean - safe_exp(log_mu)
-    if out.ndim == 0:
-        return float(out), float(d_log_mu)
-    return out, d_log_mu
+    derivs = (out, d_log_mu)
+    if var:
+        d2_log_mu = np.zeros(out.shape)
+        d2_log_mu.flat[rows] = var[0][:, 0, 0] - safe_exp(log_mu)
+        derivs += (d2_log_mu,)
+    return tuple(map(float, derivs)) if out.ndim == 0 else derivs
 
 
 def log_poisson_detection_moment(w, log_mu, score=False):
@@ -312,6 +337,10 @@ def log_poisson_detection_moment(w, log_mu, score=False):
     With ``score=True`` returns (value, d value / d log mu, d value / d w):
     E_t[n] - mu and E_t[n / (e^{n w_j} - 1)] under the tilted terms, shaped
     like ``log_mu`` and ``w``; both are NaN on rows whose value is -inf.
+    With ``score=2`` also returns each row's (1 + d, 1 + d) Hessian over
+    (log mu, w): the tilted covariance of (n, n / (e^{n w_j} - 1)), less mu
+    at (log mu, log mu), plus E_t[-n^2 e^{n w_j} / (e^{n w_j} - 1)^2] at
+    (w_j, w_j); NaN on rows whose value is -inf.
     """
     w, log_mu = np.asarray(w, dtype=float), np.asarray(log_mu, dtype=float)
     scalar = log_mu.ndim == 0
@@ -337,9 +366,13 @@ def log_poisson_detection_moment(w, log_mu, score=False):
         return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
 
     def scores(i, n):
-        # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf
+        # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf;
+        # for a Hessian also its derivative along w, -s (n + s) for that s
         per_occasion = n / np.expm1(w[:, None, i] * n)
-        return np.concatenate([np.broadcast_to(n, per_occasion.shape[1:])[None], per_occasion])
+        parts = [np.broadcast_to(n, per_occasion.shape[1:])[None], per_occasion]
+        if score == 2:
+            parts.append(-per_occasion * (n + per_occasion))
+        return np.concatenate(parts)
 
     # e^{n w} overflows to +inf for large exposures, where the step is log1p(0)
     with np.errstate(over="ignore"):
@@ -348,13 +381,22 @@ def log_poisson_detection_moment(w, log_mu, score=False):
         if not score:
             out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
             return float(out[0]) if scalar else out
-        out[rows], means = _log_series_sum(1, 16, first, log_ratio, log_term, scores)
-    d_log_mu, d_w = np.full(out.shape, np.nan), np.full((out.size, hit.shape[0]), np.nan)
+        d = hit.shape[0]
+        out[rows], means, *cov = _log_series_sum(1, 16, first, log_ratio, log_term, scores, (1 + d) * (score == 2))
+    d_log_mu, d_w = np.full(out.shape, np.nan), np.full((out.size, d), np.nan)
     d_log_mu[rows] = means[0] - safe_exp(log_mu)
-    d_w[rows] = means[1:].T
+    d_w[rows] = means[1 : 1 + d].T
+    derivs = (out, d_log_mu, d_w)
+    if cov:
+        hess = np.full((out.size, 1 + d, 1 + d), np.nan)
+        hess[rows] = cov[0]
+        hess[rows, 0, 0] -= safe_exp(log_mu)
+        diagonal = np.arange(1, 1 + d)
+        hess[rows[:, None], diagonal, diagonal] += means[1 + d :].T
+        derivs += (hess,)
     if scalar:
-        return float(out[0]), float(d_log_mu[0]), d_w[0]
-    return out, d_log_mu, d_w
+        return (float(out[0]), float(d_log_mu[0])) + tuple(x[0] for x in derivs[2:])
+    return derivs
 
 
 def log_pfq_equal_order(a, b, z, score=False):
@@ -368,7 +410,8 @@ def log_pfq_equal_order(a, b, z, score=False):
     lies past 2^32 (z > ~4e9).
 
     With ``score=True`` returns the pair (value, d value / d log z), the
-    derivative being E_t[n] under the tilted terms (0 at z = 0).
+    derivative being E_t[n] under the tilted terms (0 at z = 0). With
+    ``score=2`` also returns the second derivative Var_t[n] (0 at z = 0).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -402,5 +445,12 @@ def log_pfq_equal_order(a, b, z, score=False):
         out[rows] = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term)
         return out if a.ndim == 2 else float(out[0])
     d_log_z = np.zeros(z.shape)
-    out[rows], (d_log_z[rows],) = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term, _index)
-    return (out, d_log_z) if a.ndim == 2 else (float(out[0]), float(d_log_z[0]))
+    out[rows], (d_log_z[rows],), *var = _log_series_sum(
+        0, 16, np.zeros(rows.size), log_ratio, log_term, _index, int(score == 2)
+    )
+    derivs = (out, d_log_z)
+    if var:
+        d2_log_z = np.zeros(z.shape)
+        d2_log_z[rows] = var[0][:, 0, 0]
+        derivs += (d2_log_z,)
+    return derivs if a.ndim == 2 else tuple(float(x[0]) for x in derivs)

@@ -225,3 +225,41 @@ def dataset_log_density(dataset, params, n_hi: int | None = None) -> np.ndarray:
             n_hi=n_hi,
         )
     return out
+
+
+FD_REL_STEP = 1e-4
+
+
+def finite_difference_hessian(f, x, f0: float | None = None) -> np.ndarray:
+    """Central finite-difference Hessian of the value f at x, step relative to |x|.
+
+    ``f0`` is f(x) when the caller already has it. Its rounding noise is of
+    order eps * |f| / step^2."""
+    x = np.asarray(x, dtype=float)
+    k = x.size
+    h = FD_REL_STEP * np.maximum(1.0, np.abs(x))
+    hess = np.empty((k, k))
+    if f0 is None:
+        f0 = f(x)
+    for a in range(k):
+        ea = np.zeros(k)
+        ea[a] = h[a]
+        hess[a, a] = (f(x + ea) - 2.0 * f0 + f(x - ea)) / h[a] ** 2
+        for b in range(a + 1, k):
+            eb = np.zeros(k)
+            eb[b] = h[b]
+            quad = f(x + ea + eb) - f(x + ea - eb) - f(x - ea + eb) + f(x - ea - eb)
+            hess[a, b] = hess[b, a] = quad / (4.0 * h[a] * h[b])
+    return hess
+
+
+def score_difference_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
+    """Symmetrised central differences of the gradient ``grad`` at x, an
+    absolute step along each coordinate."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((x.size, x.size))
+    for c in range(x.size):
+        e = np.zeros(x.size)
+        e[c] = step
+        out[:, c] = (grad(x + e) - grad(x - e)) / (2.0 * step)
+    return 0.5 * (out + out.T)

@@ -9,7 +9,6 @@ from nmixtime.errors import LikelihoodDomainError, OracleConvergenceError, Serie
 from nmixtime.estimate import (
     _CountedLoglik,
     default_init,
-    finite_difference_hessian,
     fit,
     profile_loglik,
 )
@@ -24,6 +23,8 @@ from nmixtime.model import (
     SurveyDesign,
 )
 from nmixtime.simulate import SimConfig, simulate_dataset
+
+from bruteforce import finite_difference_hessian, score_difference_hessian
 
 BIN = ObservationProcess.BINOMIAL_COUNT
 
@@ -135,6 +136,8 @@ def test_finite_difference_hessian_on_quadratic():
 
     h = finite_difference_hessian(f, np.array([0.4, -0.2]))
     assert np.allclose(h, -a, atol=1e-6)
+    h = score_difference_hessian(lambda x: -a @ x, np.array([0.4, -0.2]))
+    assert np.allclose(h, -a, atol=1e-9)
 
 
 def test_finite_difference_hessian_reuses_the_value_at_x():
@@ -181,11 +184,12 @@ def test_unconverged_proposal_scores_impossible_and_data_errors_propagate(monkey
 
 
 def test_fit_on_scores_takes_few_evaluations():
-    # BFGS on the exact score, plus the 2 k^2 = 8 values of the Hessian
+    # trust-region Newton on the exact Hessian: each evaluation is a value, a
+    # score and a Hessian, and the covariance reuses the last one
     ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
     res = fit(ds)
     assert res.converged and not res.flagged
-    assert res.n_evals <= 30
+    assert res.n_evals <= 10
 
 
 def test_fit_stops_at_its_evaluation_budget():
@@ -193,28 +197,49 @@ def test_fit_stops_at_its_evaluation_budget():
     res = fit(ds, max_evals=3, multistart=0)
     assert not res.converged
     assert any("stopped after 3 evaluations" in m for m in res.messages)
-    assert res.n_evals <= 3 + 8  # the search, then the Hessian's values
+    assert res.n_evals <= 3 + 1  # the search; the covariance needs no more
 
 
-def test_impossible_proposals_on_the_search_path_are_rejected(monkeypatch):
-    # the first steps from the default start overshoot log lambda = 1.3; the
-    # optimum lies at ~1.12, so the search backs off and still converges
-    ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
-    free = fit(ds)
-    assert free.estimates.free_values()[0] < 1.2
+def wall_past(log_lambda, monkeypatch):
+    """Make every series fail past ``log_lambda``, as past a series' bound."""
     original = nmixtime.estimate.total_loglik
 
     def series_fails_past_a_wall(dataset, params, **kwargs):
-        if float(params.log_lambda) > 1.3:
+        if float(params.log_lambda) > log_lambda:
             raise SeriesConvergenceError("series peak past 2^32 terms", 0.0, 16)
         return original(dataset, params, **kwargs)
 
     monkeypatch.setattr(nmixtime.estimate, "total_loglik", series_fails_past_a_wall)
-    walled = fit(ds)
+
+
+def test_impossible_proposals_on_the_search_path_are_rejected(monkeypatch):
+    # the first Newton step from this start overshoots log lambda = 1.3; the
+    # optimum lies at ~1.12, so the search backs off and still converges
+    ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
+    init = Parameterization(0.5, -1.0)
+    free = fit(ds, init=init)
+    assert free.estimates.free_values()[0] < 1.2
+    wall_past(1.3, monkeypatch)
+    walled = fit(ds, init=init)
     assert walled.converged and not walled.flagged
     assert any("scored as impossible" in m for m in walled.messages)
     np.testing.assert_allclose(walled.estimates.free_values(), free.estimates.free_values(), atol=1e-5)
     assert walled.loglik == pytest.approx(free.loglik, abs=1e-8)
+
+
+@pytest.mark.parametrize("family, seed", [(Family.COUNT_T1, 1), (Family.COUNT, 2)], ids=["CountT1:M", "Count:M"])
+def test_a_wall_near_the_optimum_needs_no_restarts(family, seed, monkeypatch):
+    # surveys whose optimum lies below a region where every series fails:
+    # the search must converge from the default start without jittered
+    # restarts, on about as many evaluations as without the wall
+    ds, _ = simulated(family, 200, 4, 3.0, 0.5, seed=seed)
+    free = fit(ds)
+    wall_past(1.3, monkeypatch)
+    walled = fit(ds)
+    assert walled.converged and not walled.flagged
+    assert not any("restarted" in m for m in walled.messages)
+    assert walled.n_evals <= 15
+    np.testing.assert_allclose(walled.estimates.free_values(), free.estimates.free_values(), atol=1e-5)
 
 
 def test_covariate_fit_recovers_all_coefficients():

@@ -26,11 +26,11 @@ N_SITES = 7
 STEP = 1e-5
 
 
-def survey(family, process, j):
+def survey(family, process, j, lam=3.0):
     rng = np.random.default_rng(5)
     t_max = rng.uniform(0.6, 1.4, size=(N_SITES, j))
     proto = Protocol.for_design(family, process, j)
-    truth = Parameterization(math.log(3.0), math.log(0.7))
+    truth = Parameterization(math.log(lam), math.log(0.7))
     return simulate_dataset(SimConfig(proto, SurveyDesign(N_SITES, j, t_max), truth, seed=3)), rng
 
 

@@ -406,12 +406,12 @@ def term_reads(monkeypatch):
     reads = []
     real = special._log_series_sum
 
-    def counted_sum(start, first, log_first, log_ratio, log_term, scores=None):
+    def counted_sum(start, first, log_first, log_ratio, log_term, *scores):
         def counted(rows, n):
             reads.append(np.shape(n)[0])
             return log_term(rows, n)
 
-        return real(start, first, log_first, log_ratio, counted, scores)
+        return real(start, first, log_first, log_ratio, counted, *scores)
 
     monkeypatch.setattr(special, "_log_series_sum", counted_sum)
     return reads
@@ -558,3 +558,68 @@ def test_stride_is_one_for_a_flat_or_non_finite_slope():
         warnings.simplefilter("error")
         got = special._strides(lambda i, n: ends, np.arange(5), peak, np.full(5, 2.0**14))
     np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 1.0, 128.0])
+
+
+# Second derivatives: the tilted covariance of the scores, centred on their
+# means, over the same final window as the value.
+
+
+def tilted_covariance(log_terms, scores):
+    """Direct (q, q) covariance of the rows of ``scores`` under weights t_n."""
+    means = [tilted_mean(log_terms, s) for s in scores]
+    return np.array([[tilted_mean(log_terms, (a - ma) * (b - mb)) for b, mb in zip(scores, means)]
+                     for a, ma in zip(scores, means)])
+
+
+@pytest.mark.parametrize("peak", [1.0, 1e3, 1e7])
+def test_tilted_covariances_match_direct_sums(peak):
+    log_mu = math.log(peak)
+    # the terms' own rounding, ~eps n log n, limits the weights at far peaks
+    rtol = max(1e-10, lgamma_floor(peak))
+    n = bruteforce.series_window(peak, math.sqrt(peak), 1)
+    for m in (1, 3):
+        *_, d2 = log_poisson_raw_moment(m, log_mu, score=2)
+        log_terms = bruteforce.raw_moment_log_terms(m, peak, n)
+        assert d2 + peak == pytest.approx(tilted_covariance(log_terms, [n])[0, 0], rel=rtol), m
+    # exposures of order 1 / mu, and an occasion that cannot miss
+    w = np.array([0.5, 2.0, 9.0, math.inf]) / peak
+    *_, hess = log_poisson_detection_moment(w, log_mu, score=2)
+    log_terms = bruteforce.detection_log_terms(w[:3], peak, n)
+    with np.errstate(over="ignore"):
+        per_occasion = [n / np.expm1(n * x) for x in w]
+    want = tilted_covariance(log_terms, [n, *per_occasion])
+    want[0, 0] -= peak
+    for j, s in enumerate(per_occasion):
+        want[1 + j, 1 + j] += tilted_mean(log_terms, -s * (n + s))
+    np.testing.assert_allclose(hess, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+    assert not np.any(hess[-1]) and not np.any(hess[:, -1])
+    a, b = [5.0, 12.0], [1.0, 3.0]
+    *_, d2 = log_pfq_equal_order(a, b, peak, score=2)
+    n = bruteforce.series_window(peak, math.sqrt(peak), 0)
+    log_terms = bruteforce.pfq_log_terms(a, b, peak, n)
+    assert d2 == pytest.approx(tilted_covariance(log_terms, [n])[0, 0], rel=rtol)
+
+
+def test_second_derivatives_keep_values_and_scores_and_rows_apart():
+    # the same values and first derivatives as score=True; a row whose value
+    # is -inf has a NaN Hessian and leaves the other rows as their own calls
+    log_mu = np.log([0.5, 30.0, 2e3, 1e7])
+    orders = np.array([3, 0, 2, 40])
+    got = log_poisson_raw_moment(orders, log_mu, score=2)
+    for a, b in zip(got, log_poisson_raw_moment(orders, log_mu, score=True)):
+        np.testing.assert_array_equal(a, b)
+    assert got[2][1] == 0.0
+    w = np.vstack([np.outer(np.exp(-log_mu), [0.5, 1.0, 4.0]), [[0.0, 1.0, 1.0]]])
+    mus = np.append(log_mu, 0.0)
+    got = log_poisson_detection_moment(w, mus, score=2)
+    for a, b in zip(got, log_poisson_detection_moment(w, mus, score=True)):
+        np.testing.assert_array_equal(a, b)
+    assert np.all(np.isnan(got[3][-1]))
+    for i in range(log_mu.size):
+        np.testing.assert_allclose(got[3][i], log_poisson_detection_moment(w[i], mus[i], score=2)[3], rtol=1e-13)
+    z = np.array([0.0, 1.5, 2e3, 1e7])
+    a, b = np.tile([5.0, 12.0], (z.size, 1)), np.tile([1.0, 3.0], (z.size, 1))
+    got = log_pfq_equal_order(a, b, z, score=2)
+    for x, y in zip(got, log_pfq_equal_order(a, b, z, score=True)):
+        np.testing.assert_array_equal(x, y)
+    assert got[2][0] == 0.0
