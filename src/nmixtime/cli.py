@@ -1,6 +1,7 @@
 """Command-line interface: simulate, fit, loglik, and validate subcommands.
 
-Exit codes: 0 success, 2 unusable configuration or data, or a numeric
+Exit codes: 0 success, 2 unusable configuration or data (one too large
+for memory included), or a numeric
 failure the closed forms cannot get past (a series or oracle that does not
 converge, data outside the density's support), 3 fit completed but
 flagged (non-convergence or a degenerate Hessian), 4 closed-form vs
@@ -293,6 +294,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_CONFIG
     except (NMixTimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's says how much it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
 
 

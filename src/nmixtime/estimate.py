@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .errors import OracleConvergenceError, SeriesConvergenceError
 from .likelihood import irrelevant_constants, total_loglik
@@ -143,16 +143,29 @@ def _maximize(curved, x0: np.ndarray, tol: float, max_evals: int):
     ``max_evals`` evaluations. Returns scipy's result for the negated
     log-likelihood; its ``hess`` is the observed information at ``x`` and
     ``success`` also requires a finite optimum.
+
+    The solver's own arithmetic runs with overflow and invalid operations
+    raising: a step it cannot compute (a Hessian too large to take the
+    norm of, say) stops the search unconverged at the best finite point
+    evaluated, with a message saying why. The likelihood runs under the
+    caller's floating-point settings, and its errors propagate.
     """
-    n_evals, spent = 0, False
+    n_evals, spent, evaluating = 0, False, False
     last: dict = {}
+    best: dict = {}
+    caller = np.geterr()
 
     def negated(x):
-        nonlocal n_evals
+        nonlocal n_evals, evaluating
         if "x" not in last or not np.array_equal(last["x"], x):
             n_evals += 1
-            value, grad, hess = curved(x)
+            evaluating = True
+            with np.errstate(**caller):
+                value, grad, hess = curved(x)
+            evaluating = False
             last.update(x=np.copy(x), out=(-value, -grad, -hess))
+            if math.isfinite(value) and value > best.get("value", -math.inf):
+                best.update(value=value, x=last["x"], out=last["out"])
         return last["out"]
 
     def check_budget(_):
@@ -161,11 +174,22 @@ def _maximize(curved, x0: np.ndarray, tol: float, max_evals: int):
         if spent:
             raise StopIteration
 
-    res = minimize(
-        lambda x: negated(x)[0], x0, method="trust-exact", callback=check_budget,
-        jac=lambda x: negated(x)[1], hess=lambda x: negated(x)[2],
-        options={"gtol": math.sqrt(tol), "maxiter": max_evals},
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            res = minimize(
+                lambda x: negated(x)[0], x0, method="trust-exact", callback=check_budget,
+                jac=lambda x: negated(x)[1], hess=lambda x: negated(x)[2],
+                options={"gtol": math.sqrt(tol), "maxiter": max_evals},
+            )
+    except (ArithmeticError, ValueError) as exc:
+        if evaluating or not last:  # the likelihood's error, or no step taken
+            raise
+        point = best or last
+        fun, jac, hess = point["out"]
+        return OptimizeResult(
+            x=point["x"], fun=fun, jac=jac, hess=hess, success=False, nfev=n_evals,
+            message=f"the trust-region step could not be computed ({exc})",
+        )
     if spent:
         res.success, res.message = False, f"stopped after {max_evals} evaluations"
     res.success = bool(res.success and np.isfinite(res.fun))

@@ -12,6 +12,18 @@ sixteen laws). The data pass also checks every record against the
 protocol's support and picks the kernel, so an evaluation never branches
 on the protocol.
 
+Each kernel's series rows (a pFq, a detection moment or a raw moment per
+site) repeat on a field survey: with a constant rate, a row depends on
+the data only through a few integers and the site's search times. So the
+data pass also groups the series rows by a data-only key (the series
+parameters and the times that set the row's exposures) and names each
+row's representative, the first row of its group. Every evaluation then
+checks, in O(R), that each row's actual series inputs equal its
+representative's exactly, and sums the representatives and any row that
+differs (under covariates or per-cell rates, say) in one series call,
+gathering the sums back to their rows. Each row's sum is the one it would
+get alone, so grouping changes no bit of any result.
+
 Kernels return the log joint density of everything the protocol records,
 except that for three protocols a data-only factor is conventionally
 dropped (it shifts the log-likelihood without moving the maximum). Those
@@ -84,6 +96,14 @@ class SiteData:
     (R,) and the per-cell derivative along log rate (R, J), and with
     ``score=2`` also each site's (1 + J, 1 + J) Hessian over (log lambda,
     log rate_1, ..., log rate_J).
+
+    ``representative`` holds, for each series row (each of ``series_rows``;
+    every site for the raw-moment kernel), the position of the first row
+    whose data-only key equals its own: the sorted pFq parameters and the
+    search-time row (binomial counts), the slotted and the sorted undetected
+    search times (binary), or the moment order and the exposure window (raw
+    moment). A key is only a guess: an evaluation sums a row itself unless
+    its series inputs equal its representative's exactly.
     """
 
     family: Family                     # picks the binomial count kernel's per-cell law
@@ -108,11 +128,39 @@ class SiteData:
     # Binary: per series site, the flat (R*J) cell index of each detecting
     # occasion in occasion order, padded with -1 to the widest history
     slots: np.ndarray | None = None
+    representative: np.ndarray | None = None  # per series row, its group's first row
 
 
 def _cells(rows: np.ndarray, values: np.ndarray, n_sites: int) -> np.ndarray:
     """Per-site sums of per-cell values, in occasion order."""
     return np.bincount(rows, weights=values, minlength=n_sites)
+
+
+def _first_of_group(*keys: np.ndarray) -> np.ndarray:
+    """Per row, the position of the first row whose key columns (the columns
+    of every (rows,) or (rows, c) array in ``keys``) all equal its own."""
+    columns = np.column_stack(keys)
+    order = np.lexsort(columns.T)  # stable: within a group, row order
+    ranked = columns[order]
+    starts = np.ones(order.size, dtype=bool)
+    # != rather than a difference, so that +inf keys compare equal
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.empty(order.size, dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _distinct_rows(representative, same, keep=True):
+    """The series rows to sum, and where each row finds its sum among theirs.
+
+    A row (of those in ``keep``) is summed itself when it is a
+    representative or when its inputs differ from its representative's
+    (``same`` False); any other row reads its representative's sum.
+    ``same`` must be False where the representative is not kept."""
+    position = np.arange(representative.size)
+    own = ((representative == position) | ~same) & keep
+    place = np.cumsum(own) - 1
+    return np.flatnonzero(own), place[np.where(own, position, representative)]
 
 
 def _series_hessian(lam, exposure, nu, var):
@@ -171,8 +219,10 @@ def data_pass(dataset: Dataset) -> SiteData:
         slots = np.full((series_rows.size, n_detected.max(initial=1)), -1)
         rank = np.cumsum(detected, axis=1)[detected] - 1
         slots[np.searchsorted(series_rows, det_rows), rank] = np.flatnonzero(detected)
+        missed = np.sort(np.where(detected, np.inf, t_max)[series_rows], axis=1)
         return SiteData(
-            **common, kernel=_binary, constants=zeros, log_coef=zeros, series_rows=series_rows, slots=slots
+            **common, kernel=_binary, constants=zeros, log_coef=zeros, series_rows=series_rows, slots=slots,
+            representative=_first_of_group(np.append(t_max, np.inf)[slots], missed),
         )
 
     if family is Family.BINARY_T1:
@@ -180,7 +230,10 @@ def data_pass(dataset: Dataset) -> SiteData:
         window = t_max.copy()
         window[detected] = det_time
         common.update(window=window)
-        return SiteData(**common, kernel=_raw_moment, constants=zeros, log_coef=zeros, order=n_detected)
+        return SiteData(
+            **common, kernel=_raw_moment, constants=zeros, log_coef=zeros, order=n_detected,
+            representative=_first_of_group(n_detected, window),
+        )
 
     log_y = np.log(det_counts)
     if not binomial:
@@ -196,8 +249,10 @@ def data_pass(dataset: Dataset) -> SiteData:
         else:
             constants = zeros
         log_coef = _cells(det_rows, det_counts * np.log(det_search) - gammaln(det_counts + 1.0), n_sites)
+        order = y.sum(axis=1)
         return SiteData(
-            **common, kernel=_raw_moment, constants=constants, log_coef=log_coef, order=y.sum(axis=1)
+            **common, kernel=_raw_moment, constants=constants, log_coef=log_coef, order=order,
+            representative=_first_of_group(order, t_max),
         )
 
     # binomial thinning: anchor the series at the last occasion with the max count
@@ -224,6 +279,8 @@ def data_pass(dataset: Dataset) -> SiteData:
         series_rows=series_rows,
         upper=np.broadcast_to((max_count[series_rows] + 1.0)[:, None], lower.shape),
         lower=lower,
+        # the pFq sorts its parameters, so rows alike up to their order share a sum
+        representative=_first_of_group(max_count[series_rows], np.sort(lower, axis=1), t_max[series_rows]),
     )
 
 
@@ -248,10 +305,13 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     # a -1 slot reads the appended +inf, an occasion that cannot miss
     w = np.append(exposure, np.inf)[data.slots]
     log_mu = log_lam - undetected
+    rep = data.representative
+    summed, place = _distinct_rows(rep, np.all(w == w[rep], axis=1) & (log_mu[rows] == log_mu[rows[rep]]))
+    moment = special.log_poisson_detection_moment(w[summed], log_mu[rows[summed]], score=score)
     if not score:
-        out[rows] += special.log_poisson_detection_moment(w, log_mu[rows])
+        out[rows] += moment[place]
         return out
-    series, d_log_mu, d_w, *second = special.log_poisson_detection_moment(w, log_mu[rows], score=score)
+    series, d_log_mu, d_w, *second = (part[place] for part in moment)
     out[rows] += series
     mu = safe_exp(log_mu)
     nu = mu.copy()
@@ -295,10 +355,14 @@ def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
     r, c = data.det_rows, data.det_cols
     out = -lam * -np.expm1(-exposure) + data.log_coef
     out += _cells(r, data.det_counts * log_rate[r, c], lam.size)
+    log_mu = log_lam - exposure
+    rep = data.representative
+    summed, place = _distinct_rows(rep, log_mu == log_mu[rep])
+    parts = special.log_poisson_raw_moment(data.order[summed], log_mu[summed], score=score)
     if not score:
-        return out + special.log_poisson_raw_moment(data.order, log_lam - exposure)
-    moment, d_log_mu, *second = special.log_poisson_raw_moment(data.order, log_lam - exposure, score=score)
-    mu = safe_exp(log_lam - exposure)
+        return out + parts[place]
+    moment, d_log_mu, *second = (part[place] for part in parts)
+    mu = safe_exp(log_mu)
     nu = mu + d_log_mu
     d_rate = -cell_exposure * nu[:, None]
     d_rate[r, c] += data.det_counts
@@ -363,19 +427,23 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     out -= _cells(gap_rows, gap * exposure[gap_rows, gap_cols], n_sites)
 
     out -= lam * -np.expm1(-total_exposure)  # -lambda + lambda q, exact for the plain sites
-    rows = data.series_rows
+    rows, rep = data.series_rows, data.representative
     finite = np.isfinite(out[rows])
-    rows = rows[finite]
+    z = np.full(rows.size, np.nan)  # equal to nothing on the rows the series skips
+    z[finite] = safe_exp(log_lam[rows[finite]] - total_exposure[rows[finite]])
+    summed, place = _distinct_rows(rep, z == z[rep], finite)
     nu = safe_exp(log_lam - total_exposure) if score else None
     var = nu.copy() if score == 2 else None
-    if rows.size:
-        z = safe_exp(log_lam[rows] - total_exposure[rows])
+    if summed.size:
         # the series replaces the exp(z) the plain form above assumed
-        series = log_pfq_equal_order(data.upper[finite], data.lower[finite], z, score=score)
+        parts = log_pfq_equal_order(data.upper[summed], data.lower[summed], z[summed], score=score)
+        rows, z, place = rows[finite], z[finite], place[finite]
         if score == 2:
-            series, nu[rows], var[rows] = series
+            series, nu[rows], var[rows] = (part[place] for part in parts)
         elif score:
-            series, nu[rows] = series
+            series, nu[rows] = (part[place] for part in parts)
+        else:
+            series = parts[place]
         out[rows] += series - z
     if not score:
         return out

@@ -347,6 +347,9 @@ class Parameterization:
                 )
             z = _readonly(z)
         _assign(self, log_lambda=_readonly(ll), log_rate=_readonly(lr), site_covariates=x, rate_covariates=z)
+        # resolved unit coefficient vectors by design shape, shared with every
+        # parameterization ``with_free_values`` derives (see ``free_hessian``)
+        _assign(self, _units={})
 
     def resolve(self, design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
         """Per-site log abundance (R,) and per-cell log rate (R, J)."""
@@ -409,11 +412,17 @@ class Parameterization:
         1 + J) over (log abundance, log rate_1, ..., log rate_J): the (k, k)
         Hessian over the free coefficients. ``resolve`` is linear in them, so
         column c is ``free_gradient`` of each site's Hessian applied to the
-        resolved unit coefficient vector c."""
+        resolved unit coefficient vector c. Those vectors depend only on the
+        coefficient layout, the covariates and the design's shape, so they
+        are resolved once for this parameterization and every one derived
+        from it by ``with_free_values``."""
+        shape = (design.n_sites, design.n_occasions)
+        if shape not in self._units:
+            resolved = (self.with_free_values(unit).resolve(design) for unit in np.eye(self.n_free))
+            self._units[shape] = [np.concatenate([ll[:, None], lr], axis=1)[:, :, None] for ll, lr in resolved]
         columns = []
-        for unit in np.eye(self.n_free):
-            ll, lr = self.with_free_values(unit).resolve(design)
-            along = hess @ np.concatenate([ll[:, None], lr], axis=1)[:, :, None]
+        for unit in self._units[shape]:
+            along = hess @ unit
             columns.append(self.free_gradient(along[:, 0, 0], along[:, 1:, 0]))
         out = np.column_stack(columns)
         return 0.5 * (out + out.T)
@@ -432,7 +441,8 @@ class Parameterization:
             ll = ll.reshape(())
         if self.log_rate.ndim == 0:
             lr = lr.reshape(())
-        return Parameterization(ll, lr, self.site_covariates, self.rate_covariates)
+        derived = Parameterization(ll, lr, self.site_covariates, self.rate_covariates)
+        return _assign(derived, _units=self._units)
 
     @property
     def n_free(self) -> int:

@@ -353,22 +353,24 @@ def log_poisson_detection_moment(w, log_mu, score=False):
     w, log_mu = np.atleast_2d(w), np.atleast_1d(log_mu)
     out = np.full(log_mu.shape, NEG_INF)
     rows = np.flatnonzero((log_mu > NEG_INF) & np.all(w > 0.0, axis=1))
-    w, log_mu = w[rows].T, log_mu[rows]  # one column per row
+    w, log_mu = w[rows], log_mu[rows]
     hit = -np.expm1(-w)  # 1 - e^{-w}
 
+    # per-occasion arrays are (..., rows, d), summed along their contiguous
+    # last axis: numpy then sums a row's occasions alike alone or batched
     def log_ratio(i, n):
         # (1 - e^{-(n+1) w}) / (1 - e^{-n w}) = 1 + (1 - e^{-w}) / (e^{n w} - 1)
-        steps = np.log1p(hit[:, None, i] / np.expm1(w[:, None, i] * n)).sum(axis=0)
+        steps = np.log1p(hit[i] / np.expm1(w[i] * n[..., None])).sum(axis=-1)
         return steps + (log_mu[i] - np.log(n + 1.0))
 
     def log_term(i, n):
-        detect = np.log(-np.expm1(-w[:, None, i] * n)).sum(axis=0)
+        detect = np.log(-np.expm1(-w[i] * n[..., None])).sum(axis=-1)
         return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
 
     def scores(i, n):
         # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf;
         # for a Hessian also its derivative along w, -s (n + s) for that s
-        per_occasion = n / np.expm1(w[:, None, i] * n)
+        per_occasion = np.moveaxis(n[..., None] / np.expm1(w[i] * n[..., None]), -1, 0)
         parts = [np.broadcast_to(n, per_occasion.shape[1:])[None], per_occasion]
         if score == 2:
             parts.append(-per_occasion * (n + per_occasion))
@@ -381,7 +383,7 @@ def log_poisson_detection_moment(w, log_mu, score=False):
         if not score:
             out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
             return float(out[0]) if scalar else out
-        d = hit.shape[0]
+        d = hit.shape[1]
         out[rows], means, *cov = _log_series_sum(1, 16, first, log_ratio, log_term, scores, (1 + d) * (score == 2))
     d_log_mu, d_w = np.full(out.shape, np.nan), np.full((out.size, d), np.nan)
     d_log_mu[rows] = means[0] - safe_exp(log_mu)
@@ -428,17 +430,19 @@ def log_pfq_equal_order(a, b, z, score=False):
 
     out = np.zeros(z.shape)
     rows = np.flatnonzero(z > 0)  # z = 0 leaves the leading term, 1
-    lower, gap, log_z = lower[rows].T, (upper - lower)[rows].T, np.log(z[rows])  # one column per row
+    lower, gap, log_z = lower[rows], (upper - lower)[rows], np.log(z[rows])
 
+    # per-parameter arrays are (..., rows, p), summed along their contiguous
+    # last axis: numpy then sums a row's parameters alike alone or batched
     def log_ratio(i, n):
         # log((a + n) / (b + n)) = log1p((a - b) / (b + n)), exactly 0 for a = b
-        steps = np.log1p(gap[:, None, i] / (lower[:, None, i] + n)).sum(axis=0)
+        steps = np.log1p(gap[i] / (lower[i] + n[..., None])).sum(axis=-1)
         return steps + (log_z[i] - np.log(n + 1.0))
 
     def log_term(i, n):
-        up, low = lower[:, None, i] + gap[:, None, i], lower[:, None, i]
-        pochhammer = gammaln(up + n) - gammaln(up) - gammaln(low + n) + gammaln(low)
-        return pochhammer.sum(axis=0) + n * log_z[i] - gammaln(n + 1.0)
+        up, low, m = lower[i] + gap[i], lower[i], n[..., None]
+        pochhammer = gammaln(up + m) - gammaln(up) - gammaln(low + m) + gammaln(low)
+        return pochhammer.sum(axis=-1) + n * log_z[i] - gammaln(n + 1.0)
 
     # 16 terms cover z up to ~1 with a few unit-sized parameter gaps
     if not score:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nmixtime.cli
 import nmixtime.oracle
 from nmixtime.cli import main
 from nmixtime.likelihood import total_loglik
@@ -282,3 +283,27 @@ def test_loglik_series_failure_exits_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_fit_whose_solver_overflows_exits_3(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(
+        "site,occasion,search_time,count\n1,1,1e-300,5\n1,2,1e+300,1\n2,1,1.0,0\n2,2,1.0,0\n"
+    )
+    assert main(["fit", "--counts", str(counts), "--model", "Count"]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["converged"] is False
+    assert any("the trust-region step could not be computed" in m for m in payload["messages"])
+    assert captured.err == ""
+
+
+def test_simulate_out_of_memory_prints_one_error_line(tmp_path, capsys, monkeypatch):
+    def too_large(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (100000000000, 10)")
+
+    monkeypatch.setattr(nmixtime.cli, "simulate_dataset", too_large)
+    cfg = sim_config(tmp_path, sites=100)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 7.28 TiB for an array with shape (100000000000, 10)"]

@@ -1,5 +1,6 @@
 """Fitting, curvature reporting, and profile behavior on simulated data."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,3 +259,34 @@ def test_covariate_fit_recovers_all_coefficients():
     assert res.converged and not res.flagged
     assert res.estimates.n_free == 4
     assert np.all(np.abs(res.estimates.free_values() - truth.free_values()) < 3.0 * res.se)
+
+
+def overflowing_survey():
+    # search times of 1e-300 and 1e300 make scores and Hessians of ~1e300,
+    # too large for the trust-region solver to take their norms
+    proto = Protocol.for_design(Family.COUNT, BIN, 2)
+    design = SurveyDesign(2, 2, np.array([[1e-300, 1e300], [1.0, 1.0]]))
+    return Dataset(proto, design, [SiteRecord(0, [5, 1]), SiteRecord(1, [0, 0])])
+
+
+def test_a_step_the_solver_cannot_compute_gives_a_flagged_fit():
+    ds = overflowing_survey()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(ds)
+    assert not res.converged and res.flagged
+    assert any("the trust-region step could not be computed" in m for m in res.messages)
+    # the best finite point the searches evaluated
+    assert np.all(np.isfinite(res.estimates.free_values())) and math.isfinite(res.loglik)
+    assert res.loglik >= total_loglik(ds, default_init(ds), include_constants=True).total
+
+
+def test_likelihood_errors_still_propagate_out_of_the_search(monkeypatch):
+    ds, truth = simulated(Family.COUNT, 5, 2, 2.0, 1.0, seed=3)
+
+    def record_outside_support(*args, **kwargs):
+        raise LikelihoodDomainError("count must be nonnegative, got -1 at site 0")
+
+    monkeypatch.setattr(nmixtime.estimate, "total_loglik", record_outside_support)
+    with pytest.raises(LikelihoodDomainError):
+        fit(ds, truth)
