@@ -99,8 +99,20 @@ def _dataset_from_args(args) -> Dataset:
     return dataset
 
 
+def _finite(value):
+    """``value`` with every non-finite float replaced by None, JSON's null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    """Write ``payload`` as strict (RFC 8259) JSON: NaN and infinities become null."""
+    text = json.dumps(_finite(payload), indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:

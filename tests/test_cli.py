@@ -19,6 +19,15 @@ def write_json(path, payload):
     return str(path)
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON, rejecting the NaN and Infinity tokens Python's json accepts."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def sim_config(tmp_path, **overrides):
     config = {
         "model": "CountT",
@@ -208,8 +217,8 @@ def test_single_visit_binary_fit_flags_and_exits_3(tmp_path, capsys):
         "--multistart", "2", "--out", str(fit_out),
     ])
     assert code == 3
-    payload = json.loads(fit_out.read_text())
-    assert math.isinf(payload["hessian_condition"])
+    payload = strict_json(fit_out.read_text())
+    assert payload["hessian_condition"] is None  # infinite, written as null
     assert any("condition" in m for m in payload["messages"])
 
 
@@ -292,8 +301,11 @@ def test_fit_whose_solver_overflows_exits_3(tmp_path, capsys):
     )
     assert main(["fit", "--counts", str(counts), "--model", "Count"]) == 3
     captured = capsys.readouterr()
-    payload = json.loads(captured.out)
+    payload = strict_json(captured.out)
     assert payload["converged"] is False
+    # the flagged fit has no finite standard errors or condition number:
+    # strict JSON writes them as null, not NaN or Infinity
+    assert payload["se"] == [None, None] and payload["hessian_condition"] is None
     assert any("the trust-region step could not be computed" in m for m in payload["messages"])
     assert captured.err == ""
 

@@ -1,11 +1,12 @@
-"""Simulator determinism, stream layout, and frequency agreement."""
+"""Simulator determinism, counter layout, exact draw laws and frequency agreement."""
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from nmixtime import simulate
 from nmixtime.datafiles import write_dataset
 from nmixtime.model import (
     Family,
@@ -61,29 +62,54 @@ def test_sites_have_independent_streams():
     assert all(records_equal(a, b) for a, b in zip(small.records, large.records[:5]))
 
 
+def test_other_sites_parameters_leave_a_site_alone():
+    # a site's records depend on its own abundance and search times only
+    r, j, kept = 30, 3, (0, 7, 29)
+    rng = np.random.default_rng(4)
+    search = rng.uniform(0.5, 2.0, (r, j))
+    log_lam = np.log(rng.uniform(1.0, 6.0, r))
+    others = ~np.isin(np.arange(r), kept)
+    for family, process in ((Family.COUNT_T, BIN), (Family.BINARY_T1, POI), (Family.COUNT, POI)):
+        proto = Protocol.for_design(family, process, j)
+
+        def run(log_lam, search):
+            cfg = SimConfig(proto, SurveyDesign(r, j, search), Parameterization(log_lam, 0.1), 19)
+            return simulate_with_latent(cfg)
+
+        base, latent = run(log_lam, search)
+        moved, moved_latent = run(
+            np.where(others, log_lam + 1.3, log_lam), np.where(others[:, None], 0.4 * search, search)
+        )
+        for i in kept:
+            a, b = base.records[i], moved.records[i]
+            assert a.counts.tobytes() == b.counts.tobytes() and latent[i] == moved_latent[i]
+            assert [t.tobytes() for t in a.times] == [t.tobytes() for t in b.times]
+        assert not np.array_equal(base.counts[others], moved.counts[others])
+
+
 # sha256 of counts.csv followed by times.csv (when written) for 25 sites, seed
 # 2024, lambda 3, rate 0.8 and the search times of _pinned_search_times.
 PINNED_DIGESTS = {
-    ("Binary", "binomial", 1): "571522ef777dfc1546bcb9b66f156a493640605513b43d1e201614555679e97e",
-    ("Binary", "binomial", 3): "953d51b8e83b8cdb923af7ab3a03aec37d5550644a0fd0cc36e3dfff42d80847",
-    ("BinaryT1", "binomial", 1): "b121a14ad661725a95f9c2f62f0b489cc1f27165200181f4c75745090238584a",
-    ("BinaryT1", "binomial", 3): "c4f7dddf518fb1ac36dbf6f2d2f2c2b38973fbe7cf502edd10fbaf6ed2bd64ef",
-    ("Count", "binomial", 1): "efe18edf6b0f726d7f7afac6e24f12abdc06e55ba3326889fa7e7352d5976051",
-    ("Count", "binomial", 3): "2f3449fd39eab5f6c6194ebac1ac40bb7df2b972d3d76e1166ce7d4e869e37e2",
-    ("CountT", "binomial", 1): "9a050b89edfd3ea80e193a601441c0aecd9dd99cd301ce4f6062162f562e8608",
-    ("CountT", "binomial", 3): "1afa486020656624e25030e233dfe7d73b7f35ae51c451e97c88d52dcf98141d",
-    ("CountT1", "binomial", 1): "1f9392a95df3b0105e752f948cd03e6dd10ffc34aa94e382f281092059a0f31d",
-    ("CountT1", "binomial", 3): "8f955a2e7c1e67ad1580eb5a1b468444ee32e62cd268b56ce77da64002ece638",
-    ("Binary", "poisson", 1): "3207f141312c91f5947f4b663d24c2b99fecae4d45414ffdd3289e7524f27af1",
-    ("Binary", "poisson", 3): "f48fe4c3d2b8e55fdd64545b3bfc4affe27bb9a033ff6d580e7b1133593ceff9",
-    ("BinaryT1", "poisson", 1): "a0622e2a372575ac7d1a375657a0c7e7422cb951a52c6babe153ced2625a835b",
-    ("BinaryT1", "poisson", 3): "6d8a02cb7f0e2661823e9176b71ddccb4789dc8f54d73624ea0b688c068a7106",
-    ("Count", "poisson", 1): "922eb0dabce4f00e1edf894103a1ad693e363c131f21916bff4e6045f09424b2",
-    ("Count", "poisson", 3): "869c9b273ff6dcc655e8a3d9d7ebda6c8e7185acc10961614d624e515349c600",
-    ("CountT", "poisson", 1): "58dc29bd0fc1b8e336fa467ca3233cad0f9b95bbfa3341d5006db079a88330e4",
-    ("CountT", "poisson", 3): "5b8db6641d49044be0a9e4ae3635ebc78f890fe3cf9a7ae412add4f6a5a3981d",
-    ("CountT1", "poisson", 1): "3490c88990483cb1f19c8b8837cdf7232d6abcf5bcdf64e66b9d8512733dd9db",
-    ("CountT1", "poisson", 3): "015986aa2dc14cabd6c113545668cb7b27809ca2be729a5f53df937781921e9a",
+    ("Binary", "binomial", 1): "d8d753e0d79d442b884d310f55dd1b8364c7119557d8db7f7beeca31f631bc6a",
+    ("Binary", "binomial", 3): "7537605154affce9ebaf017da2d09300503367fccec767577411d79d7180f557",
+    ("BinaryT1", "binomial", 1): "55f2176eef6f935845569146cc513c16c39d41c53be37fde2c7dff3691606ac9",
+    ("BinaryT1", "binomial", 3): "7f660a7c7306ba846838891edd3b2be3377ed0d6e49986f131101ff1e0ba863f",
+    ("Count", "binomial", 1): "75dfc688d96bcaebacc4061d130288973100d35481bc6dfaaaf3d7c5ac677bf4",
+    ("Count", "binomial", 3): "b3992195fc3cb4e359aade2bb7239ce80f0d2acadf1bda829659455fea0c633a",
+    ("CountT", "binomial", 1): "87e11fe77ff4c67369aa9b4467488c1016c77bb3b206d39dc5c42adcc86b06bd",
+    ("CountT", "binomial", 3): "f4d9cb7e64aad5555596dceaff61d87aae5ade9e07939153ce776514705c7031",
+    ("CountT1", "binomial", 1): "db652bc38d7305b5260e11d6ab0648eb390d1f3e3f7ddadce27ed8ad689c2f78",
+    ("CountT1", "binomial", 3): "a996200a4b322cf3a288d4a9c1b048229c633f64c3898e474aadd45bad6c45c8",
+    ("Binary", "poisson", 1): "d8d753e0d79d442b884d310f55dd1b8364c7119557d8db7f7beeca31f631bc6a",
+    ("Binary", "poisson", 3): "7537605154affce9ebaf017da2d09300503367fccec767577411d79d7180f557",
+    ("BinaryT1", "poisson", 1): "b7812adc3ecc88f12ddaa7bb0ae91302d5b9d8edc931c7b760ba68966d5ec102",
+    ("BinaryT1", "poisson", 3): "1604fc714991f94faf2821b1f05c6444b3ae0cabbfd85fc54c7f1ac75beacdaf",
+    ("Count", "poisson", 1): "1d675cfa44d7a592cb814fa795f60d38933cce4d3b96d81e94f4698924b628cc",
+    ("Count", "poisson", 3): "b3669e3ca878354c532ab0ddd90a9cdc95e57b9c761392dc46fa2755895b5443",
+    ("CountT", "poisson", 1): "0a77b336661da610dee1e8406834b0b595b736bbdb1b3d3d616b7f9f34f3f4e6",
+    ("CountT", "poisson", 3): "8ddb7ec96f4ba24ea7f7db4b216fa435de34deac340001fb854f3baec0387a06",
+    ("CountT1", "poisson", 1): "2504f7cc536e8f1621eb5361362035180f3c960dc721731bc8210b3635e799f9",
+    ("CountT1", "poisson", 3): "f78468a4ffa9914a3863f48d9f2df831de9d07a0d6259c7263100192d7a69f37",
 }
 
 
@@ -103,6 +129,155 @@ def test_seeded_output_is_pinned(tmp_path, family, process, j):
     if paths["times"] is not None:
         h.update(paths["times"].read_bytes())
     assert h.hexdigest() == PINNED_DIGESTS[family, process, j]
+
+
+U_MIN, U_MAX = 2.0**-53, 1.0 - 2.0**-53  # the extreme uniforms the hash can produce
+U_GRID = np.concatenate([
+    [U_MIN, U_MAX],
+    np.linspace(0.0, 1.0, 1001)[1:-1],
+    np.geomspace(U_MIN, 0.01, 60),
+    1.0 - np.geomspace(2.0**-53, 0.01, 60),
+])
+
+
+def test_uniforms_lie_strictly_inside_the_unit_interval(monkeypatch):
+    u = simulate._uniforms(5, np.arange(50_000)[:, None], np.arange(4), 0)
+    assert u.shape == (50_000, 4) and U_MIN <= u.min() and u.max() <= U_MAX
+    for bits, extreme in ((0, U_MIN), (2**64 - 1, U_MAX)):  # the extreme hash outputs
+        monkeypatch.setattr(simulate, "_mix", lambda x: np.full(x.shape, bits, dtype=np.uint64))
+        assert simulate._uniforms(3, np.arange(4), 1, 2).tolist() == [extreme] * 4
+
+
+class CountedTails:
+    """scipy.special with its tail functions counted. An inverse CDF calls one
+    lower-tail and one upper-tail function per pass; past ``budget`` passes this
+    raises, so a search that never settles fails instead of hanging."""
+
+    def __init__(self, budget):
+        self.budget, self.passes = budget, 0.0
+
+    def __getattr__(self, name):
+        f = getattr(special, name)
+        if name not in ("pdtr", "pdtrc", "betainc"):
+            return f
+
+        def counted(*args):
+            self.passes += 0.5
+            if self.passes > self.budget:
+                raise AssertionError(f"the search ran past {self.budget:.1f} passes")
+            return f(*args)
+
+        return counted
+
+
+def check_quantiles(k, u, dist, top):
+    assert k.dtype == np.int64 and k.shape == u.shape
+    assert np.all((k >= 0) & (k <= top))
+    # scipy's ppf rounds P(K <= k) to 1 near u = 1 and can miss by one or more
+    # there (binom(1e5, 0.39).ppf(1 - 2^-53) is 40280, the exact quantile 40269),
+    # so the top of the grid checks the quantile's definition on the upper tail
+    top_u = u > 1.0 - 1e-12
+    assert np.array_equal(k[~top_u], dist.ppf(u[~top_u]))
+    assert np.all(dist.sf(k[top_u]) <= 1.0 - u[top_u])
+    assert np.all(dist.sf(k[top_u] - 1) > 1.0 - u[top_u])
+
+
+@pytest.mark.parametrize("mu", [0.0, 3.0, 2000.0, 5e4, 1e5])
+def test_poisson_inverse_cdf_is_exact_and_bounded(monkeypatch, mu):
+    top = math.ceil(mu + 40 * math.sqrt(mu) + 40) if mu > 0 else 0
+    tails = CountedTails(2 * math.log2(top + 1) + 3)
+    monkeypatch.setattr(simulate, "special", tails)
+    check_quantiles(simulate._poisson(U_GRID, mu), U_GRID, stats.poisson(mu), top)
+
+
+@pytest.mark.parametrize(
+    "n, p, q",
+    [
+        (0, 0.3, None),
+        (10, 0.0, None),
+        (10, 1.0 - 1e-15, None),
+        (10, -math.expm1(-50.0), math.exp(-50.0)),  # the simulator's p, q at rate T = 50: p is 1.0
+        (25, 0.39, None),
+        (100_000, 0.39, None),
+    ],
+)
+def test_binomial_inverse_cdf_is_exact_and_bounded(monkeypatch, n, p, q):
+    q = 1.0 - p if q is None else q
+    tails = CountedTails(2 * math.log2(n + 1) + 3)
+    monkeypatch.setattr(simulate, "special", tails)
+    k = simulate._binomial(U_GRID, np.int64(n), p, q)
+    check_quantiles(k, U_GRID, stats.binom(n, p), n)
+
+
+def test_poisson_means_past_exact_integers_are_refused():
+    with pytest.raises(ValueError, match="Poisson mean"):
+        simulate_dataset(config(Family.COUNT, BIN, 3, 1, 1e20, 1.0))
+
+
+def test_simulator_builds_no_numpy_random_generator(monkeypatch):
+    # every draw hashes (seed, site, tag, index): there is no second stream
+    class NoRandom:
+        def __getattr__(self, name):
+            raise AssertionError(f"the simulator used np.random.{name}")
+
+    monkeypatch.setattr(np, "random", NoRandom())
+    for family in Family:
+        for process in (BIN, POI):
+            simulate_dataset(config(family, process, 20, 2, 2.0, 0.9, seed=5))
+    empirical_pmf_check(config(Family.COUNT, POI, 1, 2, 2.0, 0.9), [[0, 0], [1, 1]], 1000)
+
+
+@pytest.mark.parametrize("lam", [2000.0, 5e4])
+def test_latent_abundances_follow_the_poisson_law(lam):
+    # chi-square of 10^5 abundances over 40 bins of near-equal Poisson probability
+    n_sites = 100_000
+    _, latent = simulate_with_latent(config(Family.COUNT, BIN, n_sites, 1, lam, 1.0, seed=61))
+    dist = stats.poisson(lam)
+    edges = np.unique(dist.ppf(np.linspace(0.0, 1.0, 41)[1:-1]))  # bin b is (edges[b-1], edges[b]]
+    observed = np.bincount(np.searchsorted(edges, latent), minlength=edges.size + 1)
+    expected = n_sites * np.diff(np.append(dist.cdf(edges), 1.0), prepend=0.0)
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    assert abs(latent.mean() - lam) < 4 * math.sqrt(lam / n_sites)
+
+
+def _varied_search_times(r, j):
+    i, k = np.meshgrid(np.arange(r), np.arange(j), indexing="ij")
+    return 0.2 + 0.6 * ((i + 2 * k) % 4)
+
+
+@pytest.mark.parametrize("process", [BIN, POI], ids=["binomial", "poisson"])
+def test_counts_given_abundance_follow_the_occasion_law(process):
+    # randomized PIT: F(y - 1 | N) + w P(y | N), w uniform, is uniform exactly
+    # when each count y given the site's abundance N has law F
+    r, j, rate = 40_000, 4, 0.7
+    search = _varied_search_times(r, j)
+    proto = Protocol.for_design(Family.COUNT, process, j)
+    params = Parameterization(math.log(4.0), math.log(rate))
+    ds, latent = simulate_with_latent(SimConfig(proto, SurveyDesign(r, j, search), params, 62))
+    n, x = latent[:, None], rate * search
+    law = stats.binom(n, -np.expm1(-x)) if process is BIN else stats.poisson(n * x)
+    w = np.random.default_rng(63).random(ds.counts.shape)
+    pit = law.cdf(ds.counts - 1) + w * law.pmf(ds.counts)
+    assert stats.kstest(pit.ravel(), "uniform").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("process", [BIN, POI], ids=["binomial", "poisson"])
+def test_detection_times_follow_their_window_law(process):
+    # given the count, times are uniform over the window (poisson process) or
+    # exponential clocks truncated to it (binomial process)
+    r, j, rate = 40_000, 3, 0.8
+    search = _varied_search_times(r, j)
+    proto = Protocol.for_design(Family.COUNT_T, process, j)
+    params = Parameterization(math.log(1.5), math.log(rate))
+    ds = simulate_dataset(SimConfig(proto, SurveyDesign(r, j, search), params, 64))
+    t_max = np.repeat(search.ravel(), ds.times_per_cell.ravel())
+    t = ds.times_flat
+    assert np.all((t > 0) & (t <= t_max))
+    if process is BIN:
+        cdf = np.expm1(-rate * t) / np.expm1(-rate * t_max)
+    else:
+        cdf = t / t_max
+    assert stats.kstest(cdf, "uniform").pvalue > 1e-3
 
 
 def test_zero_abundance_gives_empty_records():
@@ -190,19 +365,13 @@ class TestEmpiricalFrequencies:
         assert out["exact"] == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert abs(out["z_score"]) < 4
 
-    @pytest.mark.parametrize("j", [1, 2])
-    @pytest.mark.parametrize("process", [BIN, POI], ids=["binomial", "poisson"])
-    @pytest.mark.parametrize("family", [Family.BINARY, Family.COUNT], ids=lambda f: f.value)
-    def test_batch_law_matches_per_site_simulator(self, family, process, j):
-        # the vectorized checker and the per-site simulator draw from
-        # different streams but must share one distribution
-        cfg = config(family, process, 4000, j, 2.0, 1.0, seed=31)
-        ds = simulate_dataset(cfg)
-        pattern = np.array([1, 0][:j])
-        freq = np.mean([np.array_equal(rec.counts, pattern) for rec in ds.records])
-        out = empirical_pmf_check(cfg, pattern, 200_000)
-        se = math.sqrt(out["exact"] * (1 - out["exact"]) / 4000)
-        assert abs(freq - out["exact"]) < 4 * se
+    def test_patterns_share_one_draw(self):
+        # a sequence of patterns is counted on the replicates each pattern alone sees
+        cfg = config(Family.COUNT, POI, 1, 2, 1.5, 0.8, seed=29)
+        patterns = [[0, 0], [1, 0], [0, 1], [2, 1]]
+        batch = empirical_pmf_check(cfg, patterns, 50_000, block=20_000)
+        assert batch == [empirical_pmf_check(cfg, pattern, 50_000) for pattern in patterns]
+        assert sum(res["empirical"] for res in batch) < 1.0
 
     def test_rejects_time_recording_protocols(self):
         cfg = config(Family.COUNT_T, BIN, 1, 1, 1.0, 1.0)
