@@ -1,11 +1,13 @@
 """Command-line interface: simulate, fit, loglik, and validate subcommands.
 
 Exit codes: 0 success, 2 unusable configuration or data (one too large
-for memory included), or a numeric
-failure the closed forms cannot get past (a series or oracle that does not
-converge, data outside the density's support), 3 fit completed but
-flagged (non-convergence or a degenerate Hessian), 4 closed-form vs
-summation-oracle disagreement or oracle failure during validation. Every such failure prints one ``error: ...`` line to stderr.
+for memory included), or a numeric failure the closed forms cannot get
+past (a series that does not converge, data outside the density's
+support), each printing one ``error: ...`` line to stderr; 3 fit
+completed but flagged (non-convergence or a degenerate Hessian); 4
+closed-form vs summation-oracle disagreement, or an oracle that fails
+during validation (it misses its tail bound, or ``--nmax`` is below a
+count), which prints one ``oracle failed: ...`` line.
 """
 from __future__ import annotations
 
@@ -227,7 +229,7 @@ def cmd_validate(args) -> int:
             if math.isnan(d) or d > worst:
                 worst = d
                 worst_site = i
-    except OracleConvergenceError as exc:
+    except (OracleConvergenceError, ValueError) as exc:  # a tail bound missed, or --nmax below a count
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

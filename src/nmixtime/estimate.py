@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from .errors import OracleConvergenceError, SeriesConvergenceError
+from .errors import SeriesConvergenceError
 from .likelihood import irrelevant_constants, total_loglik
 from .model import Dataset, Parameterization
 
@@ -100,8 +100,8 @@ class _CountedLoglik:
     """Log-likelihood as a function of the free coefficient vector.
 
     ``curved`` gives the value, its gradient and its Hessian from one
-    evaluation; calling it gives the value alone. A series or oracle that
-    cannot converge at the probed coefficients scores that proposal as
+    evaluation; calling it gives the value alone. A series that cannot
+    converge at the probed coefficients scores that proposal as
     impossible (-inf, with a zero gradient and Hessian) and is counted; a
     NaN value or a non-finite gradient or Hessian also scores impossible.
     Errors that depend only on the data (a record outside the density's
@@ -124,7 +124,7 @@ class _CountedLoglik:
         try:
             params = self.template.with_free_values(x)
             got = total_loglik(self.dataset, params, hessian=True)
-        except (SeriesConvergenceError, OracleConvergenceError):
+        except SeriesConvergenceError:
             self.convergence_failures += 1
             return impossible
         if not (got.total > -math.inf and np.all(np.isfinite(got.score)) and np.all(np.isfinite(got.hessian))):
@@ -205,14 +205,17 @@ def _curvature_report(
     the gradient left there and ``f0`` the log-likelihood, all from the
     optimizer's last evaluation at its estimate.
 
-    Eigenvalues below the resolution of that stopping point are treated as
-    exact zeros. On a ridge f = phi(r(x)) the information's eigenvalue along
-    the ridge is phi'(r) v^T (d^2 r) v, and phi' vanishes at the optimum
-    only as fast as the residual score does; rounding adds eps * |f0|. So
-    an eigenvalue within a few dozen times ||score|| + eps (1 + |f0|) cannot
-    be told from a flat ridge, and dividing by one would report a
-    covariance made of the stopping tolerance. Such fits get an infinite
-    condition number and the near-singular flag instead.
+    The covariance comes from one eigendecomposition of ``info``: it is the
+    inverse on the eigenvalues kept, and the condition number is the ratio
+    of the largest to the smallest eigenvalue size. Eigenvalues below the
+    resolution of that stopping point, or within k eps of the largest, are
+    treated as exact zeros. On a ridge f = phi(r(x)) the information's
+    eigenvalue along the ridge is phi'(r) v^T (d^2 r) v, and phi' vanishes
+    at the optimum only as fast as the residual score does; rounding adds
+    eps * |f0|. So an eigenvalue within a few dozen times ||score|| +
+    eps (1 + |f0|) cannot be told from a flat ridge, and dividing by one
+    would report a covariance made of the stopping tolerance. Such fits get
+    an infinite condition number and the near-singular flag instead.
     """
     k = info.shape[0]
     messages: list[str] = []
@@ -224,39 +227,32 @@ def _curvature_report(
 
     eps = float(np.finfo(float).eps)
     resolution = RIDGE_SAFETY * (float(np.max(np.abs(score), initial=0.0)) + eps * (1.0 + abs(f0)))
-    eigs = np.linalg.eigvalsh(info)
-    lam_max = float(eigs[-1])
-    lam_min_abs = float(np.min(np.abs(eigs)))
-
-    if lam_max <= resolution:
+    eigs, vecs = np.linalg.eigh(info)
+    if eigs[-1] <= resolution:
         messages.append(
             "no measurable curvature at the optimum; standard errors unavailable"
         )
         return nan_cov, nan_se, math.inf, messages
-    if lam_min_abs <= resolution:
-        cond = math.inf
+    size = np.abs(eigs)
+    # below the stopping point's resolution, or the decomposition's own rounding
+    tiny = max(resolution, k * eps * float(size.max()))
+    kept = size > tiny
+    cond = float(size.max() / size.min()) if kept.all() else math.inf
+    if not kept.all():
         messages.append(
             f"hessian condition number exceeds {CONDITION_FLAG_THRESHOLD:.0e}: the "
-            f"smallest eigenvalue ({lam_min_abs:.1e}) is below the resolution of the "
-            f"residual score and rounding ({resolution:.1e}), so the likelihood is flat "
+            f"smallest eigenvalue ({float(size.min()):.1e}) is below the resolution of the "
+            f"residual score and rounding ({tiny:.1e}), so the likelihood is flat "
             "along some coefficient direction and standard errors are unreliable"
         )
-        cov = np.linalg.pinv(info, rcond=resolution / lam_max)
-    else:
-        cond = float(np.linalg.cond(info))
-        if not math.isfinite(cond) or cond > CONDITION_FLAG_THRESHOLD:
-            messages.append(
-                f"hessian condition number {cond:.3e} exceeds "
-                f"{CONDITION_FLAG_THRESHOLD:.0e}; the likelihood is flat along some "
-                "coefficient direction and standard errors are unreliable"
-            )
-            cov = np.linalg.pinv(info)
-        else:
-            try:
-                cov = np.linalg.inv(info)
-            except np.linalg.LinAlgError:
-                messages.append("observed information is singular; using a pseudo-inverse")
-                cov = np.linalg.pinv(info)
+    elif cond > CONDITION_FLAG_THRESHOLD:
+        messages.append(
+            f"hessian condition number {cond:.3e} exceeds "
+            f"{CONDITION_FLAG_THRESHOLD:.0e}; the likelihood is flat along some "
+            "coefficient direction and standard errors are unreliable"
+        )
+    # the inverse on the kept eigenvalues: the flat directions carry no variance
+    cov = (vecs[:, kept] / eigs[kept]) @ vecs[:, kept].T
     diag = np.diag(cov).copy()
     se = np.sqrt(np.where(diag > 0, diag, math.nan))
     if np.any(diag <= 0):
@@ -312,8 +308,8 @@ def fit(
         messages.append(f"optimizer stopped without meeting tolerances: {best.message}")
     if loglik_fn.convergence_failures:
         messages.append(
-            f"{loglik_fn.convergence_failures} proposal(s) left a series or the summation "
-            "oracle unconverged and were scored as impossible"
+            f"{loglik_fn.convergence_failures} proposal(s) left a series unconverged "
+            "and were scored as impossible"
         )
     messages.extend(curv_messages)
 

@@ -91,10 +91,10 @@ class SiteData:
     Per-cell arrays are (R, J). The ``det_*`` arrays list the cells with
     at least one detection in row-major order, so per-site sums of a
     per-detection term are one ``np.bincount`` over ``det_rows``.
-    ``kernel(data, log_lam, log_rate)`` is the protocol's law; with
-    ``score=True`` it also returns the per-site derivative along log lambda
-    (R,) and the per-cell derivative along log rate (R, J), and with
-    ``score=2`` also each site's (1 + J, 1 + J) Hessian over (log lambda,
+    ``kernel(data, log_lam, log_rate)`` is the protocol's law, the (R,)
+    per-site values; with ``score=True`` it returns them with the per-site
+    derivative along log lambda (R,), the per-cell derivative along log
+    rate (R, J) and each site's (1 + J, 1 + J) Hessian over (log lambda,
     log rate_1, ..., log rate_J).
 
     ``representative`` holds, for each series row (each of ``series_rows``;
@@ -307,11 +307,11 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     log_mu = log_lam - undetected
     rep = data.representative
     summed, place = _distinct_rows(rep, np.all(w == w[rep], axis=1) & (log_mu[rows] == log_mu[rows[rep]]))
-    moment = special.log_poisson_detection_moment(w[summed], log_mu[rows[summed]], score=score)
+    moment = special.log_poisson_detection_moment(w[summed], log_mu[rows[summed]], score=2 if score else False)
     if not score:
         out[rows] += moment[place]
         return out
-    series, d_log_mu, d_w, *second = (part[place] for part in moment)
+    series, d_log_mu, d_w, series_hess = (part[place] for part in moment)
     out[rows] += series
     mu = safe_exp(log_mu)
     nu = mu.copy()
@@ -320,8 +320,6 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     d_rate = -missed * nu[:, None]
     cells = data.slots >= 0
     d_rate.flat[data.slots[cells]] = exposure.flat[data.slots[cells]] * d_w[cells]
-    if not second:
-        return out, nu - lam, d_rate
     # l = mu outside the series rows; inside, the series' Hessian carries the rest
     hess = _series_hessian(lam, missed, nu, mu)
     n_occasions = exposure.shape[1]
@@ -331,7 +329,7 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     # a padded slot's entries are 0; its zero factor lands on an arbitrary occasion
     slot = np.arange(1, jac.shape[1])
     jac[np.arange(rows.size)[:, None], slot, 1 + data.slots % n_occasions] = np.where(cells, w, 0.0)
-    hess[rows] += np.swapaxes(jac, 1, 2) @ second[0] @ jac
+    hess[rows] += np.swapaxes(jac, 1, 2) @ series_hess @ jac
     diagonal = np.arange(1, 1 + n_occasions)
     hess[:, diagonal, diagonal] += np.where(data.detected, d_rate, 0.0)
     return out, nu - lam, d_rate, hess
@@ -358,17 +356,15 @@ def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
     log_mu = log_lam - exposure
     rep = data.representative
     summed, place = _distinct_rows(rep, log_mu == log_mu[rep])
-    parts = special.log_poisson_raw_moment(data.order[summed], log_mu[summed], score=score)
+    parts = special.log_poisson_raw_moment(data.order[summed], log_mu[summed], score=2 if score else False)
     if not score:
         return out + parts[place]
-    moment, d_log_mu, *second = (part[place] for part in parts)
+    moment, d_log_mu, d2_log_mu = (part[place] for part in parts)
     mu = safe_exp(log_mu)
     nu = mu + d_log_mu
     d_rate = -cell_exposure * nu[:, None]
     d_rate[r, c] += data.det_counts
-    if not second:
-        return out + moment, nu - lam, d_rate
-    return out + moment, nu - lam, d_rate, _series_hessian(lam, cell_exposure, nu, mu + second[0])
+    return out + moment, nu - lam, d_rate, _series_hessian(lam, cell_exposure, nu, mu + d2_log_mu)
 
 
 def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
@@ -398,14 +394,12 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
         cell = y * np.log(-np.expm1(-exposure[r, c]))
         if score:
             d_cell = y * exposure[r, c] / np.expm1(exposure[r, c])
-        if score == 2:
             q = exposure[r, c] / np.expm1(exposure[r, c])
             d2_cell = y * q * (1.0 - q - exposure[r, c])
     elif data.family is Family.COUNT_T:
         cell = y * log_h - h * data.det_time
         if score:
             d_cell = y - h * data.det_time
-        if score == 2:
             d2_cell = -h * data.det_time
     else:
         # the first time is the minimum of y truncated exponentials
@@ -417,7 +411,6 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
         if score:
             d_cell = 1.0 - h * t1
             d_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + later_exposure / np.expm1(later_exposure))
-        if score == 2:
             q = later_exposure / np.expm1(later_exposure)
             d2_cell = -h * t1
             d2_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + q * (1.0 - q - later_exposure))
@@ -433,15 +426,13 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     z[finite] = safe_exp(log_lam[rows[finite]] - total_exposure[rows[finite]])
     summed, place = _distinct_rows(rep, z == z[rep], finite)
     nu = safe_exp(log_lam - total_exposure) if score else None
-    var = nu.copy() if score == 2 else None
+    var = nu.copy() if score else None
     if summed.size:
         # the series replaces the exp(z) the plain form above assumed
-        parts = log_pfq_equal_order(data.upper[summed], data.lower[summed], z[summed], score=score)
+        parts = log_pfq_equal_order(data.upper[summed], data.lower[summed], z[summed], score=2 if score else False)
         rows, z, place = rows[finite], z[finite], place[finite]
-        if score == 2:
+        if score:
             series, nu[rows], var[rows] = (part[place] for part in parts)
-        elif score:
-            series, nu[rows] = (part[place] for part in parts)
         else:
             series = parts[place]
         out[rows] += series - z
@@ -450,8 +441,6 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     d_rate = -exposure * nu[:, None]
     d_rate[gap_rows, gap_cols] -= gap * exposure[gap_rows, gap_cols]
     d_rate[r, c] += d_cell
-    if score != 2:
-        return out, data.max_count - lam + nu, d_rate
     hess = _series_hessian(lam, exposure, nu, var)
     hess[gap_rows, 1 + gap_cols, 1 + gap_cols] -= gap * exposure[gap_rows, gap_cols]
     hess[r, 1 + c, 1 + c] += d2_cell
@@ -486,25 +475,27 @@ def total_loglik(
     With ``score=True`` the result also carries the exact gradient of the
     total over ``params.free_values()``; with ``hessian=True`` it carries
     that gradient and the exact (k, k) Hessian over the same coefficients,
-    minus the observed information. ``total`` is the same either way.
+    minus the observed information. ``total`` is the same either way: the
+    kernels have two modes, the value alone or the value with its score and
+    Hessian, and ``score=True`` runs the second and drops the Hessian.
     Where a rate or abundance overflows, or the total is -inf, the gradient
     and Hessian may hold NaN or infinite entries.
     """
     data = dataset.site_data
     log_lam, log_rate = params.resolve(dataset.design)
-    order = 2 if hessian else int(score)
+    curved = score or hessian
     # log(0) and exp overflow, also in the sum over sites, are the limits these
     # kernels are written for; at those limits a score can meet 0 * inf: NaN
-    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if order else {})}
-    curvature = None
+    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if curved else {})}
+    gradient = curvature = None
     with np.errstate(**limits):
-        if order:
-            per_site, d_log_lam, d_log_rate, *second = data.kernel(data, log_lam, log_rate, score=order)
+        if curved:
+            per_site, d_log_lam, d_log_rate, hess = data.kernel(data, log_lam, log_rate, score=True)
             gradient = params.free_gradient(d_log_lam, d_log_rate)
-            if second:
-                curvature = params.free_hessian(dataset.design, second[0])
+            if hessian:
+                curvature = params.free_hessian(dataset.design, hess)
         else:
-            per_site, gradient = data.kernel(data, log_lam, log_rate), None
+            per_site = data.kernel(data, log_lam, log_rate)
         if include_constants:
             per_site = per_site + data.constants
         total = float(per_site.sum())

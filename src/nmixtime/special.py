@@ -12,6 +12,11 @@ Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56
 sigma exact terms, a few hundred at most whatever the peak, rather than
 O(sqrt(peak)). The bound of 2^32 on the peak index limits the precision
 of the terms (~eps n log n), not the cost.
+
+Each function has two modes: the value alone, or with ``score`` its
+derivatives too. A scored call sums the tilted means and the covariance of
+the per-term scores in the same pass as the value; ``score=True`` returns
+the first derivatives and ``score=2`` the second ones as well.
 """
 from __future__ import annotations
 
@@ -118,13 +123,12 @@ def _strides(log_ratio, rows, peak, width):
     return np.where((sigma >= 8.0) & (sigma < np.inf), k, 1.0)
 
 
-def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, covary):
+def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, q):
     """Per row: window log-sum relative to its first term, left and right tail
-    bounds relative to that sum (NaN or +inf: none yet), last log ratio, the
-    term-weighted mean of each score over the window (None without
-    ``scores``) and the term-weighted covariance of the first ``covary``
-    scores (None without). Rows of equal width and stride go together, one
-    column each; no operation mixes columns."""
+    bounds relative to that sum (NaN or +inf: none yet), last log ratio, and
+    the term-weighted means and covariance of the q scores over the window
+    (both None without ``scores``). Rows of equal width and stride go
+    together, one column each; no operation mixes columns."""
     out = np.empty((4, todo.size))
     out[1] = NEG_INF
     tilted = cov = None
@@ -135,8 +139,8 @@ def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, covary
         groups = {(w, 1.0) for w in set(widths.tolist())}
     for w, k in sorted(groups):
         group = np.flatnonzero((widths == w) & (strides == k))
-        # a covariance takes covary^2 products per window term
-        step = max(1, _BLOCK // (int(w // k) * max(1, covary) ** 2))
+        # a covariance takes q^2 products per window term
+        step = max(1, _BLOCK // (int(w // k) * max(1, q) ** 2))
         for part in (group[s : s + step] for s in range(0, group.size, step)):
             rows, edge = todo[part], lo[todo[part]]
             if k == 1:
@@ -170,19 +174,16 @@ def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, covary
                 s = scores(rows, n)
                 s = np.ascontiguousarray(np.swapaxes(np.broadcast_to(s, s.shape[:1] + log_t.shape), 1, 2))
                 if tilted is None:
-                    tilted = np.empty((s.shape[0], todo.size))
+                    tilted, cov = np.empty((q, todo.size)), np.empty((todo.size, q, q))
                 tilted[:, part] = (s * terms).sum(axis=2) / mass
-                if covary:
-                    if cov is None:
-                        cov = np.empty((todo.size, covary, covary))
-                    # centred on the means just taken, over the same samples and weights
-                    dev = np.swapaxes(s[:covary] - tilted[:covary, part, None], 0, 1)
-                    cov[part] = (dev * terms[:, None]) @ np.swapaxes(dev, 1, 2) / mass[:, None, None]
+                # centred on the means just taken, over the same samples and weights
+                dev = np.swapaxes(s - tilted[:, part, None], 0, 1)
+                cov[part] = (dev * terms[:, None]) @ np.swapaxes(dev, 1, 2) / mass[:, None, None]
             del terms  # not held while the next part builds its arrays: peak memory
     return out[0], out[1] - out[0], out[2] - out[0], out[3], tilted, cov
 
 
-def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None, covary=0):
+def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     """log sum_{n >= start} t_n for rows of positive, log-concave series.
 
     ``log_first`` holds each row's log t_start; ``log_term(rows, n)`` gives the
@@ -203,36 +204,29 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None, c
 
     With ``scores(rows, n)``, which gives q per-term scores s_n as a (q, ...)
     array broadcasting with ``n``, also returns the (q, rows) tilted means
-    sum t_n s_n / sum t_n over each row's final window, with the same samples
-    and weights: the derivative of the log-sum along a parameter whose
-    log-term derivative is s_n. With ``covary`` > 0, also returns the
-    (rows, covary, covary) tilted covariances of the first ``covary`` scores,
-    sum t_n (s_n - m)(s_n - m)^T / sum t_n about those means m, over the same
-    window: the second derivative of the log-sum along such parameters, less
-    the tilted mean of the log-terms' own second derivatives (Louis, JRSS-B
-    44 (1982) 226-233)."""
+    m = sum t_n s_n / sum t_n and the (rows, q, q) tilted covariances
+    sum t_n (s_n - m)(s_n - m)^T / sum t_n over each row's final window,
+    with the same samples and weights. Along parameters whose log-term
+    derivatives are s_n, the means are the first derivatives of the log-sum
+    and the covariances its second derivatives, less the tilted mean of the
+    log-terms' own second derivatives (Louis, JRSS-B 44 (1982) 226-233)."""
     lo = np.full(log_first.size, float(start))
     width = np.full(log_first.size, float(first))
     stride = np.ones(log_first.size)
     out = np.empty(log_first.size)
-    means = covs = None
     todo = np.arange(log_first.size)
+    q = 0 if scores is None else len(scores(todo[:0], np.zeros((1, 0))))
+    means, covs = np.empty((q, log_first.size)), np.empty((log_first.size, q, q))
     while todo.size:
         rel, left, right, last, tilted, cov = _windows(
-            todo, start, lo, width, stride, log_ratio, log_term, scores, covary
+            todo, start, lo, width, stride, log_ratio, log_term, scores, q
         )
         left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
         done = left_ok & right_ok
         rows, moved = todo[done], lo[todo[done]] > start
         out[rows] = log_first[rows] + rel[done]
-        if tilted is not None:
-            if means is None:
-                means = np.empty((tilted.shape[0], log_first.size))
-            means[:, rows] = tilted[:, done]
-        if cov is not None:
-            if covs is None:
-                covs = np.empty((log_first.size, covary, covary))
-            covs[rows] = cov[done]
+        if scores is not None:
+            means[:, rows], covs[rows] = tilted[:, done], cov[done]
         if moved.any():
             rows = rows[moved]
             out[rows] = log_term(rows, lo[rows][None])[0] + rel[done][moved]
@@ -258,13 +252,7 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None, c
         width[rows] *= 2.0
         stride[rows[lo[rows] == start]] = 1.0  # grown back to start: no smooth bell
         todo = todo[~done]
-    if scores is None:
-        return out
-    if means is None:  # no rows, so no window asked the scores for their count
-        means = np.empty((len(scores(todo, np.zeros((1, 0)))), 0))
-    if not covary:
-        return out, means
-    return out, means, np.empty((0, covary, covary)) if covs is None else covs
+    return out if scores is None else (out, means, covs)
 
 
 def _index(rows, n):
@@ -309,14 +297,11 @@ def log_poisson_raw_moment(m, log_mu, score=False):
     if not score:
         out.flat[rows] = _log_series_sum(1, 32, first, log_ratio, log_term)
         return float(out) if out.ndim == 0 else out
-    d_log_mu = np.where(m == 0, 0.0, 1.0)
-    out.flat[rows], (mean,), *var = _log_series_sum(1, 32, first, log_ratio, log_term, _index, int(score == 2))
+    d_log_mu, d2_log_mu = np.where(m == 0, 0.0, 1.0), np.zeros(out.shape)
+    out.flat[rows], (mean,), cov = _log_series_sum(1, 32, first, log_ratio, log_term, _index)
     d_log_mu.flat[rows] = mean - safe_exp(log_mu)
-    derivs = (out, d_log_mu)
-    if var:
-        d2_log_mu = np.zeros(out.shape)
-        d2_log_mu.flat[rows] = var[0][:, 0, 0] - safe_exp(log_mu)
-        derivs += (d2_log_mu,)
+    d2_log_mu.flat[rows] = cov[:, 0, 0] - safe_exp(log_mu)
+    derivs = (out, d_log_mu, d2_log_mu)[: 2 + (score == 2)]
     return tuple(map(float, derivs)) if out.ndim == 0 else derivs
 
 
@@ -368,13 +353,9 @@ def log_poisson_detection_moment(w, log_mu, score=False):
         return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
 
     def scores(i, n):
-        # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf;
-        # for a Hessian also its derivative along w, -s (n + s) for that s
+        # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf
         per_occasion = np.moveaxis(n[..., None] / np.expm1(w[i] * n[..., None]), -1, 0)
-        parts = [np.broadcast_to(n, per_occasion.shape[1:])[None], per_occasion]
-        if score == 2:
-            parts.append(-per_occasion * (n + per_occasion))
-        return np.concatenate(parts)
+        return np.concatenate([np.broadcast_to(n, per_occasion.shape[1:])[None], per_occasion])
 
     # e^{n w} overflows to +inf for large exposures, where the step is log1p(0)
     with np.errstate(over="ignore"):
@@ -383,19 +364,19 @@ def log_poisson_detection_moment(w, log_mu, score=False):
         if not score:
             out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
             return float(out[0]) if scalar else out
-        d = hit.shape[1]
-        out[rows], means, *cov = _log_series_sum(1, 16, first, log_ratio, log_term, scores, (1 + d) * (score == 2))
+        out[rows], means, cov = _log_series_sum(1, 16, first, log_ratio, log_term, scores)
+    d = hit.shape[1]
     d_log_mu, d_w = np.full(out.shape, np.nan), np.full((out.size, d), np.nan)
     d_log_mu[rows] = means[0] - safe_exp(log_mu)
-    d_w[rows] = means[1 : 1 + d].T
-    derivs = (out, d_log_mu, d_w)
-    if cov:
-        hess = np.full((out.size, 1 + d, 1 + d), np.nan)
-        hess[rows] = cov[0]
-        hess[rows, 0, 0] -= safe_exp(log_mu)
-        diagonal = np.arange(1, 1 + d)
-        hess[rows[:, None], diagonal, diagonal] += means[1 + d :].T
-        derivs += (hess,)
+    d_w[rows] = means[1:].T
+    hess = np.full((out.size, 1 + d, 1 + d), np.nan)
+    hess[rows] = cov
+    hess[rows, 0, 0] -= safe_exp(log_mu)
+    # along w_j the score s_j has derivative -s_j (n + s_j), of tilted mean
+    # -(Cov(n, s_j) + m_n m_j + Var(s_j) + m_j^2); its Var(s_j) cancels the covariance's
+    diagonal = np.arange(1, 1 + d)
+    hess[rows[:, None], diagonal, diagonal] = -(cov[:, 0, 1:] + d_w[rows] * (means[0][:, None] + d_w[rows]))
+    derivs = (out, d_log_mu, d_w, hess)[: 3 + (score == 2)]
     if scalar:
         return (float(out[0]), float(d_log_mu[0])) + tuple(x[0] for x in derivs[2:])
     return derivs
@@ -448,13 +429,8 @@ def log_pfq_equal_order(a, b, z, score=False):
     if not score:
         out[rows] = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term)
         return out if a.ndim == 2 else float(out[0])
-    d_log_z = np.zeros(z.shape)
-    out[rows], (d_log_z[rows],), *var = _log_series_sum(
-        0, 16, np.zeros(rows.size), log_ratio, log_term, _index, int(score == 2)
-    )
-    derivs = (out, d_log_z)
-    if var:
-        d2_log_z = np.zeros(z.shape)
-        d2_log_z[rows] = var[0][:, 0, 0]
-        derivs += (d2_log_z,)
+    d_log_z, d2_log_z = np.zeros(z.shape), np.zeros(z.shape)
+    out[rows], (d_log_z[rows],), cov = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term, _index)
+    d2_log_z[rows] = cov[:, 0, 0]
+    derivs = (out, d_log_z, d2_log_z)[: 2 + (score == 2)]
     return derivs if a.ndim == 2 else tuple(float(x[0]) for x in derivs)

@@ -319,3 +319,15 @@ def test_simulate_out_of_memory_prints_one_error_line(tmp_path, capsys, monkeypa
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: out of memory: Unable to allocate 7.28 TiB for an array with shape (100000000000, 10)"]
+
+
+def test_validate_nmax_below_the_first_sites_count_exits_4(tmp_path, capsys):
+    # the site whose count exceeds --nmax comes first, so no earlier site's
+    # tail bound fails before it
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,5\n2,1,1.0,0\n")
+    params = write_json(tmp_path / "p.json", {"lambda": 3.0, "rate": 0.8})
+    code = main(["validate", "--counts", str(counts), "--model", "Count", "--params", params, "--nmax", "1"])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oracle failed: ")

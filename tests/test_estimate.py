@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import nmixtime.estimate
-from nmixtime.errors import LikelihoodDomainError, OracleConvergenceError, SeriesConvergenceError
+from nmixtime.errors import LikelihoodDomainError, SeriesConvergenceError
 from nmixtime.estimate import (
     _CountedLoglik,
+    _curvature_report,
     default_init,
     fit,
     profile_loglik,
@@ -169,10 +170,10 @@ def test_unconverged_proposal_scores_impossible_and_data_errors_propagate(monkey
     ds, truth = simulated(Family.COUNT, 5, 2, 2.0, 1.0, seed=3)
     loglik_fn = _CountedLoglik(ds, truth)
 
-    def oracle_fails(*args, **kwargs):
-        raise OracleConvergenceError("tail bound not met", -1.0, 10)
+    def series_fails(*args, **kwargs):
+        raise SeriesConvergenceError("series peak past 2^32 terms", -1.0, 16)
 
-    monkeypatch.setattr(nmixtime.estimate, "total_loglik", oracle_fails)
+    monkeypatch.setattr(nmixtime.estimate, "total_loglik", series_fails)
     assert loglik_fn(truth.free_values()) == -math.inf
     assert loglik_fn.convergence_failures == 1
 
@@ -290,3 +291,45 @@ def test_likelihood_errors_still_propagate_out_of_the_search(monkeypatch):
     monkeypatch.setattr(nmixtime.estimate, "total_loglik", record_outside_support)
     with pytest.raises(LikelihoodDomainError):
         fit(ds, truth)
+
+
+# (information, residual score, log-likelihood): the outcomes of the curvature
+# report on fixed matrices
+CURVATURE_TABLE = {
+    "well conditioned": (np.array([[2.0, 0.5], [0.5, 1.0]]), [0.0, 0.0], -10.0),
+    "ridge below resolution": (np.diag([1.0, 1e-12]), [1e-9, 0.0], -100.0),
+    "resolvable but condition above 1e10": (np.diag([1.0, 1e-11]), [0.0, 0.0], 0.0),
+    "indefinite": (np.diag([1.0, -0.5]), [0.0, 0.0], -10.0),
+    "no curvature": (np.diag([1e-20, -1e-20]), [0.0, 0.0], -10.0),
+}
+
+
+@pytest.mark.parametrize("case", CURVATURE_TABLE)
+def test_curvature_report_outcomes(case):
+    info, score, f0 = CURVATURE_TABLE[case]
+    cov, se, cond, messages = _curvature_report(info, np.array(score), f0)
+    if case == "well conditioned":
+        np.testing.assert_allclose(cov, np.linalg.inv(info), rtol=0, atol=1e-13)
+        assert cond == pytest.approx(np.linalg.cond(info), rel=1e-12) and messages == []
+        np.testing.assert_allclose(se, np.sqrt(np.diag(np.linalg.inv(info))), rtol=1e-13)
+    elif case == "ridge below resolution":
+        assert cond == math.inf
+        assert "smallest eigenvalue (1.0e-12) is below the resolution" in messages[0]
+        # the flat direction is dropped from the covariance, so its standard error is NaN
+        assert messages[1:] == ["nonpositive curvature along some coefficient; its standard error is NaN"]
+        np.testing.assert_allclose(cov, np.diag([1.0, 0.0]), rtol=0, atol=1e-13)
+        assert se[0] == pytest.approx(1.0, rel=1e-13) and math.isnan(se[1])
+    elif case == "resolvable but condition above 1e10":
+        assert cond == pytest.approx(1e11, rel=1e-12)
+        assert messages == [
+            "hessian condition number 1.000e+11 exceeds 1e+10; the likelihood is flat along "
+            "some coefficient direction and standard errors are unreliable"
+        ]
+        np.testing.assert_allclose(cov, np.diag([1.0, 1e11]), rtol=1e-12)
+    elif case == "indefinite":
+        assert cond == pytest.approx(2.0, rel=1e-12)
+        assert se[0] == pytest.approx(1.0, rel=1e-13) and math.isnan(se[1])
+        assert messages == ["nonpositive curvature along some coefficient; its standard error is NaN"]
+    else:
+        assert cond == math.inf and np.all(np.isnan(cov)) and np.all(np.isnan(se))
+        assert messages == ["no measurable curvature at the optimum; standard errors unavailable"]
