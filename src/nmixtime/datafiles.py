@@ -4,15 +4,17 @@ Counts travel as long-format CSV (one row per site-occasion cell, search
 time included), detection times as a companion CSV keyed by detection
 index. Site and occasion identifiers are 1-based in files and 0-based in
 memory. Floats are written with repr, so a load/save round trip is
-byte-identical.
+byte-identical. Both directions work on whole columns: one typed parse per
+file, one formatting pass per column.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
 COUNTS_FILE = "counts.csv"
 TIMES_FILE = "times.csv"
 MANIFEST_FILE = "manifest.json"
+_DTYPE = {int: np.int64, float: np.float64}
 
 
 @dataclass(frozen=True)
@@ -68,12 +71,11 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_rows(path: Path, header: str, fmt: str, cell: np.ndarray, n_occ: int, *columns) -> None:
+def _write_rows(path: Path, header: str, cell: np.ndarray, n_occ: int, *columns) -> None:
     """One line per entry of ``cell``: its 1-based site and occasion, then ``columns``."""
-    site, occasion = (cell // n_occ + 1).tolist(), (cell % n_occ + 1).tolist()
-    rows = map(fmt.format, site, occasion, *(c.tolist() for c in columns))
+    fields = (map(repr, c.tolist()) for c in (cell // n_occ + 1, cell % n_occ + 1, *columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join([header, *rows, ""]))
+        fh.write("\n".join([header, *map(",".join, zip(*fields)), ""]))
 
 
 def write_dataset(dataset: Dataset, out_dir) -> dict:
@@ -87,7 +89,7 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
     cell = np.arange(dataset.counts.size)
     counts_path = out_dir / COUNTS_FILE
     _write_rows(
-        counts_path, "site,occasion,search_time,count", "{},{},{!r},{}", cell, n_occ,
+        counts_path, "site,occasion,search_time,count", cell, n_occ,
         dataset.design.search_time.ravel(), dataset.counts.ravel(),
     )
     times_path = None
@@ -97,59 +99,68 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
         of_time = np.repeat(cell, size)
         index = np.arange(of_time.size) - np.repeat(dataset.times_start.ravel(), size) + 1
         _write_rows(
-            times_path, "site,occasion,detection_index,time", "{},{},{},{!r}", of_time, n_occ,
+            times_path, "site,occasion,detection_index,time", of_time, n_occ,
             index, dataset.times_flat,
         )
     return {"counts": counts_path, "times": times_path}
 
 
-def _read_columns(path: Path, required: list[str]) -> list[list]:
-    """The required columns of a CSV file, by name; blank lines are skipped
-    and a short row reads None for its missing fields."""
+def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
+    """The file's text and the columns named by ``columns`` (name -> int or
+    float), each as its values and a mask of those that fail to parse (read
+    as 0). Only a body that one typed np.loadtxt parse refuses is read row by
+    row, with csv and Python's int/float: they accept every token it does,
+    with the same value, and more (``1_0``, Unicode digits). Blank lines are
+    skipped; a short row reads None for its missing fields."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]
+            text = fh.read()
+        buf = io.StringIO(text, newline="")
+        reader = csv.reader(buf)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+        where = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
+        body = text[buf.tell():]
+        if body.strip("\r\n"):  # loadtxt warns on a body of blank lines alone
+            with contextlib.suppress(ValueError):
+                table = np.loadtxt(
+                    io.StringIO(body, newline=""), dtype=[(c, _DTYPE[kind]) for c, kind in columns.items()],
+                    delimiter=",", quotechar='"', comments=None, ndmin=1, usecols=[where[c] for c in columns],
+                )
+                return [(table[c], np.zeros(table.size, dtype=bool)) for c in columns], text
+        rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
-    where = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
-    if rows and min(map(len, rows)) < len(header):
-        rows = [row + [None] * (len(header) - len(row)) for row in rows]
-    return [list(map(itemgetter(where[c]), rows)) for c in required]
+    return [_parse([row[where[c]] for row in rows], kind) for c, kind in columns.items()], text
 
 
 def _parse(values: list, kind) -> tuple[np.ndarray, np.ndarray]:
     """``values`` converted by ``kind`` (int or float), and a mask of those that fail (read as 0)."""
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        return np.array(list(map(kind, values)), dtype=dtype), np.zeros(len(values), dtype=bool)
-    except (TypeError, ValueError, OverflowError):
-        out, bad = np.zeros(len(values), dtype=dtype), np.zeros(len(values), dtype=bool)
-        for k, v in enumerate(values):
-            try:
-                out[k] = kind(v)
-            except (TypeError, ValueError, OverflowError):
-                bad[k] = True
-        return out, bad
+    out, bad = np.zeros(len(values), dtype=_DTYPE[kind]), np.zeros(len(values), dtype=bool)
+    for k, v in enumerate(values):
+        try:
+            out[k] = kind(v)
+        except (TypeError, ValueError, OverflowError):
+            bad[k] = True
+    return out, bad
 
 
-def _cells(site: list, occasion: list) -> tuple[np.ndarray, np.ndarray, list]:
+def _cells(site: tuple, occasion: tuple) -> tuple[np.ndarray, np.ndarray, list]:
     """0-based site and occasion of every row, with the checks on them."""
-    (i, bad_i), (j, bad_j) = _parse(site, int), _parse(occasion, int)
+    (i, bad_i), (j, bad_j) = site, occasion
     return i - 1, j - 1, [
         (bad_i | bad_j, "non-integer site/occasion"),
         ((i < 1) | (j < 1), "site and occasion are 1-based"),
     ]
 
 
-def _raise_first(path: Path, checks: list) -> None:
-    """Raise for the earliest bad row, as a row-by-row reader would.
+def _raise_first(path: Path, source: str, checks: list) -> None:
+    """Raise for the earliest bad row, as a row-by-row reader would, naming
+    the line of ``source`` it ends on (blank lines count; the header is 1).
 
     ``checks`` are (bad-row mask, message) pairs in the order such a reader
     tests a row; a message may be a function of the row. A value that fails
@@ -161,7 +172,12 @@ def _raise_first(path: Path, checks: list) -> None:
         row, k = min(bad)
         message = checks[k][1]
         text = message if isinstance(message, str) else message(row)
-        raise DataFormatError(f"{path} line {row + 2}: {text}")
+        reader = csv.reader(io.StringIO(source, newline=""))  # the header is its first nonblank row
+        try:
+            line = [reader.line_num for fields in reader if fields][row + 1]
+        except csv.Error as exc:  # a field longer than csv allows, which loadtxt parsed
+            raise DataFormatError(f"{path}: {exc}") from exc
+        raise DataFormatError(f"{path} line {line}: {text}")
 
 
 def load_dataset(
@@ -173,27 +189,28 @@ def load_dataset(
 ) -> Dataset:
     """Assemble a Dataset from CSV files; structural problems raise DataFormatError.
 
-    Each file is parsed once into columns, and a row error names the first
-    offending line (the header is line 1). Semantic consistency (times
-    matching counts, values in range) is the job of validate_dataset, which
-    callers should run on the result.
+    Each file gets one typed parse (a row-wise reader runs only for one
+    that parse refuses, accepting the same syntax), and a row error names
+    the first offending line, blank lines counted (the header is line 1).
+    Semantic consistency (times matching counts, values in range) is the
+    job of validate_dataset, which callers should run on the result.
     """
     counts_path = Path(counts_path)
-    site, occasion, search_col, count_col = _read_columns(
-        counts_path, ["site", "occasion", "search_time", "count"]
+    columns, text = _read_columns(
+        counts_path, {"site": int, "occasion": int, "search_time": float, "count": int}
     )
-    n = len(site)
+    i, j, checks = _cells(*columns[:2])
+    (t, bad_t), (y, bad_y) = columns[2:]
+    n = len(i)
     if not n:
         raise DataFormatError(f"{counts_path}: no data rows")
-    i, j, checks = _cells(site, occasion)
-    (t, bad_t), (y, bad_y) = _parse(search_col, float), _parse(count_col, int)
     # a stable sort by cell keeps each cell's rows in line order
     order = np.lexsort((j, i))
     repeat = np.zeros(n, dtype=bool)
     repeat[order[1:][(np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)]] = True
     checks.append((bad_t | bad_y, "bad search_time/count value"))
     checks.append((repeat, lambda r: f"duplicate cell site {i[r] + 1} occasion {j[r] + 1}"))
-    _raise_first(counts_path, checks)
+    _raise_first(counts_path, text, checks)
     n_sites, n_occ = int(i.max()) + 1, int(j.max()) + 1
     if n != n_sites * n_occ:
         raise DataFormatError(
@@ -210,17 +227,17 @@ def load_dataset(
     times = ()
     if times_path is not None and Path(times_path).exists():
         times_path = Path(times_path)
-        t_site, t_occ, index_col, time_col = _read_columns(
-            times_path, ["site", "occasion", "detection_index", "time"]
+        columns, text = _read_columns(
+            times_path, {"site": int, "occasion": int, "detection_index": int, "time": float}
         )
-        ti, tj, checks = _cells(t_site, t_occ)
-        (d, bad_d), (times, bad_time) = _parse(index_col, int), _parse(time_col, float)
+        ti, tj, checks = _cells(*columns[:2])
+        (d, bad_d), (times, bad_time) = columns[2:]
         checks.append((bad_d | bad_time, "bad detection_index/time value"))
         checks.append((
             (ti >= n_sites) | (tj >= n_occ),
             lambda r: f"site {ti[r] + 1} occasion {tj[r] + 1} not present in the counts file",
         ))
-        _raise_first(times_path, checks)
+        _raise_first(times_path, text, checks)
         of_time = ti * n_occ + tj
         order = np.lexsort((times, d, of_time))
         of_time, d, times = of_time[order], d[order], times[order]

@@ -255,7 +255,8 @@ def _curvature_report(
     cov = (vecs[:, kept] / eigs[kept]) @ vecs[:, kept].T
     diag = np.diag(cov).copy()
     se = np.sqrt(np.where(diag > 0, diag, math.nan))
-    if np.any(diag <= 0):
+    # a kept positive spectrum leaves a zero diagonal only along a dropped ridge
+    if np.any(diag <= 0) and eigs[kept].min() < 0:
         messages.append(
             "nonpositive curvature along some coefficient; its standard error is NaN"
         )

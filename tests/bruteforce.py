@@ -16,18 +16,24 @@ joint log densities (the include_constants=True convention):
 ``binary_subset_log_density`` is the one reference that is not a sum over
 n: it scores a binary history by the signed subset expansion instead.
 
+``reference_load_dataset`` is the row-wise CSV reader: csv rows and
+Python's int/float on every value, with no bulk parse.
+
 Deliberately slow and transparent; keep instance sizes small.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import binom, poisson
 
-from nmixtime.model import Family, ObservationProcess
+from nmixtime.errors import DataFormatError
+from nmixtime.model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign
 
 
 def _log_diff_exp(a: float, b: float) -> float:
@@ -263,3 +269,115 @@ def score_difference_hessian(grad, x, step: float = 1e-5) -> np.ndarray:
         e[c] = step
         out[:, c] = (grad(x + e) - grad(x - e)) / (2.0 * step)
     return 0.5 * (out + out.T)
+
+
+def _reference_columns(path: Path, required: list[str]) -> tuple[list[list], list[int]]:
+    """The required columns of a CSV file, by name, and the line on which
+    each row ends; blank lines are skipped and a short row reads None for its
+    missing fields."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            numbered = [(reader.line_num, row) for row in reader if row]
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+    where = {name: k for k, name in enumerate(header)}
+    rows = [row + [None] * (len(header) - len(row)) for _, row in numbered]
+    return [[row[where[c]] for row in rows] for c in required], [line for line, _ in numbered]
+
+
+def _reference_parse(values: list, kind) -> tuple[np.ndarray, np.ndarray]:
+    out = np.zeros(len(values), dtype=np.int64 if kind is int else np.float64)
+    bad = np.zeros(len(values), dtype=bool)
+    for k, v in enumerate(values):
+        try:
+            out[k] = kind(v)
+        except (TypeError, ValueError, OverflowError):
+            bad[k] = True
+    return out, bad
+
+
+def _reference_raise_first(path: Path, lines: list[int], checks: list) -> None:
+    """Raise for the earliest row failing a check, checks tried in order."""
+    for row, line in enumerate(lines):
+        for mask, message in checks:
+            if mask[row]:
+                text = message if isinstance(message, str) else message(row)
+                raise DataFormatError(f"{path} line {line}: {text}")
+
+
+def _reference_cells(site: list, occasion: list) -> tuple[np.ndarray, np.ndarray, list]:
+    (i, bad_i), (j, bad_j) = _reference_parse(site, int), _reference_parse(occasion, int)
+    return i - 1, j - 1, [
+        (bad_i | bad_j, "non-integer site/occasion"),
+        ((i < 1) | (j < 1), "site and occasion are 1-based"),
+    ]
+
+
+def reference_load_dataset(
+    counts_path, times_path=None, *, family: Family, process: ObservationProcess
+) -> Dataset:
+    """``nmixtime.datafiles.load_dataset`` done row by row: the same Dataset,
+    or the same DataFormatError text."""
+    counts_path = Path(counts_path)
+    (site, occasion, search_col, count_col), lines = _reference_columns(
+        counts_path, ["site", "occasion", "search_time", "count"]
+    )
+    n = len(site)
+    if not n:
+        raise DataFormatError(f"{counts_path}: no data rows")
+    i, j, checks = _reference_cells(site, occasion)
+    (t, bad_t), (y, bad_y) = _reference_parse(search_col, float), _reference_parse(count_col, int)
+    seen: set = set()
+    repeat = np.zeros(n, dtype=bool)
+    for r, key in enumerate(zip(i.tolist(), j.tolist())):
+        repeat[r] = key in seen
+        seen.add(key)
+    checks.append((bad_t | bad_y, "bad search_time/count value"))
+    checks.append((repeat, lambda r: f"duplicate cell site {i[r] + 1} occasion {j[r] + 1}"))
+    _reference_raise_first(counts_path, lines, checks)
+    n_sites, n_occ = int(i.max()) + 1, int(j.max()) + 1
+    if n != n_sites * n_occ:
+        raise DataFormatError(
+            f"{counts_path}: expected a complete {n_sites} x {n_occ} grid, found {n} distinct cells"
+        )
+    search = np.empty((n_sites, n_occ))
+    counts = np.empty((n_sites, n_occ), dtype=np.int64)
+    search[i, j], counts[i, j] = t, y
+    sizes = np.zeros((n_sites, n_occ), dtype=np.int64)
+    flat: list[float] = []
+    if times_path is not None and Path(times_path).exists():
+        times_path = Path(times_path)
+        (t_site, t_occ, index_col, time_col), lines = _reference_columns(
+            times_path, ["site", "occasion", "detection_index", "time"]
+        )
+        ti, tj, checks = _reference_cells(t_site, t_occ)
+        (d, bad_d), (times, bad_time) = _reference_parse(index_col, int), _reference_parse(time_col, float)
+        checks.append((bad_d | bad_time, "bad detection_index/time value"))
+        checks.append((
+            (ti >= n_sites) | (tj >= n_occ),
+            lambda r: f"site {ti[r] + 1} occasion {tj[r] + 1} not present in the counts file",
+        ))
+        _reference_raise_first(times_path, lines, checks)
+        by_cell: dict = {}
+        for a, b, index, time in zip(ti.tolist(), tj.tolist(), d.tolist(), times.tolist()):
+            by_cell.setdefault((a, b), []).append((index, time))
+        for a, b in sorted(by_cell):
+            entries = sorted(by_cell[a, b])
+            indices = [index for index, _ in entries]
+            if indices != list(range(1, len(entries) + 1)):
+                raise DataFormatError(
+                    f"detection_index values for site {a + 1} occasion {b + 1} "
+                    f"must run 1..{len(indices)}, got {indices}"
+                )
+            sizes[a, b] = len(entries)
+            flat.extend(time for _, time in entries)
+    protocol = Protocol.for_design(family, process, n_occ)
+    design = SurveyDesign(n_sites, n_occ, search)
+    return Dataset.from_arrays(protocol, design, counts, sizes, flat)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nmixtime.datafiles import (
     RunManifest,
@@ -24,6 +26,8 @@ from nmixtime.model import (
     validate_dataset,
 )
 from nmixtime.simulate import SimConfig, simulate_dataset
+
+from bruteforce import reference_load_dataset
 
 BIN = ObservationProcess.BINOMIAL_COUNT
 POI = ObservationProcess.POISSON_PROCESS
@@ -82,6 +86,7 @@ def test_times_file_long_format(tmp_path):
     assert first[2] == "1"
 
 
+@pytest.mark.filterwarnings("error")
 def test_zero_detection_times_file_is_header_only(tmp_path):
     proto = Protocol.for_design(Family.COUNT_T, BIN, 2)
     design = SurveyDesign(4, 2, 1.0)
@@ -108,6 +113,7 @@ def test_load_missing_column(tmp_path):
         load_dataset(p, family=Family.COUNT, process=BIN)
 
 
+@pytest.mark.filterwarnings("error")
 def test_load_no_rows(tmp_path):
     p = write_counts(tmp_path, "site,occasion,search_time,count\n")
     with pytest.raises(DataFormatError, match="no data rows"):
@@ -231,6 +237,145 @@ def test_load_reports_the_earliest_bad_line(tmp_path):
     p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n1,1,1.0,3\n0,1,1.0,0\n")
     with pytest.raises(DataFormatError, match="line 3: duplicate cell site 1 occasion 1"):
         load_dataset(p, family=Family.COUNT, process=BIN)
+
+
+def test_line_numbers_count_blank_lines(tmp_path):
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n\n\n1,2,1.0,x\n")
+    with pytest.raises(DataFormatError, match="line 5: bad search_time/count"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+    # a file the typed parse accepts names the same lines
+    p = write_counts(tmp_path, "site,occasion,search_time,count\r\n\r\n1,1,1.0,2\r\n\r\n1,1,1.0,3\r\n")
+    with pytest.raises(DataFormatError, match="line 5: duplicate cell site 1 occasion 1"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+    counts = write_counts(tmp_path, GOOD_COUNTS)
+    times = tmp_path / "times.csv"
+    times.write_text("site,occasion,detection_index,time\n\n1,1,1,0.2\n\n3,1,1,0.5\n")
+    with pytest.raises(DataFormatError, match="times.csv line 5: site 3 occasion 1 not present"):
+        load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
+
+
+def test_a_field_too_long_for_csv_is_a_format_error(tmp_path):
+    # the typed parse reads the long site; naming the duplicate's line reads it with csv
+    p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n" + "0" * 140000 + "1,1,1.0,3\n")
+    with pytest.raises(DataFormatError, match="field larger than field limit"):
+        load_dataset(p, family=Family.COUNT, process=BIN)
+
+
+def _rows_as_formatted(header, fmt, dataset, cell, *columns):
+    """A file as one ``fmt.format`` call per row writes it."""
+    n_occ = dataset.n_occasions
+    rows = map(fmt.format, (cell // n_occ + 1).tolist(), (cell % n_occ + 1).tolist(), *(c.tolist() for c in columns))
+    return "\n".join([header, *rows, ""]).encode()
+
+
+VARIANTS = [(family, process, j) for family in Family for process in (BIN, POI) for j in (1, 3)]
+
+
+@pytest.mark.parametrize("family, process, j", VARIANTS, ids=[Protocol.for_design(*v).label for v in VARIANTS])
+def test_write_load_write_is_byte_identical(tmp_path, family, process, j):
+    proto = Protocol.for_design(family, process, j)
+    search = np.random.default_rng(3).uniform(0.1, 2.0, size=(9, j))
+    cfg = SimConfig(proto, SurveyDesign(9, j, search), Parameterization(math.log(4.0), math.log(0.6)), seed=8)
+    ds = simulate_dataset(cfg)
+    paths = write_dataset(ds, tmp_path / "a")
+    cell = np.arange(ds.counts.size)
+    assert paths["counts"].read_bytes() == _rows_as_formatted(
+        "site,occasion,search_time,count", "{},{},{!r},{}", ds, cell,
+        ds.design.search_time.ravel(), ds.counts.ravel(),
+    )
+    if family.records_times:
+        size = ds.times_per_cell.ravel()
+        index = np.arange(size.sum()) - np.repeat(ds.times_start.ravel(), size) + 1
+        assert paths["times"].read_bytes() == _rows_as_formatted(
+            "site,occasion,detection_index,time", "{},{},{},{!r}", ds, np.repeat(cell, size),
+            index, ds.times_flat,
+        )
+    back = load_dataset(paths["counts"], paths["times"], family=family, process=process)
+    _same_data(back, reference_load_dataset(paths["counts"], paths["times"], family=family, process=process))
+    paths2 = write_dataset(back, tmp_path / "b")
+    for name in ("counts", "times"):
+        if paths[name] is not None:
+            assert paths2[name].read_bytes() == paths[name].read_bytes()
+
+
+INT_TOKENS = ["1", "2", "3", " 2 ", "+1", "0", "-1", "1_0", "\u0661", "1.0", "", "nan", "x", "0x1p3", "1e0", '2""',
+              "1\n"]
+FLOAT_TOKENS = ["1.0", "0.5", "2", " 7 ", "1_0", "\u0663.5", "nan", "Infinity", "-inf", "0x1p3", "",
+                "1e400", "-0.0", ".5", "x", '"1"x']
+
+
+@st.composite
+def csv_texts(draw, names, rows, kinds):
+    """A CSV text holding ``rows`` under ``names``, with its columns shuffled
+    and padded, some values replaced by odd tokens, some fields quoted, rows
+    made ragged, and blank lines and a drawn line ending."""
+    dirty = draw(st.integers(0, 2)) == 0
+    extra = draw(st.lists(st.sampled_from(["note", *names]), max_size=2))
+    header = draw(st.permutations(list(names) + extra))
+    fields_of = []
+    for row in rows:
+        value = dict(zip(names, row))
+        fields = []
+        for name in header:
+            kind = kinds.get(name)
+            field = value[name] if name in value and kind else "a,b"
+            if dirty and kind and draw(st.integers(0, 5)) == 0:
+                field = draw(st.sampled_from(INT_TOKENS if kind is int else FLOAT_TOKENS))
+            if draw(st.integers(0, 7)) == 0 or "," in field:  # a newline is quoted only sometimes
+                field = '"' + field.replace('"', '""') + '"'
+            fields.append(field)
+        if dirty and draw(st.integers(0, 7)) == 0:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["9"]
+        fields_of.append(",".join(fields))
+    lines = [",".join(header)]
+    for line in fields_of:
+        lines += [""] * (draw(st.integers(0, 7)) == 0) + [line]
+        if dirty and draw(st.integers(0, 15)) == 0:
+            lines.append("  ")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, "", end + end]))
+
+
+@st.composite
+def surveys(draw):
+    r, j = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.permutations([(s, o) for s in range(1, r + 1) for o in range(1, j + 1)]))
+    if draw(st.integers(0, 7)) == 0:
+        cells.append(draw(st.sampled_from(cells)))  # a duplicated cell
+    counts = [(str(s), str(o), draw(st.sampled_from(["1.0", "0.5", "1.25"])), str(draw(st.integers(0, 2))))
+              for s, o in cells]
+    times = [(str(s), str(o), str(d), draw(st.sampled_from(["0.25", "0.5", "0.125"])))
+             for s, o in cells[:r * j] for d in range(1, draw(st.integers(0, 2)) + 1)]
+    if times and draw(st.integers(0, 7)) == 0:
+        times.append(draw(st.sampled_from(times)))  # a repeated detection index
+    counts_text = draw(csv_texts(
+        ["site", "occasion", "search_time", "count"], counts,
+        {"site": int, "occasion": int, "search_time": float, "count": int},
+    ))
+    times_text = draw(csv_texts(
+        ["site", "occasion", "detection_index", "time"], draw(st.permutations(times)),
+        {"site": int, "occasion": int, "detection_index": int, "time": float},
+    ))
+    return counts_text, times_text
+
+
+def _outcome(loader, counts, times):
+    try:
+        ds = loader(counts, times, family=Family.COUNT_T, process=BIN)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(exc).__name__, str(exc)
+    arrays = (ds.design.search_time, ds.counts, ds.times_per_cell, ds.times_flat)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(surveys())
+def test_load_matches_the_row_wise_reader(tmp_path, survey):
+    counts, times = tmp_path / "counts.csv", tmp_path / "times.csv"
+    for path, text in zip((counts, times), survey):
+        path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(reference_load_dataset, counts, times)
+    assert _outcome(load_dataset, counts, times) == expected
 
 
 def test_params_from_dict_log_and_natural():

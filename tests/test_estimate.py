@@ -315,8 +315,9 @@ def test_curvature_report_outcomes(case):
     elif case == "ridge below resolution":
         assert cond == math.inf
         assert "smallest eigenvalue (1.0e-12) is below the resolution" in messages[0]
-        # the flat direction is dropped from the covariance, so its standard error is NaN
-        assert messages[1:] == ["nonpositive curvature along some coefficient; its standard error is NaN"]
+        # the flat direction is dropped from the covariance, so its standard error is NaN;
+        # the ridge message alone says why, as no kept curvature is nonpositive
+        assert len(messages) == 1
         np.testing.assert_allclose(cov, np.diag([1.0, 0.0]), rtol=0, atol=1e-13)
         assert se[0] == pytest.approx(1.0, rel=1e-13) and math.isnan(se[1])
     elif case == "resolvable but condition above 1e10":
