@@ -133,7 +133,7 @@ def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
         rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     return [_parse([row[where[c]] for row in rows], kind) for c, kind in columns.items()], text
 

@@ -36,6 +36,7 @@ CONDITION_FLAG_THRESHOLD = 1e10
 # plus rounding at the optimum are indistinguishable from an exact zero
 # (see _curvature_report).
 RIDGE_SAFETY = 32.0
+_JITTER_SD = 0.5  # spread of the restarts' offsets from the first start
 
 
 def _flagged(converged: bool, condition: float) -> bool:
@@ -123,7 +124,7 @@ class _CountedLoglik:
         impossible = (-math.inf, np.zeros(k), np.zeros((k, k)))
         try:
             params = self.template.with_free_values(x)
-            got = total_loglik(self.dataset, params, hessian=True)
+            got = total_loglik(self.dataset, params, score=True)
         except SeriesConvergenceError:
             self.convergence_failures += 1
             return impossible
@@ -270,7 +271,6 @@ def fit(
     tol: float = 1e-8,
     max_evals: int = 2000,
     multistart: int = 5,
-    jitter_sd: float = 0.5,
     seed: int = 0,
 ) -> FitResult:
     """Maximize the log-likelihood over the free coefficients of ``init``.
@@ -294,7 +294,7 @@ def fit(
         rng = np.random.default_rng(seed)
         improved = False
         for _ in range(multistart):
-            start = x0 + rng.normal(0.0, jitter_sd, size=x0.size)
+            start = x0 + rng.normal(0.0, _JITTER_SD, size=x0.size)
             trial = _maximize(loglik_fn.curved, start, tol, max_evals)
             if trial.fun < best.fun:
                 best = trial

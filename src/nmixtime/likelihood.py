@@ -67,7 +67,7 @@ class LogLik:
     """Total and per-site log-likelihood for one dataset and parameter set.
 
     ``score`` and ``hessian`` are present when ``total_loglik`` was asked
-    for them (``hessian=True`` brings both); all arrays are read-only.
+    for them with ``score=True``; all arrays are read-only.
     """
 
     total: float
@@ -307,7 +307,7 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     log_mu = log_lam - undetected
     rep = data.representative
     summed, place = _distinct_rows(rep, np.all(w == w[rep], axis=1) & (log_mu[rows] == log_mu[rows[rep]]))
-    moment = special.log_poisson_detection_moment(w[summed], log_mu[rows[summed]], score=2 if score else False)
+    moment = special.log_poisson_detection_moment(w[summed], log_mu[rows[summed]], score=score)
     if not score:
         out[rows] += moment[place]
         return out
@@ -356,7 +356,7 @@ def _raw_moment(data: SiteData, log_lam, log_rate, score=False):
     log_mu = log_lam - exposure
     rep = data.representative
     summed, place = _distinct_rows(rep, log_mu == log_mu[rep])
-    parts = special.log_poisson_raw_moment(data.order[summed], log_mu[summed], score=2 if score else False)
+    parts = special.log_poisson_raw_moment(data.order[summed], log_mu[summed], score=score)
     if not score:
         return out + parts[place]
     moment, d_log_mu, d2_log_mu = (part[place] for part in parts)
@@ -429,7 +429,7 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     var = nu.copy() if score else None
     if summed.size:
         # the series replaces the exp(z) the plain form above assumed
-        parts = log_pfq_equal_order(data.upper[summed], data.lower[summed], z[summed], score=2 if score else False)
+        parts = log_pfq_equal_order(data.upper[summed], data.lower[summed], z[summed], score=score)
         rows, z, place = rows[finite], z[finite], place[finite]
         if score:
             series, nu[rows], var[rows] = (part[place] for part in parts)
@@ -468,32 +468,27 @@ def total_loglik(
     *,
     include_constants: bool = False,
     score: bool = False,
-    hessian: bool = False,
 ) -> LogLik:
     """Log-likelihood of a dataset: independent sites, summed in site order.
 
     With ``score=True`` the result also carries the exact gradient of the
-    total over ``params.free_values()``; with ``hessian=True`` it carries
-    that gradient and the exact (k, k) Hessian over the same coefficients,
-    minus the observed information. ``total`` is the same either way: the
-    kernels have two modes, the value alone or the value with its score and
-    Hessian, and ``score=True`` runs the second and drops the Hessian.
-    Where a rate or abundance overflows, or the total is -inf, the gradient
-    and Hessian may hold NaN or infinite entries.
+    total over ``params.free_values()`` and the exact (k, k) Hessian over the
+    same coefficients, minus the observed information; ``total`` and
+    ``per_site`` are the value-only ones. Where a rate or abundance
+    overflows, or the total is -inf, the gradient and Hessian may hold NaN
+    or infinite entries.
     """
     data = dataset.site_data
     log_lam, log_rate = params.resolve(dataset.design)
-    curved = score or hessian
     # log(0) and exp overflow, also in the sum over sites, are the limits these
     # kernels are written for; at those limits a score can meet 0 * inf: NaN
-    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if curved else {})}
+    limits = {"divide": "ignore", "over": "ignore", **({"invalid": "ignore"} if score else {})}
     gradient = curvature = None
     with np.errstate(**limits):
-        if curved:
+        if score:
             per_site, d_log_lam, d_log_rate, hess = data.kernel(data, log_lam, log_rate, score=True)
             gradient = params.free_gradient(d_log_lam, d_log_rate)
-            if hessian:
-                curvature = params.free_hessian(dataset.design, hess)
+            curvature = params.free_hessian(dataset.design, hess)
         else:
             per_site = data.kernel(data, log_lam, log_rate)
         if include_constants:

@@ -302,16 +302,43 @@ class Violation:
         return self.message + where
 
 
+def _broadcast(coef: np.ndarray, covariates, shape: tuple, mismatch: str, refused: str) -> np.ndarray:
+    """One parameter over ``shape``, (R,) or (R, J), by the layout rule of
+    ``Parameterization``. ValueError: ``mismatch`` for covariates of another leading
+    shape, ``refused`` (formatted with R, J, ``shape``) for other coefficients."""
+    if covariates is not None:
+        if covariates.shape[: len(shape)] != shape:
+            raise ValueError(mismatch)
+        return covariates @ coef
+    if coef.size == 1:
+        coef = coef.reshape(())
+    elif coef.shape != shape[len(shape) - coef.ndim :]:
+        raise ValueError(refused.format(*shape, shape=coef.shape))
+    return np.full(shape, coef)
+
+
+def _pull_back(coef: np.ndarray, covariates, d: np.ndarray) -> np.ndarray:
+    """Transpose of ``_broadcast``: derivatives ``d`` over the resolved shape as
+    a flat gradient over ``coef``."""
+    if covariates is not None:
+        return np.tensordot(d, covariates, axes=d.ndim)  # over the site (and occasion) axes
+    kept = 0 if coef.size == 1 else coef.ndim  # a size-1 array is a scalar: its total
+    return d.sum(axis=tuple(range(d.ndim - kept))).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class Parameterization:
     """Model parameters on the log scale, optionally through design matrices.
 
-    Without covariates, ``log_lambda`` is a scalar (shared across sites) or a
-    length-R vector, and ``log_rate`` is a scalar or an (R, J) matrix. With
+    One rule maps the coefficients to the per-site log abundance (R,) and
+    per-cell log rate (R, J), and ``free_gradient`` is its transpose. With
     ``site_covariates`` X of shape (R, p), ``log_lambda`` holds the p
     coefficients of the log-linear predictor X @ beta; likewise
     ``rate_covariates`` Z of shape (R, J, q) makes ``log_rate`` a length-q
-    coefficient vector.
+    coefficient vector. Otherwise the coefficients broadcast over the leading
+    axes they lack, a size-1 array counting as a scalar: ``log_lambda`` is a
+    scalar or a length-R vector, ``log_rate`` a scalar, a length-J vector or
+    an (R, J) matrix.
 
     Entries may be -inf (a zero rate or abundance boundary, useful when
     simulating) but never NaN or +inf.
@@ -354,58 +381,20 @@ class Parameterization:
     def resolve(self, design: SurveyDesign) -> tuple[np.ndarray, np.ndarray]:
         """Per-site log abundance (R,) and per-cell log rate (R, J)."""
         r, j = design.n_sites, design.n_occasions
-        if self.site_covariates is not None:
-            if self.site_covariates.shape[0] != r:
-                raise ValueError("site_covariates row count does not match the design")
-            ll = self.site_covariates @ self.log_lambda
-        elif self.log_lambda.ndim == 0:
-            ll = np.full(r, float(self.log_lambda))
-        elif self.log_lambda.shape == (r,):
-            ll = self.log_lambda.copy()
-        elif self.log_lambda.size == 1:
-            ll = np.full(r, float(self.log_lambda.reshape(())))
-        else:
-            raise ValueError(
-                f"log_lambda must be scalar or length {r}, got shape {self.log_lambda.shape}"
-            )
-        if self.rate_covariates is not None:
-            if self.rate_covariates.shape[:2] != (r, j):
-                raise ValueError("rate_covariates leading shape does not match the design")
-            lr = self.rate_covariates @ self.log_rate
-        elif self.log_rate.ndim == 0:
-            lr = np.full((r, j), float(self.log_rate))
-        elif self.log_rate.shape == (r, j):
-            lr = self.log_rate.copy()
-        elif self.log_rate.size == 1:
-            lr = np.full((r, j), float(self.log_rate.reshape(())))
-        elif self.log_rate.shape == (j,):
-            lr = np.tile(self.log_rate, (r, 1))
-        else:
-            raise ValueError(
-                f"log_rate must be scalar, length {j}, or shape ({r}, {j}); "
-                f"got shape {self.log_rate.shape}"
-            )
-        return ll, lr
+        lam = _broadcast(self.log_lambda, self.site_covariates, (r,),
+                         "site_covariates row count does not match the design",
+                         "log_lambda must be scalar or length {0}, got shape {shape}")
+        rate = _broadcast(self.log_rate, self.rate_covariates, (r, j),
+                          "rate_covariates leading shape does not match the design",
+                          "log_rate must be scalar, length {1}, or shape ({0}, {1}); got shape {shape}")
+        return lam, rate
 
     def free_gradient(self, d_log_lambda: np.ndarray, d_log_rate: np.ndarray) -> np.ndarray:
         """Chain rule back through ``resolve``: derivatives with respect to the
         per-site log abundance (R,) and per-cell log rate (R, J) as a gradient
         over the free coefficients, in ``free_values()`` order."""
-        if self.site_covariates is not None:
-            g_lam = self.site_covariates.T @ d_log_lambda
-        elif self.log_lambda.size == 1:
-            g_lam = d_log_lambda.sum()
-        else:
-            g_lam = d_log_lambda
-        if self.rate_covariates is not None:
-            g_rate = np.tensordot(self.rate_covariates, d_log_rate, axes=([0, 1], [0, 1]))
-        elif self.log_rate.shape == d_log_rate.shape:
-            g_rate = d_log_rate
-        elif self.log_rate.size == 1:
-            g_rate = d_log_rate.sum()
-        else:  # one rate per occasion
-            g_rate = d_log_rate.sum(axis=0)
-        return np.concatenate([np.ravel(g_lam), np.ravel(g_rate)])
+        lam = _pull_back(self.log_lambda, self.site_covariates, d_log_lambda)
+        return np.concatenate([lam, _pull_back(self.log_rate, self.rate_covariates, d_log_rate)])
 
     def free_hessian(self, design: SurveyDesign, hess: np.ndarray) -> np.ndarray:
         """Chain rule back through ``resolve`` for per-site Hessians (R, 1 + J,
@@ -420,33 +409,25 @@ class Parameterization:
         if shape not in self._units:
             resolved = (self.with_free_values(unit).resolve(design) for unit in np.eye(self.n_free))
             self._units[shape] = [np.concatenate([ll[:, None], lr], axis=1)[:, :, None] for ll, lr in resolved]
-        columns = []
-        for unit in self._units[shape]:
-            along = hess @ unit
-            columns.append(self.free_gradient(along[:, 0, 0], along[:, 1:, 0]))
-        out = np.column_stack(columns)
+        along = (hess @ unit for unit in self._units[shape])
+        out = np.column_stack([self.free_gradient(a[:, 0, 0], a[:, 1:, 0]) for a in along])
         return 0.5 * (out + out.T)
 
     # --- flat coefficient vector view, used by the fitting routines ---
 
     def free_values(self) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(self.log_lambda).ravel(), np.atleast_1d(self.log_rate).ravel()])
+        return np.concatenate([self.log_lambda.ravel(), self.log_rate.ravel()])
 
     def with_free_values(self, x: np.ndarray) -> "Parameterization":
         x = np.asarray(x, dtype=float)
-        n_lam = np.atleast_1d(self.log_lambda).size
-        ll = x[:n_lam].reshape(np.atleast_1d(self.log_lambda).shape)
-        lr = x[n_lam:].reshape(np.atleast_1d(self.log_rate).shape)
-        if self.log_lambda.ndim == 0:
-            ll = ll.reshape(())
-        if self.log_rate.ndim == 0:
-            lr = lr.reshape(())
+        n_lam = self.log_lambda.size
+        ll, lr = x[:n_lam].reshape(self.log_lambda.shape), x[n_lam:].reshape(self.log_rate.shape)
         derived = Parameterization(ll, lr, self.site_covariates, self.rate_covariates)
         return _assign(derived, _units=self._units)
 
     @property
     def n_free(self) -> int:
-        return self.free_values().size
+        return self.log_lambda.size + self.log_rate.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,8 +583,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     proto = dataset.protocol
     j_total = dataset.design.n_occasions
     out: list[Violation] = []
-    expected_visits = Visits.SINGLE if j_total == 1 else Visits.MULTIPLE
-    if proto.visits is not expected_visits:
+    if proto.visits is not Protocol.for_design(proto.family, proto.process, j_total).visits:
         out.append(
             Violation(
                 f"protocol declares {proto.visits.value} visits "

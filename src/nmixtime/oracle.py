@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _BLOCK = 64
+_PER_SITE_CAP = 100_000  # terms evaluated for one site before giving up
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,11 @@ class OracleConfig:
     ``n_max``: highest abundance included; ``None`` picks a default wide
     enough for the dataset (largest observed count plus a generous Poisson
     upper tail). ``tail_tol`` is the relative size at which remaining terms
-    are declared negligible. ``per_site_cap`` bounds the number of terms
-    evaluated for a single site before giving up.
+    are declared negligible.
     """
 
     n_max: int | None = None
     tail_tol: float = 1e-14
-    per_site_cap: int = 100_000
 
 
 def _n_max_for(kappa: int, lam: float) -> int:
@@ -211,7 +210,7 @@ def site_loglik_by_summation(
     else:
         n_start = 0 if counts.sum() == 0 else 1
 
-    n_hi = min(n_max, n_start + cfg.per_site_cap - 1)
+    n_hi = min(n_max, n_start + _PER_SITE_CAP - 1)
     log_sum = -math.inf
     log_tol = math.log(cfg.tail_tol)
     n_terms = 0

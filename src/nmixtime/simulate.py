@@ -28,6 +28,7 @@ __all__ = ["SimConfig", "simulate_dataset", "simulate_with_latent", "empirical_p
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAX_MEAN = 2.0**52  # every count below 2^53 is exact as a float
+_PMF_BLOCK = 200_000  # replicates drawn at once by empirical_pmf_check
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,7 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     return simulate_with_latent(cfg)[0]
 
 
-def empirical_pmf_check(
-    cfg: SimConfig, patterns, n_draws: int, *, site: int = 0, block: int = 200_000
-) -> dict | list[dict]:
+def empirical_pmf_check(cfg: SimConfig, patterns, n_draws: int, *, site: int = 0) -> dict | list[dict]:
     """Compare simulated frequencies of count patterns to their exact probabilities.
 
     ``patterns`` is one pattern (a count per occasion) or a sequence of them;
@@ -201,8 +200,8 @@ def empirical_pmf_check(
         raise ValueError(f"pattern {pattern} has zero probability; nothing to check")
 
     rate, hits = np.exp(log_rate[site]), np.zeros(len(grid), dtype=np.int64)
-    for first in range(0, int(n_draws), block):
-        reps = np.arange(first, min(first + block, int(n_draws)))
+    for first in range(0, int(n_draws), _PMF_BLOCK):
+        reps = np.arange(first, min(first + _PMF_BLOCK, int(n_draws)))
         counts = _counts(cfg.protocol.process, cfg.seed, reps, np.exp(log_lam[site]), rate, t_max)[1]
         if cfg.protocol.family.is_binary:
             counts = np.minimum(counts, 1)

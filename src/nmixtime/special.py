@@ -13,10 +13,11 @@ sigma exact terms, a few hundred at most whatever the peak, rather than
 O(sqrt(peak)). The bound of 2^32 on the peak index limits the precision
 of the terms (~eps n log n), not the cost.
 
-Each function has two modes: the value alone, or with ``score`` its
-derivatives too. A scored call sums the tilted means and the covariance of
-the per-term scores in the same pass as the value; ``score=True`` returns
-the first derivatives and ``score=2`` the second ones as well.
+Each function has two modes: the value alone, or with ``score=True`` the
+value with its first and second derivatives. A scored call sums the tilted
+means and the covariance of the per-term scores in the same pass as the
+value: the means are the first derivatives, and the covariance gives the
+second ones.
 """
 from __future__ import annotations
 
@@ -261,7 +262,7 @@ def _index(rows, n):
     return n[None]
 
 
-def log_poisson_raw_moment(m, log_mu, score=False):
+def log_poisson_raw_moment(m, log_mu, score: bool = False):
     """log E[N^m] for N ~ Poisson(mu), passed as log mu.
 
     Sums Dobinski's formula E[N^m] = e^{-mu} sum_{n >= 1} n^m mu^n / n!.
@@ -270,10 +271,9 @@ def log_poisson_raw_moment(m, log_mu, score=False):
     m = 0 gives 0 for any mu >= 0, and m >= 1 at mu = 0 gives -inf. Raises
     SeriesConvergenceError where the largest term lies past 2^32 (mu > ~4e9).
 
-    With ``score=True`` returns the pair (value, d value / d log mu), the
-    derivative being E_t[n] - mu under the tilted terms (0 for m = 0, and its
-    limit 1 at mu = 0). With ``score=2`` also returns the second derivative
-    Var_t[n] - mu (0 for m = 0 and at mu = 0).
+    With ``score=True`` returns (value, d value / d log mu, d^2 value /
+    d log mu^2): E_t[n] - mu under the tilted terms (0 for m = 0, and its
+    limit 1 at mu = 0) and Var_t[n] - mu (0 for m = 0 and at mu = 0).
     """
     m, log_mu = np.asarray(m), np.asarray(log_mu, dtype=float)
     if m.shape != log_mu.shape:
@@ -301,11 +301,11 @@ def log_poisson_raw_moment(m, log_mu, score=False):
     out.flat[rows], (mean,), cov = _log_series_sum(1, 32, first, log_ratio, log_term, _index)
     d_log_mu.flat[rows] = mean - safe_exp(log_mu)
     d2_log_mu.flat[rows] = cov[:, 0, 0] - safe_exp(log_mu)
-    derivs = (out, d_log_mu, d2_log_mu)[: 2 + (score == 2)]
+    derivs = (out, d_log_mu, d2_log_mu)
     return tuple(map(float, derivs)) if out.ndim == 0 else derivs
 
 
-def log_poisson_detection_moment(w, log_mu, score=False):
+def log_poisson_detection_moment(w, log_mu, score: bool = False):
     """log E[prod_j (1 - e^{-N w_j})] for N ~ Poisson(mu), passed as log mu.
 
     This is the chance that each of d occasions detects at least one of N
@@ -319,13 +319,12 @@ def log_poisson_detection_moment(w, log_mu, score=False):
     from the Poisson log-pmf of the terms. Raises SeriesConvergenceError
     where the largest term lies past 2^32 (mu > ~4e9).
 
-    With ``score=True`` returns (value, d value / d log mu, d value / d w):
-    E_t[n] - mu and E_t[n / (e^{n w_j} - 1)] under the tilted terms, shaped
-    like ``log_mu`` and ``w``; both are NaN on rows whose value is -inf.
-    With ``score=2`` also returns each row's (1 + d, 1 + d) Hessian over
-    (log mu, w): the tilted covariance of (n, n / (e^{n w_j} - 1)), less mu
-    at (log mu, log mu), plus E_t[-n^2 e^{n w_j} / (e^{n w_j} - 1)^2] at
-    (w_j, w_j); NaN on rows whose value is -inf.
+    With ``score=True`` returns (value, d value / d log mu, d value / d w,
+    Hessian): E_t[n] - mu and E_t[n / (e^{n w_j} - 1)] under the tilted
+    terms, shaped like ``log_mu`` and ``w``, and each row's (1 + d, 1 + d)
+    Hessian over (log mu, w): the tilted covariance of (n, n / (e^{n w_j} -
+    1)), less mu at (log mu, log mu), plus E_t[-n^2 e^{n w_j} / (e^{n w_j} -
+    1)^2] at (w_j, w_j). All three are NaN on rows whose value is -inf.
     """
     w, log_mu = np.asarray(w, dtype=float), np.asarray(log_mu, dtype=float)
     scalar = log_mu.ndim == 0
@@ -376,13 +375,12 @@ def log_poisson_detection_moment(w, log_mu, score=False):
     # -(Cov(n, s_j) + m_n m_j + Var(s_j) + m_j^2); its Var(s_j) cancels the covariance's
     diagonal = np.arange(1, 1 + d)
     hess[rows[:, None], diagonal, diagonal] = -(cov[:, 0, 1:] + d_w[rows] * (means[0][:, None] + d_w[rows]))
-    derivs = (out, d_log_mu, d_w, hess)[: 3 + (score == 2)]
     if scalar:
-        return (float(out[0]), float(d_log_mu[0])) + tuple(x[0] for x in derivs[2:])
-    return derivs
+        return float(out[0]), float(d_log_mu[0]), d_w[0], hess[0]
+    return out, d_log_mu, d_w, hess
 
 
-def log_pfq_equal_order(a, b, z, score=False):
+def log_pfq_equal_order(a, b, z, score: bool = False):
     """log pFq(a; b; z) for equal-length positive parameter vectors and z >= 0.
 
     The terms start at t_0 = 1 and follow t_{n+1}/t_n = prod(a+n)/prod(b+n)
@@ -392,9 +390,8 @@ def log_pfq_equal_order(a, b, z, score=False):
     (R,) array. Raises SeriesConvergenceError for a row whose largest term
     lies past 2^32 (z > ~4e9).
 
-    With ``score=True`` returns the pair (value, d value / d log z), the
-    derivative being E_t[n] under the tilted terms (0 at z = 0). With
-    ``score=2`` also returns the second derivative Var_t[n] (0 at z = 0).
+    With ``score=True`` returns (value, d value / d log z, d^2 value /
+    d log z^2): E_t[n] and Var_t[n] under the tilted terms (0 at z = 0).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -432,5 +429,5 @@ def log_pfq_equal_order(a, b, z, score=False):
     d_log_z, d2_log_z = np.zeros(z.shape), np.zeros(z.shape)
     out[rows], (d_log_z[rows],), cov = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term, _index)
     d2_log_z[rows] = cov[:, 0, 0]
-    derivs = (out, d_log_z, d2_log_z)[: 2 + (score == 2)]
+    derivs = (out, d_log_z, d2_log_z)
     return derivs if a.ndim == 2 else tuple(float(x[0]) for x in derivs)

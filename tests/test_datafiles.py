@@ -254,6 +254,18 @@ def test_line_numbers_count_blank_lines(tmp_path):
         load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
 
 
+@pytest.mark.parametrize("bad", ["counts", "times"])
+def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, bad):
+    counts = write_counts(tmp_path, GOOD_COUNTS)
+    times = tmp_path / "times.csv"
+    times.write_text("site,occasion,detection_index,time\n1,1,1,0.2\n1,1,2,0.5\n")
+    path = counts if bad == "counts" else times
+    path.write_bytes(path.read_bytes() + b"1,1,3,\xe9\n")
+    with pytest.raises(DataFormatError, match="can't decode byte 0xe9") as info:
+        load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_a_field_too_long_for_csv_is_a_format_error(tmp_path):
     # the typed parse reads the long site; naming the duplicate's line reads it with csv
     p = write_counts(tmp_path, "site,occasion,search_time,count\n1,1,1.0,2\n" + "0" * 140000 + "1,1,1.0,3\n")

@@ -17,6 +17,8 @@ from nmixtime.model import (
     validate_dataset,
 )
 
+from test_score import N_SITES, layouts
+
 BIN = ObservationProcess.BINOMIAL_COUNT
 POI = ObservationProcess.POISSON_PROCESS
 
@@ -139,6 +141,44 @@ class TestParameterization:
         # -inf is a legitimate boundary (zero abundance or zero rate)
         p = Parameterization(-math.inf, 0.0)
         assert p.resolve(SurveyDesign(1, 1, 1.0))[0][0] == -math.inf
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_free_gradient_is_the_transpose_of_resolve(j):
+    # <resolve(u), d> == <u, free_gradient(d)> for every layout
+    rng = np.random.default_rng(17)
+    design = SurveyDesign(N_SITES, j, 1.0)
+    cases = {**layouts(rng, j), "size-1 2-D": Parameterization([[0.3]], [[-0.2]])}
+    for name, params in cases.items():
+        for _ in range(3):
+            u = rng.normal(size=params.n_free)
+            d_lam, d_rate = rng.normal(size=N_SITES), rng.normal(size=(N_SITES, j))
+            log_lam, log_rate = params.with_free_values(u).resolve(design)
+            resolved = log_lam @ d_lam + np.sum(log_rate * d_rate)
+            assert resolved == pytest.approx(u @ params.free_gradient(d_lam, d_rate), rel=1e-13, abs=1e-13), name
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (Parameterization(0.0, np.zeros((N_SITES, 1))), "log_rate must be scalar, length 3, or shape (7, 3); got shape (7, 1)"),
+        (Parameterization(np.zeros(3), 0.0), "log_lambda must be scalar or length 7, got shape (3,)"),
+        (Parameterization(np.zeros((N_SITES, 1)), 0.0), "log_lambda must be scalar or length 7, got shape (7, 1)"),
+        (
+            Parameterization([0.1, 0.2], 0.0, site_covariates=np.ones((N_SITES + 1, 2))),
+            "site_covariates row count does not match the design",
+        ),
+        (
+            Parameterization(0.1, [0.2, 0.3], rate_covariates=np.ones((N_SITES, 2, 2))),
+            "rate_covariates leading shape does not match the design",
+        ),
+    ],
+    ids=["(R, 1) rate", "(J,) lambda", "2-D lambda", "site covariate rows", "rate covariate shape"],
+)
+def test_refused_layouts_keep_their_messages(params, message):
+    with pytest.raises(ValueError) as info:
+        params.resolve(SurveyDesign(N_SITES, 3, 1.0))
+    assert str(info.value) == message
 
 
 class TestDatasetColumns:

@@ -70,7 +70,7 @@ def test_n_max_below_support_is_an_error():
 def test_term_cap_reports_partial_progress():
     ds = one_site(Family.COUNT, BIN, [5])
     with pytest.raises(OracleConvergenceError) as info:
-        oracle_site_loglik(ds, Parameterization(0.0, 0.0), 0, OracleConfig(per_site_cap=8))
+        oracle_site_loglik(ds, Parameterization(0.0, 0.0), 0, OracleConfig(n_max=12))
     assert info.value.n_terms == 8
     assert math.isfinite(info.value.partial_value)
 

@@ -369,7 +369,7 @@ class TestEmpiricalFrequencies:
         # a sequence of patterns is counted on the replicates each pattern alone sees
         cfg = config(Family.COUNT, POI, 1, 2, 1.5, 0.8, seed=29)
         patterns = [[0, 0], [1, 0], [0, 1], [2, 1]]
-        batch = empirical_pmf_check(cfg, patterns, 50_000, block=20_000)
+        batch = empirical_pmf_check(cfg, patterns, 50_000)
         assert batch == [empirical_pmf_check(cfg, pattern, 50_000) for pattern in patterns]
         assert sum(res["empirical"] for res in batch) < 1.0
 
