@@ -1,15 +1,15 @@
 """Maximum-likelihood fitting, curvature-based uncertainty, and profiles.
 
-Fitting runs a trust-region Newton search over the free log-scale
-coefficients on the exact Hessian: every kernel returns its gradient and
-its Hessian, the series parts as means and covariances under their own
-tilted terms, so each step costs one evaluation of value, score and
-Hessian, and covariate coefficient vectors fit as readily as two
-scalars. Standard errors come from the inverse of the exact observed
-information at the optimum, read from the search's last evaluation; a
-huge condition number there is reported, not hidden, because for some
-protocols (single-visit binary or count data with constant parameters)
-abundance and detection rate are genuinely not separately identifiable.
+Fitting runs this module's own trust-region Newton search over the free
+log-scale coefficients on the exact Hessian: every kernel returns its
+gradient and its Hessian, so each step costs one evaluation and one
+eigendecomposition of at most ~10 coefficients, and covariate vectors
+fit as readily as two scalars. Standard errors come from the inverse of
+the exact observed information at the optimum, read from the search's
+last evaluation; a huge condition number there is reported, not hidden,
+because for some protocols (single-visit binary or count data with
+constant parameters) abundance and detection rate are genuinely not
+separately identifiable.
 """
 from __future__ import annotations
 
@@ -17,19 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .errors import SeriesConvergenceError
 from .likelihood import irrelevant_constants, total_loglik
 from .model import Dataset, Parameterization
 
-__all__ = [
-    "FitResult",
-    "ProfileResult",
-    "default_init",
-    "fit",
-    "profile_loglik",
-]
+__all__ = ["FitResult", "ProfileResult", "default_init", "fit", "profile_loglik"]
 
 CONDITION_FLAG_THRESHOLD = 1e10
 # Eigenvalues of the information within this many times the residual score
@@ -37,6 +30,7 @@ CONDITION_FLAG_THRESHOLD = 1e10
 # (see _curvature_report).
 RIDGE_SAFETY = 32.0
 _JITTER_SD = 0.5  # spread of the restarts' offsets from the first start
+_EPS = float(np.finfo(float).eps)
 
 
 def _flagged(converged: bool, condition: float) -> bool:
@@ -133,90 +127,98 @@ class _CountedLoglik:
         return got.total, got.score, got.hessian
 
 
-def _maximize(curved, x0: np.ndarray, tol: float, max_evals: int):
-    """Trust-region Newton ascent of ``curved(x) -> (value, gradient,
-    Hessian)`` from ``x0`` (Nocedal & Wright, Numerical Optimization, ch. 4).
+def _step(score: np.ndarray, info: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
+    """The p maximizing score.p - p.info.p / 2 over |p| <= radius, and whether
+    it reaches the boundary (Nocedal & Wright, Alg. 4.3; Moré & Sorensen 1983).
 
-    Each proposal costs one evaluation, which serves the value, the
-    gradient and the Hessian. The search stops once the score's norm is
-    below sqrt(tol), which leaves at most ~tol/2 of log-likelihood
-    unattained wherever the curvature is at least one, or after
-    ``max_evals`` evaluations. Returns scipy's result for the negated
-    log-likelihood; its ``hess`` is the observed information at ``x`` and
-    ``success`` also requires a finite optimum.
-
-    The solver's own arithmetic runs with overflow and invalid operations
-    raising: a step it cannot compute (a Hessian too large to take the
-    norm of, say) stops the search unconverged at the best finite point
-    evaluated, with a message saying why. The likelihood runs under the
-    caller's floating-point settings, and its errors propagate.
+    p solves (info + s I) p = score for the least shift s >= 0 that leaves
+    info + s I positive semidefinite and p inside the radius; in info's
+    eigenbasis p(s) has components c_i / (lam_i + s), so one eigh serves
+    every shift. Unless the Newton step (s = 0) fits, |p(s)| = radius is
+    solved by Newton's method on 1 / |p(s)|, concave and rising in s, from
+    a start left of the root. If the score is orthogonal to the lowest
+    eigenvector (the hard case), p(s) stays inside for every s past -lam_1,
+    and the step slides from there along that eigenvector to the boundary.
     """
-    n_evals, spent, evaluating = 0, False, False
-    last: dict = {}
-    best: dict = {}
-    caller = np.geterr()
+    lam, vecs = np.linalg.eigh(info)
+    c = vecs.T @ score
+    if lam[0] > 0 and np.linalg.norm(c / lam) <= radius:
+        return vecs @ (c / lam), False
+    base = lam - min(lam[0], 0.0)  # lam + s = base + t, with t > 0 past the pole
+    t = 0.0 if lam[0] > 0 else max(_EPS * (base[-1] + np.linalg.norm(c) / radius), np.finfo(float).tiny)
+    for _ in range(50):
+        p = c / (base + t)
+        size = np.linalg.norm(p)
+        if size <= radius * (1.0 + 1e-12):
+            break
+        t += (size / radius - 1.0) * size**2 / np.sum(p**2 / (base + t))
+    if size < radius:  # the hard case
+        room = radius**2 - size**2
+        p[0] += math.copysign(room / (abs(p[0]) + math.sqrt(p[0] ** 2 + room)), p[0])
+    return vecs @ p, True
 
-    def negated(x):
-        nonlocal n_evals, evaluating
-        if "x" not in last or not np.array_equal(last["x"], x):
-            n_evals += 1
-            evaluating = True
-            with np.errstate(**caller):
-                value, grad, hess = curved(x)
-            evaluating = False
-            last.update(x=np.copy(x), out=(-value, -grad, -hess))
-            if math.isfinite(value) and value > best.get("value", -math.inf):
-                best.update(value=value, x=last["x"], out=last["out"])
-        return last["out"]
 
-    def check_budget(_):
-        nonlocal spent
-        spent = n_evals >= max_evals
-        if spent:
-            raise StopIteration
+def minimize(curved, x0: np.ndarray, tol: float, max_evals: int):
+    """Trust-region Newton ascent of ``curved(x) -> (value, gradient,
+    Hessian)`` from ``x0``: a minimization of the negated log-likelihood.
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            res = minimize(
-                lambda x: negated(x)[0], x0, method="trust-exact", callback=check_budget,
-                jac=lambda x: negated(x)[1], hess=lambda x: negated(x)[2],
-                options={"gtol": math.sqrt(tol), "maxiter": max_evals},
-            )
-    except (ArithmeticError, ValueError) as exc:
-        if evaluating or not last:  # the likelihood's error, or no step taken
-            raise
-        point = best or last
-        fun, jac, hess = point["out"]
-        return OptimizeResult(
-            x=point["x"], fun=fun, jac=jac, hess=hess, success=False, nfev=n_evals,
-            message=f"the trust-region step could not be computed ({exc})",
-        )
-    if spent:
-        res.success, res.message = False, f"stopped after {max_evals} evaluations"
-    res.success = bool(res.success and np.isfinite(res.fun))
-    return res
+    Each proposal costs one evaluation and is accepted when it gains over
+    0.15 of the rise the model predicts. The radius starts at 1, shrinks
+    fourfold below a ratio of 0.25 and doubles (up to 1000) above 0.75 on
+    the boundary. The search stops once the score's norm is below
+    sqrt(tol), which leaves at most ~tol/2 of log-likelihood unattained
+    wherever the curvature is at least one, or after ``max_evals``
+    evaluations. Returns ``(x, loglik, score, information, stop)`` at the
+    best point accepted; ``stop`` says why an unconverged search stopped,
+    else is None. Only the solver's own arithmetic raises on overflow and
+    invalid operations, which stops the search; ``curved`` runs under the
+    caller's settings, and its errors propagate.
+    """
+    x = np.array(x0, dtype=float)
+    value, score, hess = curved(x)
+    if not math.isfinite(value):
+        return x, value, score, -hess, "the log-likelihood is not finite at the start"
+    n_evals, radius = 1, 1.0
+    while True:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if np.linalg.norm(score) < math.sqrt(tol):
+                    return x, value, score, -hess, None
+                p, on_boundary = _step(score, -hess, radius)
+                gain = score @ p + 0.5 * (p @ hess @ p)  # the model's predicted rise
+                if not gain > 0:
+                    raise FloatingPointError("the model predicts no rise")
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            return x, value, score, -hess, f"the trust-region step could not be computed ({exc})"
+        if n_evals >= max_evals:
+            return x, value, score, -hess, f"stopped after {max_evals} evaluations"
+        trial = curved(x + p)
+        n_evals += 1
+        rho = (trial[0] - value) / gain
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, 1000.0)
+        if rho > 0.15:
+            x, (value, score, hess) = x + p, trial
 
 
 def _curvature_report(
     info: np.ndarray, score: np.ndarray, f0: float
 ) -> tuple[np.ndarray, np.ndarray, float, list[str]]:
-    """Covariance, standard errors, condition number, and any complaints.
+    """Covariance, standard errors, condition number, and any complaints,
+    from the information ``info``, residual ``score`` and log-likelihood
+    ``f0`` of the search's last evaluation at its estimate.
 
-    ``info`` is the exact observed information at the optimum, ``score``
-    the gradient left there and ``f0`` the log-likelihood, all from the
-    optimizer's last evaluation at its estimate.
-
-    The covariance comes from one eigendecomposition of ``info``: it is the
-    inverse on the eigenvalues kept, and the condition number is the ratio
-    of the largest to the smallest eigenvalue size. Eigenvalues below the
-    resolution of that stopping point, or within k eps of the largest, are
-    treated as exact zeros. On a ridge f = phi(r(x)) the information's
-    eigenvalue along the ridge is phi'(r) v^T (d^2 r) v, and phi' vanishes
-    at the optimum only as fast as the residual score does; rounding adds
-    eps * |f0|. So an eigenvalue within a few dozen times ||score|| +
-    eps (1 + |f0|) cannot be told from a flat ridge, and dividing by one
-    would report a covariance made of the stopping tolerance. Such fits get
-    an infinite condition number and the near-singular flag instead.
+    The covariance is the inverse of ``info`` on the eigenvalues kept, and
+    the condition number the ratio of the largest to the smallest
+    eigenvalue size. Eigenvalues within k eps of the largest, or below the
+    stopping point's resolution, count as exact zeros: on a ridge
+    f = phi(r(x)) the eigenvalue along it is phi'(r) v^T (d^2 r) v, and
+    phi' vanishes only as fast as the residual score, plus eps |f0| of
+    rounding. Dividing by such an eigenvalue would report a covariance made
+    of the stopping tolerance, so those fits get an infinite condition
+    number and the near-singular flag instead.
     """
     k = info.shape[0]
     messages: list[str] = []
@@ -226,8 +228,7 @@ def _curvature_report(
         messages.append("hessian contains non-finite entries; no standard errors available")
         return nan_cov, nan_se, math.inf, messages
 
-    eps = float(np.finfo(float).eps)
-    resolution = RIDGE_SAFETY * (float(np.max(np.abs(score), initial=0.0)) + eps * (1.0 + abs(f0)))
+    resolution = RIDGE_SAFETY * (float(np.max(np.abs(score), initial=0.0)) + _EPS * (1.0 + abs(f0)))
     eigs, vecs = np.linalg.eigh(info)
     if eigs[-1] <= resolution:
         messages.append(
@@ -236,7 +237,7 @@ def _curvature_report(
         return nan_cov, nan_se, math.inf, messages
     size = np.abs(eigs)
     # below the stopping point's resolution, or the decomposition's own rounding
-    tiny = max(resolution, k * eps * float(size.max()))
+    tiny = max(resolution, k * _EPS * float(size.max()))
     kept = size > tiny
     cond = float(size.max() / size.min()) if kept.all() else math.inf
     if not kept.all():
@@ -264,6 +265,13 @@ def _curvature_report(
     return cov, se, cond, messages
 
 
+def _check_search(tol: float, max_evals: int) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be at least 1, got {max_evals!r}")
+
+
 def fit(
     dataset: Dataset,
     init: Parameterization | None = None,
@@ -278,35 +286,38 @@ def fit(
     ``init`` fixes the coefficient structure (constant, per-site/occasion,
     or covariate-driven); omit it for constant abundance and rate started
     at moment-based values. Each search stops within ``tol`` of its optimum
-    in log-likelihood or after ``max_evals`` evaluations (see ``_maximize``).
+    in log-likelihood or after ``max_evals`` evaluations (see ``minimize``).
     When the first search fails to converge or lands on a flagged Hessian,
     up to ``multistart`` jittered restarts are tried and the best optimum
     kept.
     """
+    _check_search(tol, max_evals)
+    if multistart < 0:
+        raise ValueError(f"multistart must be nonnegative, got {multistart!r}")
     template = init if init is not None else default_init(dataset)
     loglik_fn = _CountedLoglik(dataset, template)
     x0 = template.free_values()
-    best = _maximize(loglik_fn.curved, x0, tol, max_evals)
-    cov, se, cond, curv_messages = _curvature_report(best.hess, best.jac, -best.fun)
+    best = minimize(loglik_fn.curved, x0, tol, max_evals)
+    x, loglik, score, info, stop = best
+    cov, se, cond, curv_messages = _curvature_report(info, score, loglik)
 
     messages: list[str] = []
-    if _flagged(best.success, cond) and multistart > 0:
+    if _flagged(stop is None, cond) and multistart > 0:
         rng = np.random.default_rng(seed)
-        improved = False
+        first = best
         for _ in range(multistart):
-            start = x0 + rng.normal(0.0, _JITTER_SD, size=x0.size)
-            trial = _maximize(loglik_fn.curved, start, tol, max_evals)
-            if trial.fun < best.fun:
-                best = trial
-                improved = True
+            trial = minimize(loglik_fn.curved, x0 + rng.normal(0.0, _JITTER_SD, size=x0.size), tol, max_evals)
+            best = trial if trial[1] > best[1] else best
+        improved = best is not first
         messages.append(
             f"restarted {multistart} times from jittered starts"
             + (" and improved the optimum" if improved else "; no restart did better")
         )
         if improved:
-            cov, se, cond, curv_messages = _curvature_report(best.hess, best.jac, -best.fun)
-    if not best.success:
-        messages.append(f"optimizer stopped without meeting tolerances: {best.message}")
+            x, loglik, score, info, stop = best
+            cov, se, cond, curv_messages = _curvature_report(info, score, loglik)
+    if stop is not None:
+        messages.append(f"optimizer stopped without meeting tolerances: {stop}")
     if loglik_fn.convergence_failures:
         messages.append(
             f"{loglik_fn.convergence_failures} proposal(s) left a series unconverged "
@@ -314,17 +325,14 @@ def fit(
         )
     messages.extend(curv_messages)
 
-    estimates = template.with_free_values(best.x)
-    kernel_loglik = -float(best.fun)
-    full_loglik = kernel_loglik + irrelevant_constants(dataset)
-    k = x0.size
+    full_loglik = float(loglik) + irrelevant_constants(dataset)
     return FitResult(
-        estimates=estimates,
+        estimates=template.with_free_values(x),
         loglik=full_loglik,
-        aic=2.0 * k - 2.0 * full_loglik,
+        aic=2.0 * x0.size - 2.0 * full_loglik,
         covariance=cov,
         se=se,
-        converged=bool(best.success),
+        converged=stop is None,
         n_evals=loglik_fn.n_evals,
         hessian_condition=cond,
         messages=messages,
@@ -346,6 +354,7 @@ def profile_loglik(
     returned values include the protocol's data-only constants, matching
     ``FitResult.loglik``.
     """
+    _check_search(tol, max_evals)
     grid = np.asarray(grid, dtype=float)
     x_full = init.free_values()
     k = x_full.size
@@ -359,15 +368,9 @@ def profile_loglik(
     messages: list[str] = []
 
     for idx, g in enumerate(grid):
-        if k == 1:
-            out[idx] = loglik_fn(np.array([g])) + constants
-            continue
 
         def reduced(xo, _g=g):
-            full = np.empty(k)
-            full[coef_index] = _g
-            full[others] = xo
-            value, grad, hess = loglik_fn.curved(full)
+            value, grad, hess = loglik_fn.curved(np.insert(xo, coef_index, _g))
             return value, grad[others], hess[np.ix_(others, others)]
 
         # Start from the previous grid point's optimum and from the caller's
@@ -376,15 +379,12 @@ def profile_loglik(
         starts = [warm]
         if not np.allclose(warm, x_full[others]):
             starts.append(x_full[others])
-        res = None
-        for start in starts:
-            trial = _maximize(reduced, start, tol, max_evals)
-            if res is None or trial.fun < res.fun:
-                res = trial
-        if not np.isfinite(res.fun):
-            out[idx] = math.nan
-            messages.append(f"grid point {g!r}: reduced fit failed ({res.message})")
+        searches = [minimize(reduced, start, tol, max_evals) for start in starts]
+        xo, loglik, _, _, stop = max(searches, key=lambda r: r[1])
+        if math.isfinite(loglik):
+            out[idx] = float(loglik) + constants
+            warm = xo
         else:
-            out[idx] = -float(res.fun) + constants
-            warm = res.x
+            out[idx] = math.nan
+            messages.append(f"grid point {g!r}: reduced fit failed ({stop})")
     return ProfileResult(coef_index, grid, out, messages)

@@ -310,6 +310,21 @@ def test_fit_whose_solver_overflows_exits_3(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--tol", "-1", "tol must be positive and finite, got -1.0"),
+     ("--tol", "nan", "tol must be positive and finite, got nan"),
+     ("--max-evals", "0", "max_evals must be at least 1, got 0"),
+     ("--multistart", "-3", "multistart must be nonnegative, got -3")],
+)
+def test_fit_refuses_a_bad_search_argument(tmp_path, capsys, flag, value, message):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,2\n2,1,1.0,0\n")
+    assert main(["fit", "--counts", str(counts), "--model", "Count", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_simulate_out_of_memory_prints_one_error_line(tmp_path, capsys, monkeypatch):
     def too_large(config):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (100000000000, 10)")

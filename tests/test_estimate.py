@@ -1,6 +1,11 @@
 """Fitting, curvature reporting, and profile behavior on simulated data."""
+import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +15,12 @@ from nmixtime.errors import LikelihoodDomainError, SeriesConvergenceError
 from nmixtime.estimate import (
     _CountedLoglik,
     _curvature_report,
+    _step,
     default_init,
     fit,
     profile_loglik,
 )
-from nmixtime.likelihood import total_loglik
+from nmixtime.likelihood import irrelevant_constants, total_loglik
 from nmixtime.model import (
     Dataset,
     Family,
@@ -334,3 +340,95 @@ def test_curvature_report_outcomes(case):
     else:
         assert cond == math.inf and np.all(np.isnan(cov)) and np.all(np.isnan(se))
         assert messages == ["no measurable curvature at the optimum; standard errors unavailable"]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("tol", -1.0), ("tol", 0.0), ("tol", math.nan), ("tol", math.inf),
+     ("max_evals", 0), ("max_evals", -5), ("multistart", -3)],
+)
+def test_search_arguments_are_checked(name, value):
+    ds, truth = simulated(Family.COUNT, 5, 2, 2.0, 1.0, seed=3)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        fit(ds, **{name: value})
+    if name != "multistart":
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            profile_loglik(ds, truth, 0, [0.5], **{name: value})
+
+
+def test_an_impossible_start_stops_at_once(monkeypatch):
+    # every series fails past log lambda = 0, and the start lies past it
+    ds, _ = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
+    wall_past(0.0, monkeypatch)
+    res = fit(ds, init=Parameterization(0.5, -1.0), multistart=0)
+    assert not res.converged and res.n_evals == 1
+    assert res.messages[0] == (
+        "optimizer stopped without meeting tolerances: the log-likelihood is not finite at the start"
+    )
+
+
+def test_importing_the_package_loads_no_optimizer():
+    # in a fresh interpreter: pytest's own warning filters import scipy.optimize here
+    code = "import sys, nmixtime; print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
+    src = str(Path(nmixtime.estimate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "False"]
+
+
+def rotated(eigs, seed=4):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigs), len(eigs))))
+    return q @ np.diag(eigs) @ q.T, q
+
+
+_B2, _Q2 = rotated([0.5, 2.0])
+_B3, _Q3 = rotated([-1.0, 2.0, 3.0])
+# (information B, score g, radius, whether the step lies on the boundary)
+STEP_TABLE = {
+    "interior newton step": (_B2, _Q2 @ [0.1, -0.2], 10.0, False),
+    "newton step past the boundary": (_B2, _Q2 @ [5.0, -4.0], 0.5, True),
+    "indefinite": (np.array([[1.0, 0.3], [0.3, -2.0]]), np.array([0.4, 0.7]), 1.0, True),
+    "singular": (np.diag([0.0, 1.0]), np.array([1e-3, 0.2]), 2.0, True),
+    # the score is orthogonal to the lowest eigenvector and the shifted
+    # Newton step falls short of the boundary, so the step slides along it
+    "hard case": (_B3, _Q3 @ [0.0, 1.0, 1.0], 2.0, True),
+}
+
+
+@pytest.mark.parametrize("case", STEP_TABLE)
+def test_step_meets_the_exact_subproblem_conditions(case):
+    b, g, radius, on_boundary = STEP_TABLE[case]
+    p, hits = _step(g, b, radius)
+    assert hits is on_boundary
+    size = np.linalg.norm(p)
+    s = float(p @ (g - b @ p)) / float(p @ p)  # the shift: (B + sI) p = g
+    np.testing.assert_allclose((b + s * np.eye(len(g))) @ p, g, rtol=0, atol=1e-12)
+    assert s >= -1e-12
+    assert abs(s * (radius - size)) <= 1e-10 and size <= radius * (1 + 1e-10)
+    assert np.linalg.eigvalsh(b + s * np.eye(len(g)))[0] >= -1e-12
+    if case == "interior newton step":
+        np.testing.assert_allclose(p, np.linalg.solve(b, g), rtol=1e-13)
+    if case == "hard case":
+        assert s == pytest.approx(1.0, rel=1e-12) and abs(_Q3[:, 0] @ p) > 1.0
+
+
+@pytest.mark.parametrize(
+    "family, n_occ",
+    [(Family.COUNT, 4), (Family.COUNT_T1, 4), (Family.BINARY_T1, 4), (Family.BINARY, 8)],
+    ids=["Count:M", "CountT1:M", "BinaryT1:M", "Binary:M"],
+)
+def test_search_matches_scipys_trust_exact(family, n_occ):
+    from scipy.optimize import minimize as scipy_minimize
+
+    ds, _ = simulated(family, 200, n_occ, 3.0, 0.5, seed=1)
+    res = fit(ds, multistart=0)
+    start = default_init(ds)
+    counted = _CountedLoglik(ds, start)
+    curved = functools.lru_cache(lambda x: counted.curved(np.array(x)))  # one evaluation per point
+    ref = scipy_minimize(
+        lambda x: -curved(tuple(x))[0], start.free_values(), method="trust-exact",
+        jac=lambda x: -curved(tuple(x))[1], hess=lambda x: -curved(tuple(x))[2], options={"gtol": 1e-4},
+    )
+    assert res.converged and ref.success
+    assert res.n_evals <= ref.nfev
+    assert res.loglik - irrelevant_constants(ds) == pytest.approx(-ref.fun, rel=0, abs=1e-10)
