@@ -12,6 +12,7 @@ count), which prints one ``oracle failed: ...`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,6 +258,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--process", choices=sorted(_PROCESSES), help="observation process (default binomial)")
 
 
+@functools.cache  # parse_args leaves the parser as it was: build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmixtime",
@@ -299,11 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # re-raised argparse/validation exits
+    except SystemExit as exc:  # usage errors, --help and re-raised validation exits
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG
     except (NMixTimeError, ValueError, OSError) as exc:

@@ -71,9 +71,15 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _reprs(column: np.ndarray) -> list:
+    """repr of each value, formatted once per distinct value (np.unique merges -0.0 with 0.0, and NaNs)."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array([repr(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+
+
 def _write_rows(path: Path, header: str, cell: np.ndarray, n_occ: int, *columns) -> None:
-    """One line per entry of ``cell``: its 1-based site and occasion, then ``columns``."""
-    fields = (map(repr, c.tolist()) for c in (cell // n_occ + 1, cell % n_occ + 1, *columns))
+    """One line per entry of ``cell``: its 1-based site and occasion, then the strings of ``columns``."""
+    fields = (_reprs(cell // n_occ + 1), _reprs(cell % n_occ + 1), *columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*fields)), ""]))
 
@@ -90,7 +96,7 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
     counts_path = out_dir / COUNTS_FILE
     _write_rows(
         counts_path, "site,occasion,search_time,count", cell, n_occ,
-        dataset.design.search_time.ravel(), dataset.counts.ravel(),
+        _reprs(dataset.design.search_time.ravel()), _reprs(dataset.counts.ravel()),
     )
     times_path = None
     if dataset.protocol.family.records_times:
@@ -100,7 +106,7 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
         index = np.arange(of_time.size) - np.repeat(dataset.times_start.ravel(), size) + 1
         _write_rows(
             times_path, "site,occasion,detection_index,time", of_time, n_occ,
-            index, dataset.times_flat,
+            _reprs(index), map(repr, dataset.times_flat.tolist()),
         )
     return {"counts": counts_path, "times": times_path}
 

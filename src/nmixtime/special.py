@@ -8,10 +8,10 @@ whose peak lies far from the series' start sums every k-th exact term
 times k, with k ~ sigma / 4 for a bell of width sigma: by Poisson
 summation the aliasing error is ~exp(-2 pi^2 sigma^2 / k^2) (Trefethen &
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56
-(2014) 385-458), so such a row costs ~16 sqrt(peak) / k ~ 64 sqrt(peak) /
-sigma exact terms, a few hundred at most whatever the peak, rather than
-O(sqrt(peak)). The bound of 2^32 on the peak index limits the precision
-of the terms (~eps n log n), not the cost.
+(2014) 385-458), so such a row sums at most 128 exact terms, 128 k
+indices (at least +-8 sigma) around the peak, whatever the peak, rather
+than O(sqrt(peak)). The bound of 2^32 on the peak index limits the
+precision of the terms (~eps n log n), not the cost.
 
 Each function has two modes: the value alone, or with ``score=True`` the
 value with its first and second derivatives. A scored call sums the tilted
@@ -75,9 +75,9 @@ def log_sum_exp(values, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-# A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side)
-# and costs 16 sqrt(peak) / k ~ 64 sqrt(peak) / sigma exact terms at stride k
-# (see _strides); at most _BLOCK window terms are evaluated at once.
+# A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
+# one strided at k > 1 (see _strides) is cut to 128 exact terms, 128 k > 16
+# sigma indices. At most _BLOCK window terms are evaluated at once.
 _SPREAD = 16.0
 _BLOCK = 2**16
 _LOG_TOL = math.log(1e-13)
@@ -107,20 +107,20 @@ def _peaks(log_ratio, rows, after):
     return peak
 
 
-def _strides(log_ratio, rows, peak, width):
+def _strides(log_ratio, rows, peak):
     """Sampling stride of windows placed around each row's peak.
 
     The terms near the peak form a smooth bell of width sigma, read from the
     slope of the log ratio: sigma^2 = 2d / (log_ratio(peak - d) -
     log_ratio(peak + d)) with d = ceil(sqrt(peak)). At k = 2^floor(log2(sigma
     / 4)) the aliasing of a sum of every k-th term, exp(-2 pi^2 sigma^2 /
-    k^2), is below exp(-316). The stride is at most width / 16, and 1 where
-    sigma < 8 or the slope is not finite and positive."""
+    k^2), is below exp(-316). The stride is 1 where sigma < 8 or the slope
+    is not finite and positive."""
     d = np.ceil(np.sqrt(peak))
     with np.errstate(divide="ignore", invalid="ignore"):
         before, after = log_ratio(rows, np.stack([peak - d, peak + d]))
         sigma = np.sqrt(2.0 * d / (before - after))
-        k = np.minimum(2.0 ** np.floor(np.log2(sigma / 4.0)), width / 16.0)
+        k = 2.0 ** np.floor(np.log2(sigma / 4.0))
     return np.where((sigma >= 8.0) & (sigma < np.inf), k, 1.0)
 
 
@@ -196,9 +196,9 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     by galloping and bisecting on the sign of the ratio, and spans
     16 sqrt(peak) indices. Clear of ``start``, it sums every k-th exact term
     times k, with k ~ sigma / 4 for a bell of width sigma (see _strides): the
-    aliasing error is ~exp(-316), and a row costs ~16 sqrt(peak) / k ~
-    64 sqrt(peak) / sigma exact terms rather than O(sqrt(peak)). A window that
-    grows back to ``start`` sums every term again. Raises
+    aliasing error is ~exp(-316). Cut to 128 k > 16 sigma indices, such a
+    window costs at most 128 exact terms rather than O(sqrt(peak)). A window
+    that grows back to ``start`` sums every term again. Raises
     SeriesConvergenceError for a row still rising 2^32 terms on; that bound
     limits the precision of the terms (their lgamma floor, ~eps n log n),
     not the cost.
@@ -242,9 +242,13 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
                 raise SeriesConvergenceError("series peak past 2^32 terms", float(log_first[rows[k]] + rel[rising][k]), first)
             width[rows] = first * 2.0 ** np.ceil(np.log2(np.maximum(1.0, _SPREAD * np.sqrt(peak) / first)))
             lo[rows] = np.maximum(start, peak - width[rows] / 2)
-            # a window truncated at start is no smooth bell: it keeps stride 1
+            # a window truncated at start is no smooth bell: it keeps stride 1;
+            # a strided one is cut to 128 samples around the peak
             clear = lo[rows] > start
-            stride[rows[clear]] = _strides(log_ratio, rows[clear], peak[clear], width[rows[clear]])
+            rows, peak = rows[clear], peak[clear]
+            stride[rows] = k = _strides(log_ratio, rows, peak)
+            width[rows] = np.where(k > 1.0, np.minimum(width[rows], 128.0 * k), width[rows])
+            lo[rows] = peak - width[rows] / 2
         # double the rest: to the right, to the left, or by half on each side
         grow = ~done & ~rising
         rows = todo[grow]

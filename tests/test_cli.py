@@ -185,6 +185,25 @@ def test_fit_requires_data_or_counts(capsys):
     assert "--data DIR or --counts FILE" in capsys.readouterr().err
 
 
+def test_usage_errors_and_help_return_instead_of_exiting(capsys):
+    assert main(["fit"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nmixtime fit") and "--model" in err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: nmixtime")
+
+
+def test_one_parser_serves_successive_subcommands(tmp_path, capsys):
+    cfg = sim_config(tmp_path, sites=20)
+    data = tmp_path / "data"
+    params = write_json(tmp_path / "params.json", {"lambda": 2.0, "rate": 0.8})
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["loglik", "--data", str(data), "--model", "CountT", "--params", params]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["total"])
+    assert nmixtime.cli.build_parser() is nmixtime.cli.build_parser()
+
+
 def test_fit_invalid_data_exits_config(tmp_path, capsys):
     bad = tmp_path / "counts.csv"
     bad.write_text(

@@ -368,7 +368,7 @@ def test_an_impossible_start_stops_at_once(monkeypatch):
 
 
 def test_importing_the_package_loads_no_optimizer():
-    # in a fresh interpreter: pytest's own warning filters import scipy.optimize here
+    # in a fresh interpreter: test_search_matches_scipys_trust_exact imports scipy.optimize here
     code = "import sys, nmixtime; print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
     src = str(Path(nmixtime.estimate.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -417,6 +417,8 @@ def test_step_meets_the_exact_subproblem_conditions(case):
     [(Family.COUNT, 4), (Family.COUNT_T1, 4), (Family.BINARY_T1, 4), (Family.BINARY, 8)],
     ids=["Count:M", "CountT1:M", "BinaryT1:M", "Binary:M"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning:scipy.optimize")
+@pytest.mark.filterwarnings("error::scipy.optimize.OptimizeWarning")
 def test_search_matches_scipys_trust_exact(family, n_occ):
     from scipy.optimize import minimize as scipy_minimize
 

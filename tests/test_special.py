@@ -549,6 +549,27 @@ def test_narrow_bells_keep_stride_one(monkeypatch):
     assert reads and max(reads) == 1
 
 
+def test_strided_windows_of_narrow_far_bells_read_at_most_128_terms(monkeypatch):
+    reads = term_reads(monkeypatch)
+    # bells of width ~25 around peaks near 2000 and 1200, much narrower than
+    # sqrt(peak): a lambda ~ 2000 PCount:M raw moment and Count:M site series
+    rows = [
+        (log_poisson_raw_moment(4000, math.log(270.0), score=True), 1998.0, 26.0, 1,
+         lambda n: bruteforce.raw_moment_log_terms(4000, 270.0, n), 270.0),
+        (log_pfq_equal_order([801.0] * 3, [1.0, 30.0, 60.0], 270.0, score=True), 1182.0, 24.0, 0,
+         lambda n: bruteforce.pfq_log_terms([801.0] * 3, [1.0, 30.0, 60.0], 270.0, n), 0.0),
+    ]
+    for (value, d1, d2), peak, sigma, start, log_terms_at, shift in rows:
+        n = bruteforce.series_window(peak, sigma, start)
+        log_terms = log_terms_at(n)
+        want = float(logsumexp(log_terms))
+        assert abs(value - want) <= max(1e-12 * abs(want), lgamma_floor(peak)), (value, want)
+        assert d1 + shift == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
+        rtol = max(1e-10, lgamma_floor(peak))
+        assert d2 + shift == pytest.approx(tilted_covariance(log_terms, [n])[0, 0], rel=rtol)
+    assert 1 < max(reads) <= 128, reads  # strided, and 128 samples at most
+
+
 def test_stride_is_one_for_a_flat_or_non_finite_slope():
     # log ratios at peak -+ d per row: flat, NaN, falling to -inf, rising, and
     # a bell of width sigma = sqrt(2 * 1000 / 2e-3) = 1000
@@ -556,7 +577,7 @@ def test_stride_is_one_for_a_flat_or_non_finite_slope():
     peak = np.full(5, 1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = special._strides(lambda i, n: ends, np.arange(5), peak, np.full(5, 2.0**14))
+        got = special._strides(lambda i, n: ends, np.arange(5), peak)
     np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 1.0, 128.0])
 
 
