@@ -61,13 +61,21 @@ def _parse_model(model: str, process: str | None) -> tuple[Family, ObservationPr
     family = _FAMILIES[name]
     if process is None:
         proc = ObservationProcess.POISSON_PROCESS if implied_poisson else ObservationProcess.BINOMIAL_COUNT
-    else:
+    elif isinstance(process, str) and process in _PROCESSES:
         proc = _PROCESSES[process]
         if implied_poisson and proc is not ObservationProcess.POISSON_PROCESS:
-            raise DataFormatError(
-                f"model '{model}' implies the poisson process but --process says '{process}'"
-            )
+            raise DataFormatError(f"model '{model}' implies the poisson process but --process says '{process}'")
+    else:
+        raise DataFormatError(f"unknown process {process!r}; expected one of {', '.join(sorted(_PROCESSES))}")
     return family, proc
+
+
+def _whole(config: dict, key: str, default=None) -> int:
+    """``config[key]`` as a JSON whole number: an int or an integral float, not a bool or null."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise DataFormatError(f"'{key}' must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _load_json(path) -> dict:
@@ -128,17 +136,15 @@ def cmd_simulate(args) -> int:
         if key not in config:
             raise DataFormatError(f"simulate config is missing '{key}'")
     family, process = _parse_model(str(config["model"]), config.get("process"))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    resolved = dict(config)
-    resolved["seed"] = seed
-    resolved["process"] = process.value
+    seed = args.seed if args.seed is not None else _whole(config, "seed", 0)
+    resolved = {**config, "seed": seed, "process": process.value}
 
     try:
-        design = SurveyDesign(int(config["sites"]), int(config["occasions"]), config["search_time"])
+        design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), config["search_time"])
         params = params_from_dict(config)
         protocol = Protocol.for_design(family, process, design.n_occasions)
         sim = SimConfig(protocol, design, params, seed)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise DataFormatError(str(exc)) from exc
 
     t0 = time.perf_counter()

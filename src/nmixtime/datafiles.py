@@ -286,7 +286,7 @@ def params_from_dict(payload: dict) -> Parameterization:
 
     try:
         return Parameterization(pick("log_lambda", "lambda"), pick("log_rate", "rate"))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise DataFormatError(str(exc)) from exc
 
 

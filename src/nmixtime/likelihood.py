@@ -255,14 +255,11 @@ def data_pass(dataset: Dataset) -> SiteData:
             representative=_first_of_group(order, t_max),
         )
 
-    # binomial thinning: anchor the series at the last occasion with the max count
+    # binomial thinning: the series reads every occasion but one at the max count
     constants = _cells(det_rows, log_y, n_sites) if family is Family.COUNT_T1 else zeros
     max_count = y.max(axis=1)
     gap = max_count[:, None] - y
-    anchor = y.shape[1] - 1 - np.argmax((y == max_count[:, None])[:, ::-1], axis=1)
-    others = np.ones(y.shape, dtype=bool)
-    others[np.arange(n_sites), anchor] = False
-    y_other = y[others].reshape(n_sites, -1)
+    y_other = np.sort(y, axis=1)[:, :-1]
     lg_max = gammaln(max_count + 1.0)
     choose = (lg_max[:, None] - gammaln(y_other + 1.0) - gammaln(max_count[:, None] - y_other + 1.0)).sum(axis=1)
     # every detection on one occasion leaves pFq(a; a; z) = exp(z), no series
@@ -279,8 +276,8 @@ def data_pass(dataset: Dataset) -> SiteData:
         series_rows=series_rows,
         upper=np.broadcast_to((max_count[series_rows] + 1.0)[:, None], lower.shape),
         lower=lower,
-        # the pFq sorts its parameters, so rows alike up to their order share a sum
-        representative=_first_of_group(max_count[series_rows], np.sort(lower, axis=1), t_max[series_rows]),
+        # lower comes out sorted, so rows alike up to occasion order share a key
+        representative=_first_of_group(max_count[series_rows], lower, t_max[series_rows]),
     )
 
 
@@ -299,7 +296,8 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     """
     lam = safe_exp(log_lam)
     exposure = np.exp(log_rate) * data.window
-    undetected = np.where(data.detected, 0.0, exposure).sum(axis=1)
+    missed = np.where(data.detected, 0.0, exposure)
+    undetected = missed.sum(axis=1)
     out = -lam * -np.expm1(-undetected)
     rows = data.series_rows
     # a -1 slot reads the appended +inf, an occasion that cannot miss
@@ -316,7 +314,6 @@ def _binary(data: SiteData, log_lam, log_rate, score=False):
     mu = safe_exp(log_mu)
     nu = mu.copy()
     nu[rows] += d_log_mu
-    missed = np.where(data.detected, 0.0, exposure)
     d_rate = -missed * nu[:, None]
     cells = data.slots >= 0
     d_rate.flat[data.slots[cells]] = exposure.flat[data.slots[cells]] * d_w[cells]
@@ -389,35 +386,37 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     exposure = rate * data.window
     total_exposure = exposure.sum(axis=1)
     r, c, y = data.det_rows, data.det_cols, data.det_counts
-    log_h, h = log_rate[r, c], rate[r, c]
     if data.family is Family.COUNT:
-        cell = y * np.log(-np.expm1(-exposure[r, c]))
+        e = exposure[r, c]
+        cell = y * np.log(-np.expm1(-e))
         if score:
-            d_cell = y * exposure[r, c] / np.expm1(exposure[r, c])
-            q = exposure[r, c] / np.expm1(exposure[r, c])
-            d2_cell = y * q * (1.0 - q - exposure[r, c])
+            q = e / np.expm1(e)
+            d_cell = y * q
+            d2_cell = d_cell * (1.0 - q - e)
     elif data.family is Family.COUNT_T:
-        cell = y * log_h - h * data.det_time
+        ht = rate[r, c] * data.det_time
+        cell = y * log_rate[r, c] - ht
         if score:
-            d_cell = y - h * data.det_time
-            d2_cell = -h * data.det_time
+            d_cell, d2_cell = y - ht, -ht
     else:
         # the first time is the minimum of y truncated exponentials
-        t1 = data.det_time
-        cell = log_h - h * t1
+        h, t1 = rate[r, c], data.det_time
+        ht = h * t1
+        cell = log_rate[r, c] - ht
         multi = y > 1
-        later_exposure = h[multi] * (data.window[r, c][multi] - t1[multi])
-        cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + np.log(-np.expm1(-later_exposure)))
+        later = h[multi] * (data.window[r, c][multi] - t1[multi])
+        extra, ht_multi = y[multi] - 1, ht[multi]
+        cell[multi] += extra * (np.log(-np.expm1(-later)) - ht_multi)
         if score:
-            d_cell = 1.0 - h * t1
-            d_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + later_exposure / np.expm1(later_exposure))
-            q = later_exposure / np.expm1(later_exposure)
-            d2_cell = -h * t1
-            d2_cell[multi] += (y[multi] - 1) * (-h[multi] * t1[multi] + q * (1.0 - q - later_exposure))
+            q = later / np.expm1(later)
+            d_cell, d2_cell = 1.0 - ht, -ht
+            d_cell[multi] += extra * (q - ht_multi)
+            d2_cell[multi] += extra * (q * (1.0 - q - later) - ht_multi)
     gap_rows, gap_cols, gap = data.gap_cells
+    gap_exposure = gap * exposure[gap_rows, gap_cols]
     out = np.multiply(data.max_count, log_lam, out=np.zeros(n_sites), where=data.max_count > 0)
     out += data.log_coef + _cells(r, cell, n_sites)
-    out -= _cells(gap_rows, gap * exposure[gap_rows, gap_cols], n_sites)
+    out -= _cells(gap_rows, gap_exposure, n_sites)
 
     out -= lam * -np.expm1(-total_exposure)  # -lambda + lambda q, exact for the plain sites
     rows, rep = data.series_rows, data.representative
@@ -439,10 +438,10 @@ def _count_binomial(data: SiteData, log_lam, log_rate, score=False):
     if not score:
         return out
     d_rate = -exposure * nu[:, None]
-    d_rate[gap_rows, gap_cols] -= gap * exposure[gap_rows, gap_cols]
+    d_rate[gap_rows, gap_cols] -= gap_exposure
     d_rate[r, c] += d_cell
     hess = _series_hessian(lam, exposure, nu, var)
-    hess[gap_rows, 1 + gap_cols, 1 + gap_cols] -= gap * exposure[gap_rows, gap_cols]
+    hess[gap_rows, 1 + gap_cols, 1 + gap_cols] -= gap_exposure
     hess[r, 1 + c, 1 + c] += d2_cell
     return out, data.max_count - lam + nu, d_rate, hess
 

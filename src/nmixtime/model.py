@@ -129,9 +129,9 @@ def _assign(obj, **fields):
 class SurveyDesign:
     """Site-by-occasion layout with known search times.
 
-    ``search_time`` accepts a scalar (all cells equal), a length-J vector
-    (shared across sites), or a full (R, J) matrix; it is stored as the
-    full matrix. All entries must be positive and finite.
+    ``search_time`` follows the layout rule of ``Parameterization``: a scalar
+    or size-1 array (all cells equal), a length-J vector (shared across sites)
+    or an (R, J) matrix, stored as the full matrix; all positive and finite.
     """
 
     n_sites: int
@@ -141,21 +141,8 @@ class SurveyDesign:
     def __init__(self, n_sites: int, n_occasions: int, search_time):
         if n_sites < 1 or n_occasions < 1:
             raise ValueError("design needs at least one site and one occasion")
-        t = np.asarray(search_time, dtype=float)
-        if t.ndim == 0:
-            t = np.full((n_sites, n_occasions), float(t))
-        elif t.ndim == 1:
-            if t.shape[0] != n_occasions:
-                raise ValueError(
-                    f"per-occasion search times must have length {n_occasions}, got {t.shape[0]}"
-                )
-            t = np.tile(t, (n_sites, 1))
-        elif t.shape != (n_sites, n_occasions):
-            raise ValueError(
-                f"search time matrix must have shape ({n_sites}, {n_occasions}), got {t.shape}"
-            )
-        else:
-            t = t.copy()
+        t = _broadcast(np.asarray(search_time, dtype=float), None, (n_sites, n_occasions), "",
+                       "search_time must be scalar, length {1}, or shape ({0}, {1}); got shape {shape}")
         if not np.all(np.isfinite(t)) or np.any(t <= 0):
             raise ValueError("search times must be positive and finite")
         _assign(self, n_sites=int(n_sites), n_occasions=int(n_occasions), search_time=_readonly(t))
@@ -303,8 +290,8 @@ class Violation:
 
 
 def _broadcast(coef: np.ndarray, covariates, shape: tuple, mismatch: str, refused: str) -> np.ndarray:
-    """One parameter over ``shape``, (R,) or (R, J), by the layout rule of
-    ``Parameterization``. ValueError: ``mismatch`` for covariates of another leading
+    """One parameter or the search times over ``shape``, (R,) or (R, J), by the layout
+    rule of ``Parameterization``. ValueError: ``mismatch`` for covariates of another leading
     shape, ``refused`` (formatted with R, J, ``shape``) for other coefficients."""
     if covariates is not None:
         if covariates.shape[: len(shape)] != shape:

@@ -39,12 +39,16 @@ class OracleConfig:
 
     ``n_max``: highest abundance included; ``None`` picks a default wide
     enough for the dataset (largest observed count plus a generous Poisson
-    upper tail). ``tail_tol`` is the relative size at which remaining terms
-    are declared negligible.
+    upper tail). ``tail_tol``, in (0, 1), is the relative size at which
+    remaining terms are declared negligible.
     """
 
     n_max: int | None = None
     tail_tol: float = 1e-14
+
+    def __post_init__(self):
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
 
 def _n_max_for(kappa: int, lam: float) -> int:

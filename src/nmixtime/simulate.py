@@ -192,7 +192,7 @@ def empirical_pmf_check(cfg: SimConfig, patterns, n_draws: int, *, site: int = 0
         raise ValueError(f"pattern must have one count per occasion ({j})")
     log_lam, log_rate = cfg.params.resolve(cfg.design)
     t_max = cfg.design.search_time[site]
-    design = SurveyDesign(len(grid), j, np.tile(t_max, (len(grid), 1)))
+    design = SurveyDesign(len(grid), j, t_max)
     params = Parameterization(log_lam[site], log_rate[site])
     exact = np.exp(total_loglik(Dataset.from_arrays(cfg.protocol, design, grid), params).per_site)
     if np.any(exact <= 0.0):

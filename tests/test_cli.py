@@ -1,9 +1,14 @@
 """End-to-end command-line runs, in process via main(argv)."""
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nmixtime.cli
 import nmixtime.oracle
@@ -365,3 +370,123 @@ def test_validate_nmax_below_the_first_sites_count_exits_4(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("oracle failed: ")
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err.strip()
+
+
+BASE_CONFIG = '"model": "Count", "sites": 3, "occasions": 2, "search_time": 1.0, "lambda": 2.0, "rate": 0.8, "seed": 7'
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ('"process": "bogus"', "unknown process 'bogus'; expected one of binomial, poisson"),
+        ('"process": ["a"]', "unknown process ['a']"),
+        ('"sites": null', "'sites' must be a whole number, got None"),
+        ('"seed": null', "'seed' must be a whole number, got None"),
+        ('"occasions": true', "'occasions' must be a whole number, got True"),
+        ('"sites": 2.7', "'sites' must be a whole number, got 2.7"),
+        ('"seed": 1.9', "'seed' must be a whole number, got 1.9"),
+        ('"sites": 1e400', "'sites' must be a whole number, got inf"),
+        ('"seed": "3"', "'seed' must be a whole number, got '3'"),
+        ('"search_time": {"a": 1}', "not 'dict'"),
+        ('"lambda": {"a": 1}', "not 'dict'"),
+        ('"rate": {"a": 1}', "not 'dict'"),
+    ],
+)
+def test_simulate_refuses_a_bad_json_value_in_one_line(tmp_path, capsys, value, message):
+    # a repeated key takes the last value
+    cfg = tmp_path / "config.json"
+    cfg.write_text("{" + BASE_CONFIG + ", " + value + "}", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "d").exists()
+
+
+def test_simulate_takes_integral_floats_as_whole_numbers(tmp_path):
+    outputs = []
+    spellings = {"int": '"sites": 3, "occasions": 2, "seed": 7', "float": '"sites": 3.0, "occasions": 2.0, "seed": 7.0'}
+    for name, whole in spellings.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text("{" + BASE_CONFIG + ", " + whole + "}", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "counts.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def count_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("count_data")
+    assert main(["simulate", "--config", sim_config(root, model="Count", sites=4), "--out", str(root / "data")]) == 0
+    return str(root / "data")
+
+
+@pytest.mark.parametrize("key", ["lambda", "rate"])
+@pytest.mark.parametrize("command, flag", [("fit", "--init"), ("loglik", "--params"), ("validate", "--params")])
+def test_a_dict_valued_parameter_file_exits_2(tmp_path, capsys, count_data, key, command, flag):
+    params = {"lambda": 2.0, "rate": 0.8, key: {"a": 1}}
+    capsys.readouterr()
+    argv = [command, "--data", count_data, "--model", "Count", flag, write_json(tmp_path / "p.json", params)]
+    assert main(argv) == 2
+    assert "not 'dict'" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("tail_tol", ["0", "1", "-1e-3", "nan"])
+def test_validate_refuses_a_tail_tolerance_outside_0_1(tmp_path, capsys, count_data, tail_tol):
+    params = write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 0.8})
+    capsys.readouterr()
+    argv = ["validate", "--data", count_data, "--model", "Count", "--params", params, f"--tail-tol={tail_tol}"]
+    assert main(argv) == 2
+    assert "tail_tol must lie in (0, 1)" in one_error_line(capsys)
+
+
+def json_values(numbers):
+    """Any JSON value whose numbers come from ``numbers``: null, bools, strings, lists and objects too."""
+    leaves = st.none() | st.booleans() | numbers | st.text(max_size=3)
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=8)
+
+
+# small numbers and non-finite ones only, so no draw can ask for a large survey
+ODD_SIZES = st.sampled_from([2.0, 2.5, math.inf, -math.inf, math.nan])
+SITES, OCCASIONS = (json_values(st.integers(-1, top) | ODD_SIZES) for top in (4, 3))
+VALUES = json_values(st.floats(-2.0, 3.0) | st.sampled_from([0.0, math.inf, -math.inf, math.nan]))
+MODELS = st.sampled_from(["Count", "PCountT", "BinaryT1", "CountT1", "countx"]) | json_values(st.integers(0, 2))
+PROCESSES = st.sampled_from(["binomial", "poisson", "bogus"]) | json_values(st.integers(0, 2))
+PARAMS = {key: VALUES for key in ("lambda", "rate", "log_lambda", "log_rate")}
+
+
+def run_quietly(argv):
+    """main's exit code and stderr, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fixed_dictionaries(
+    {"model": MODELS, "sites": SITES, "occasions": OCCASIONS, "search_time": VALUES},
+    optional={"process": PROCESSES, "seed": SITES, **PARAMS},
+))
+def test_any_simulate_config_exits_0_or_2_without_a_traceback(config):
+    with tempfile.TemporaryDirectory() as work:
+        path = f"{work}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code, err = run_quietly(["simulate", "--config", path, "--out", f"{work}/out"])
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == 0 or err.startswith("error: ")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.fixed_dictionaries({}, optional=PARAMS))
+def test_any_parameter_file_exits_0_or_2_without_a_traceback(tmp_path, count_data, params):
+    path = write_json(tmp_path / "p.json", params)
+    code, err = run_quietly(["loglik", "--data", count_data, "--model", "Count", "--params", path])
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == 0 or err.startswith("error: ")

@@ -171,3 +171,29 @@ def test_an_evaluation_does_no_sorting(monkeypatch):
     monkeypatch.setattr(np, "unique", no_sorting)
     for ds in surveys:
         results(ds, Parameterization(1.0, -0.3))
+
+
+@pytest.mark.parametrize("family", [Family.COUNT, Family.COUNT_T, Family.COUNT_T1])
+def test_permuted_histories_with_a_tied_maximum_share_one_sum(family):
+    # every site permutes site 0's occasions and has two occasions at its max
+    # count; the series must read the same counts whichever it anchors
+    base = [2, 0, 2]
+    base_times = [[0.2, 0.7], [], [0.4, 0.9]] if family is Family.COUNT_T else [[0.2], [], [0.4]]
+    perms = ([(0, 1, 2), (1, 0, 2), (0, 2, 1)] * 3)[:N_SITES]
+    proto = Protocol.for_design(family, BIN, 3)
+    records = [
+        SiteRecord(i, [base[k] for k in p], [base_times[k] for k in p] if family.records_times else None)
+        for i, p in enumerate(perms)
+    ]
+    ds = Dataset(proto, SurveyDesign(N_SITES, 3, 1.0), records)
+    assert np.all(ds.site_data.representative == 0)
+    data = ds.site_data
+    log_lam, log_rate = np.full(N_SITES, 1.0), np.full((N_SITES, 3), -0.3)
+    per_site, d_log_lam, d_rate, hess = data.kernel(data, log_lam, log_rate, score=True)
+    for i, p in enumerate(perms):
+        occasions = [0, *(1 + k for k in p)]
+        assert per_site[i] == per_site[0] and d_log_lam[i] == d_log_lam[0]
+        assert d_rate[i].tobytes() == d_rate[0, list(p)].tobytes()
+        assert hess[i].tobytes() == hess[0][np.ix_(occasions, occasions)].tobytes()
+    for params in (Parameterization(1.0, -0.3), *layouts(np.random.default_rng(5), 3).values()):
+        assert_identical(results(ds, params), results(ungrouped(ds), params))

@@ -1,5 +1,6 @@
 """Data model, design normalization, workspace quantities, validation."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestSurveyDesign:
             SurveyDesign(2, 2, np.ones((3, 2)))
         with pytest.raises(ValueError):
             SurveyDesign(0, 2, 1.0)
+
+    @pytest.mark.parametrize("one", [[2.0], [[2.0]], np.array([[[2.0]]])])
+    def test_a_size_1_array_reads_as_a_scalar(self, one):
+        d = SurveyDesign(2, 3, one)
+        assert d.search_time.shape == (2, 3) and np.all(d.search_time == 2.0)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2), (1, 3, 1)])
+    def test_a_refused_layout_names_the_accepted_ones(self, shape):
+        message = f"search_time must be scalar, length 3, or shape (2, 3); got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SurveyDesign(2, 3, np.ones(shape))
 
 
 class TestParameterization:
