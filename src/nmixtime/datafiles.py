@@ -276,13 +276,17 @@ def params_from_dict(payload: dict) -> Parameterization:
         has_log, has_nat = log_key in payload, nat_key in payload
         if has_log == has_nat:
             raise DataFormatError(f"provide exactly one of '{log_key}' or '{nat_key}'")
+        key = log_key if has_log else nat_key
+        try:
+            values = np.asarray(payload[key], dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise DataFormatError(f"'{key}' must hold numbers: {exc}") from exc
         if has_log:
-            return np.asarray(payload[log_key], dtype=float)
-        nat = np.asarray(payload[nat_key], dtype=float)
-        if np.any(nat < 0):
-            raise DataFormatError(f"'{nat_key}' values must be nonnegative")
+            return values
+        if np.any(values < 0):
+            raise DataFormatError(f"'{key}' values must be nonnegative")
         with np.errstate(divide="ignore"):
-            return np.log(nat)
+            return np.log(values)
 
     try:
         return Parameterization(pick("log_lambda", "lambda"), pick("log_rate", "rate"))

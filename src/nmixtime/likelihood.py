@@ -3,14 +3,14 @@
 Each kernel integrates the latent site abundance out of the data density
 analytically, so no truncated summation is involved. An evaluation has
 two parts. The data-only part (counts, detection masks, first times, time
-sums, series parameters, lgamma sums and the data-only constants) is
-built once per dataset by ``data_pass`` and cached on the dataset as
-``Dataset.site_data``. The parameter part is numpy arithmetic across all
-sites: three array kernels cover the sixteen distinct laws (binary records
-do not depend on the observation process, so the twenty variants share
-sixteen laws). The data pass also checks every record against the
-protocol's support and picks the kernel, so an evaluation never branches
-on the protocol.
+sums, series parameters, log-factorial sums from ``special.log_gamma`` and
+the data-only constants) is built once per dataset by ``data_pass`` and
+cached on the dataset as ``Dataset.site_data``. The parameter part is
+numpy arithmetic across all sites: three array kernels cover the sixteen
+distinct laws (binary records do not depend on the observation process,
+so the twenty variants share sixteen laws). The data pass also checks
+every record against the protocol's support and picks the kernel, so an
+evaluation never branches on the protocol.
 
 Each kernel's series rows (a pFq, a detection moment or a raw moment per
 site) repeat on a field survey: with a constant rate, a row depends on
@@ -37,7 +37,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import LikelihoodDomainError
 from .model import (
@@ -50,7 +49,7 @@ from .model import (
 )
 from . import special
 from .oracle import site_loglik_by_summation  # noqa: F401 -- perfbench/tracing.py rebinds this name
-from .special import log_pfq_equal_order, safe_exp
+from .special import log_gamma, log_pfq_equal_order, safe_exp
 from .special import log_poisson_raw_moment  # noqa: F401 -- perfbench/tracing.py rebinds this name
 
 __all__ = [
@@ -239,7 +238,7 @@ def data_pass(dataset: Dataset) -> SiteData:
     if not binomial:
         # Poisson events: the times are parameter-free given the counts
         if family is Family.COUNT_T:
-            constants = _cells(det_rows, gammaln(det_counts + 1.0) - det_counts * np.log(det_search), n_sites)
+            constants = _cells(det_rows, log_gamma(det_counts + 1.0) - det_counts * np.log(det_search), n_sites)
         elif family is Family.COUNT_T1:
             # the first time is the minimum of y uniforms on (0, T)
             multi = det_counts > 1
@@ -248,7 +247,7 @@ def data_pass(dataset: Dataset) -> SiteData:
             constants = _cells(det_rows, log_y - np.log(det_search) + spread, n_sites)
         else:
             constants = zeros
-        log_coef = _cells(det_rows, det_counts * np.log(det_search) - gammaln(det_counts + 1.0), n_sites)
+        log_coef = _cells(det_rows, det_counts * np.log(det_search) - log_gamma(det_counts + 1.0), n_sites)
         order = y.sum(axis=1)
         return SiteData(
             **common, kernel=_raw_moment, constants=constants, log_coef=log_coef, order=order,
@@ -260,8 +259,8 @@ def data_pass(dataset: Dataset) -> SiteData:
     max_count = y.max(axis=1)
     gap = max_count[:, None] - y
     y_other = np.sort(y, axis=1)[:, :-1]
-    lg_max = gammaln(max_count + 1.0)
-    choose = (lg_max[:, None] - gammaln(y_other + 1.0) - gammaln(max_count[:, None] - y_other + 1.0)).sum(axis=1)
+    lg_max = log_gamma(max_count + 1.0)
+    choose = (lg_max[:, None] - log_gamma(y_other + 1.0) - log_gamma(max_count[:, None] - y_other + 1.0)).sum(axis=1)
     # every detection on one occasion leaves pFq(a; a; z) = exp(z), no series
     series_rows = np.flatnonzero(y.sum(axis=1) > max_count)
     lower = (max_count[:, None] - y_other + 1.0)[series_rows]

@@ -141,7 +141,11 @@ class SurveyDesign:
     def __init__(self, n_sites: int, n_occasions: int, search_time):
         if n_sites < 1 or n_occasions < 1:
             raise ValueError("design needs at least one site and one occasion")
-        t = _broadcast(np.asarray(search_time, dtype=float), None, (n_sites, n_occasions), "",
+        try:
+            t = np.asarray(search_time, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"search_time must hold numbers: {exc}") from exc
+        t = _broadcast(t, None, (n_sites, n_occasions), "",
                        "search_time must be scalar, length {1}, or shape ({0}, {1}); got shape {shape}")
         if not np.all(np.isfinite(t)) or np.any(t <= 0):
             raise ValueError("search times must be positive and finite")

@@ -6,14 +6,15 @@ a site's abundance; tag j + 1 is occasion j, whose index 0 draws the count and
 whose indices 1..y draw its y detection times. So a site regenerates alike
 whatever sites surround it, in whatever order and with whatever parameters.
 Each count is the exact discrete inverse CDF of its uniform and each time an
-inverse CDF, all computed over arrays of cells at once.
+inverse CDF, all computed over arrays of cells at once. The count searches use
+scipy.special's Poisson and beta tail functions, imported by the first draw,
+so importing nmixtime loads no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .likelihood import total_loglik
 from .model import (
@@ -29,6 +30,16 @@ __all__ = ["SimConfig", "simulate_dataset", "simulate_with_latent", "empirical_p
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAX_MEAN = 2.0**52  # every count below 2^53 is exact as a float
 _PMF_BLOCK = 200_000  # replicates drawn at once by empirical_pmf_check
+special = None  # scipy.special, imported by the first draw: see _tails
+
+
+def _tails():
+    """scipy.special, imported on first use. Its import costs more than all of
+    nmixtime's, and only the simulator's inverse CDFs need it."""
+    global special
+    if special is None:
+        from scipy import special
+    return special
 
 
 @dataclass(frozen=True)
@@ -68,7 +79,7 @@ def _quantiles(lower, upper, u, mean, var, skew, top, *params) -> np.ndarray:
     bracketed, then halves the bracket. Every probe lies in the bracket and
     narrows it, so a cell settles within 2 log2(top + 1) + 3 passes.
     """
-    z = special.ndtri(u)
+    z = _tails().ndtri(u)
     start = np.ceil(mean + np.sqrt(var) * z + (z * z - 1) * skew / 6 - 0.5)
     start, top, *params = (np.broadcast_to(a, u.shape).ravel() for a in (start, top, *params))
     found = top.copy()
@@ -104,15 +115,16 @@ def _poisson(u: np.ndarray, mu) -> np.ndarray:
         raise ValueError(f"cannot simulate a Poisson mean of {mu.max():g}; it must be below 2^52")
     # Bernstein's inequality puts P(K > top) below 2^-53, under any uniform's 1 - u
     top = np.where(mu > 0, np.ceil(mu + 40 * np.sqrt(mu) + 40), 0).astype(np.int64)
-    return _quantiles(special.pdtr, special.pdtrc, u, mu, mu, 1.0, top, mu)
+    tails = _tails()
+    return _quantiles(tails.pdtr, tails.pdtrc, u, mu, mu, 1.0, top, mu)
 
 
 def _binomial(u: np.ndarray, n, p, q) -> np.ndarray:
     """Binomial(n, p) quantiles; q = 1 - p comes separately so neither loses precision."""
-    m = n * p
+    m, tails = n * p, _tails()
     return _quantiles(
-        lambda k, n, p, q: special.betainc(n - k, k + 1, q),
-        lambda k, n, p, q: special.betainc(k + 1, n - k, p),
+        lambda k, n, p, q: tails.betainc(n - k, k + 1, q),
+        lambda k, n, p, q: tails.betainc(k + 1, n - k, p),
         u, m, m * q, q - p, n, n, p, q,
     )
 

@@ -18,18 +18,23 @@ value with its first and second derivatives. A scored call sums the tilted
 means and the covariance of the per-term scores in the same pass as the
 value: the means are the first derivatives, and the covariance gives the
 second ones.
+
+The terms' log-factorials and Pochhammer ratios come from ``log_gamma``,
+Stirling's series on numpy arrays, so the kernels import no scipy.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import sys
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import SeriesConvergenceError
 
 __all__ = [
+    "log_gamma",
     "log_sum_exp",
     "safe_exp",
     "log_poisson_raw_moment",
@@ -73,6 +78,107 @@ def log_sum_exp(values, axis=None):
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+# Stirling's series for log Gamma(x) - (x - 1/2)(log x - 1) - log(2 pi) / 2 + 1/2:
+# B_2k / (2k (2k - 1) x^(2k - 1)), k = 1, 2, ... From x >= _LG_FROM[-k] on, k terms
+# leave out less than 1e-17 x, a tenth of an ulp of log Gamma(x) or less.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_LG_FROM = sorted((abs(c) * 1e17) ** (1 / (2 * k + 2)) for k, c in enumerate(_STIRLING[1:], 1))
+_LG_BLOCK = 8192  # elements log_gamma takes at once, in two reused buffers
+_LOG_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(10)])
+
+
+def log_gamma(x):
+    """log Gamma(x) for x > 0, elementwise: an array shaped like ``x``.
+
+    From 10 on, Stirling's series, in blocks of _LG_BLOCK elements that take
+    the terms their least x needs. Below 10, with k the nearest integer to x
+    (to x + 1 below 1/2, less log x) and e = x - k: log (k - 1)! + [log
+    Gamma(10 + e) - log 9!] - sum_{i=k}^9 log1p(e / i), the bracket taken as
+    Stirling's less its value at 10, so an integer gives exactly log (k - 1)!
+    (0 at 1 and 2) and values near 1 and 2 keep their precision. A block of
+    whole numbers below 4096, the kernels' arguments up to abundances of
+    ~4000, reads a table of those same values. Each value depends on its x
+    alone and lies within ~5e-16 max(1, |log Gamma|) of the exact one.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat, res = x.reshape(-1), out.reshape(-1)
+    buffers = None
+    for s in range(0, flat.size, _LG_BLOCK):
+        b, o = flat[s : s + _LG_BLOCK], res[s : s + _LG_BLOCK]
+        lo, hi = np.fmin.reduce(b), np.fmax.reduce(b)  # NaN-blind: a NaN gives NaN alone
+        if 1.0 <= lo and hi < _LG_WHOLE.size:
+            # the table indices go in the block's own output slots: each slot
+            # is read before the value looked up with it overwrites it
+            whole = o.view(np.intp)
+            np.copyto(whole, b, casting="unsafe")
+            if (whole == b).all():
+                np.take(_LG_WHOLE, whole, out=o, mode="clip")
+                continue
+        if buffers is None:
+            buffers = np.empty((2, min(flat.size, _LG_BLOCK)))
+        _log_gamma(b, lo, hi, o, *buffers[:, : b.size])
+    return out
+
+
+def _log_gamma(x, lo, hi, out, series, scratch):
+    """log Gamma of a block whose least and largest values are ``lo`` and
+    ``hi``, into ``out``: (x - 1/2)(log x - 1) plus Stirling's series from 10
+    on, _below_10 below."""
+    big = x if lo >= 10.0 else np.maximum(x, 10.0)
+    _stirling_series(big, max(lo, 10.0), max(hi, 10.0), np.divide(1.0, big, out=out), series, scratch)
+    series += 0.5 * math.log(2.0 * math.pi) - 0.5
+    np.log(big, out=out)
+    out -= 1.0
+    out *= np.subtract(big, 0.5, out=scratch)
+    out += series
+    if lo < 10.0:
+        small = x < 10.0
+        out[small] = _below_10(x[small])
+    return out
+
+
+def _stirling_series(x, lo, hi, inv, out, r2):
+    """Stirling's series at each x >= 9.5 into ``out``, given ``inv`` = 1/x:
+    Horner's rule in 1/x^2 from the last term ``lo``, the least x, needs,
+    with the terms an x does not need zeroed, so it gets its value alone."""
+    most, least = (1 + len(_LG_FROM) - bisect.bisect_right(_LG_FROM, v) for v in (lo, hi))
+    if most == 1:
+        return np.multiply(inv, _STIRLING[0], out=out)
+    np.multiply(inv, inv, out=r2)
+    out.fill(_STIRLING[most - 1])
+    for k in range(most - 1, 0, -1):
+        if k >= least:
+            out *= x < _LG_FROM[-k]
+        out *= r2
+        out += _STIRLING[k - 1]
+    out *= inv
+    return out
+
+
+_SERIES_AT_10 = _stirling_series(np.full(1, 10.0), 10.0, 10.0, np.full(1, 0.1), np.empty(1), np.empty(1))
+
+
+def _below_10(x):
+    """log Gamma(x) for 0 < x < 10 from log (k - 1)!: see log_gamma."""
+    k = np.floor(x + 0.5)
+    e = x - k
+    tiny = k == 0.0  # x < 1/2 takes log Gamma(x + 1) - log x
+    k[tiny], e[tiny] = 1.0, (x[tiny] + 1.0) - 1.0
+    t = 10.0 + e
+    series = _stirling_series(t, t.min(), t.max(), 1.0 / t, np.empty(t.size), np.empty(t.size))
+    bracket = 9.5 * np.log1p(e / 10.0) + e * (np.log(t) - 1.0) + (series - _SERIES_AT_10)
+    i = np.arange(1.0, 10.0)
+    steps = np.where(i >= k[:, None], np.log1p(e[:, None] / i), 0.0).sum(axis=1)
+    out = _LOG_FACTORIAL[k.astype(int) - 1] + (bracket - steps)
+    out[tiny] -= np.log(x[tiny])
+    return out
+
+
+# log Gamma of the whole numbers below 4096, as _log_gamma gives them (index 0 is unused)
+_LG_WHOLE = np.append(np.nan, _log_gamma(np.arange(1.0, 4096.0), 1.0, 4095.0, *np.empty((3, 4095))))
 
 
 # A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
@@ -294,7 +400,7 @@ def log_poisson_raw_moment(m, log_mu, score: bool = False):
         return order[i] * np.log1p(1.0 / n) + (log_mu[i] - np.log(n + 1.0))
 
     def log_term(i, n):
-        return order[i] * np.log(n) + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
+        return order[i] * np.log(n) + n * log_mu[i] - log_gamma(n + 1.0) - safe_exp(log_mu[i])
 
     # 32 terms cover mu up to ~5 at the small orders of binary histories
     first = log_mu - safe_exp(log_mu)
@@ -353,7 +459,7 @@ def log_poisson_detection_moment(w, log_mu, score: bool = False):
 
     def log_term(i, n):
         detect = np.log(-np.expm1(-w[i] * n[..., None])).sum(axis=-1)
-        return detect + n * log_mu[i] - gammaln(n + 1.0) - safe_exp(log_mu[i])
+        return detect + n * log_mu[i] - log_gamma(n + 1.0) - safe_exp(log_mu[i])
 
     def scores(i, n):
         # n and d log(1 - e^{-n w}) / dw = n / (e^{n w} - 1), which is 0 at w = +inf
@@ -414,6 +520,11 @@ def log_pfq_equal_order(a, b, z, score: bool = False):
     rows = np.flatnonzero(z > 0)  # z = 0 leaves the leading term, 1
     lower, gap, log_z = lower[rows], (upper - lower)[rows], np.log(z[rows])
 
+    @functools.cache
+    def log_gamma_parameters():
+        # taken once per call, and only by a call whose windows need exact terms
+        return log_gamma(lower + gap), log_gamma(lower)
+
     # per-parameter arrays are (..., rows, p), summed along their contiguous
     # last axis: numpy then sums a row's parameters alike alone or batched
     def log_ratio(i, n):
@@ -422,9 +533,9 @@ def log_pfq_equal_order(a, b, z, score: bool = False):
         return steps + (log_z[i] - np.log(n + 1.0))
 
     def log_term(i, n):
-        up, low, m = lower[i] + gap[i], lower[i], n[..., None]
-        pochhammer = gammaln(up + m) - gammaln(up) - gammaln(low + m) + gammaln(low)
-        return pochhammer.sum(axis=-1) + n * log_z[i] - gammaln(n + 1.0)
+        (lg_up, lg_low), up, low, m = log_gamma_parameters(), lower[i] + gap[i], lower[i], n[..., None]
+        pochhammer = log_gamma(up + m) - lg_up[i] - log_gamma(low + m) + lg_low[i]
+        return pochhammer.sum(axis=-1) + n * log_z[i] - log_gamma(n + 1.0)
 
     # 16 terms cover z up to ~1 with a few unit-sized parameter gaps
     if not score:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -434,6 +435,32 @@ def test_a_dict_valued_parameter_file_exits_2(tmp_path, capsys, count_data, key,
     argv = [command, "--data", count_data, "--model", "Count", flag, write_json(tmp_path / "p.json", params)]
     assert main(argv) == 2
     assert "not 'dict'" in one_error_line(capsys)
+
+
+def names_its_key(err, key):
+    return re.fullmatch(rf"error: '?{key}'? must hold numbers: .*not 'dict'", err) is not None
+
+
+@pytest.mark.parametrize("key", ["lambda", "rate", "log_lambda", "log_rate"])
+@pytest.mark.parametrize("command, flag", [("fit", "--init"), ("loglik", "--params"), ("validate", "--params")])
+def test_a_wrong_typed_parameter_value_names_its_key(tmp_path, capsys, count_data, key, command, flag):
+    params = {"lambda": 2.0, "rate": 0.8}
+    del params[key.removeprefix("log_")]
+    params[key] = {"a": 1}
+    capsys.readouterr()
+    argv = [command, "--data", count_data, "--model", "Count", flag, write_json(tmp_path / "p.json", params)]
+    assert main(argv) == 2
+    assert names_its_key(one_error_line(capsys), key)
+
+
+@pytest.mark.parametrize("key", ["lambda", "rate", "log_lambda", "log_rate", "search_time"])
+def test_a_wrong_typed_simulate_value_names_its_key(tmp_path, capsys, key):
+    config = {"model": "Count", "sites": 3, "occasions": 2, "search_time": 1.0, "lambda": 2.0, "rate": 0.8}
+    del config[key.removeprefix("log_")]
+    config[key] = {"a": 1}
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", config), "--out", str(tmp_path / "d")]) == 2
+    assert names_its_key(one_error_line(capsys), key)
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("tail_tol", ["0", "1", "-1e-3", "nan"])

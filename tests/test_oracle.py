@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+import nmixtime.likelihood
 import nmixtime.oracle as oracle_module
+import nmixtime.special
 from nmixtime.errors import OracleConvergenceError
+from nmixtime.likelihood import total_loglik
 from nmixtime.model import (
     Dataset,
     Family,
@@ -146,3 +149,32 @@ def test_tail_tolerance_is_honored():
     tight = oracle_site_loglik(ds, p, 0, OracleConfig(tail_tol=1e-14))
     assert loose == pytest.approx(tight, abs=1e-5)
     assert loose != tight  # the loose run really did stop earlier
+
+
+@pytest.mark.parametrize("family, process", [(Family.COUNT, BIN), (Family.COUNT_T, POI)])
+def test_the_oracle_shares_no_log_gamma_with_the_kernels(monkeypatch, family, process):
+    # the kernels' log-gamma, shifted by 1e-6, moves the kernels and leaves the oracle alone
+    def survey():
+        counts = np.array([[3, 1, 0], [0, 0, 0], [2, 5, 4]])
+        times = [[np.linspace(0.1, 0.9, y) for y in row] for row in counts] if family.records_times else None
+        design = SurveyDesign(3, 3, 1.0)
+        records = [SiteRecord(i, row, None if times is None else times[i]) for i, row in enumerate(counts)]
+        return Dataset(Protocol.for_design(family, process, 3), design, records)
+
+    p = Parameterization(math.log(4.0), math.log(0.6))
+
+    def values():
+        ds = survey()  # a fresh dataset: the kernels' data pass is cached on it
+        return total_loglik(ds, p).total, oracle_site_loglik(ds, p, 2), oracle_total_loglik(ds, p)
+
+    kernel, site, total = values()
+    log_gamma = nmixtime.special.log_gamma
+
+    def shifted(x):
+        return log_gamma(x) + 1e-6
+
+    monkeypatch.setattr(nmixtime.likelihood, "log_gamma", shifted)
+    monkeypatch.setattr(nmixtime.special, "log_gamma", shifted)
+    moved_kernel, moved_site, moved_total = values()
+    assert abs(moved_kernel - kernel) > 1e-7
+    assert (moved_site, moved_total) == (site, total)

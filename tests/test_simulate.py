@@ -1,6 +1,10 @@
 """Simulator determinism, counter layout, exact draw laws and frequency agreement."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,22 @@ def test_uniforms_lie_strictly_inside_the_unit_interval(monkeypatch):
     for bits, extreme in ((0, U_MIN), (2**64 - 1, U_MAX)):  # the extreme hash outputs
         monkeypatch.setattr(simulate, "_mix", lambda x: np.full(x.shape, bits, dtype=np.uint64))
         assert simulate._uniforms(3, np.arange(4), 1, 2).tolist() == [extreme] * 4
+
+
+def test_importing_the_package_loads_no_scipy():
+    # in a fresh interpreter: this module imports scipy.special itself
+    code = (
+        "import sys, nmixtime, nmixtime.cli\n"
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+        "from nmixtime import Family, ObservationProcess, Parameterization, Protocol, SimConfig, SurveyDesign\n"
+        "proto = Protocol.for_design(Family.COUNT, ObservationProcess.BINOMIAL_COUNT, 2)\n"
+        "nmixtime.simulate_dataset(SimConfig(proto, SurveyDesign(3, 2, 1.0), Parameterization(0.5, 0.0), 1))\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "True"]
 
 
 class CountedTails:

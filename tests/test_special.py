@@ -3,6 +3,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
@@ -12,6 +13,7 @@ from bruteforce import tilted_mean
 from nmixtime import special
 from nmixtime.errors import SeriesConvergenceError
 from nmixtime.special import (
+    log_gamma,
     log_pfq_equal_order,
     log_poisson_detection_moment,
     log_poisson_raw_moment,
@@ -638,3 +640,89 @@ def test_second_derivatives_keep_values_and_scores_and_rows_apart():
     a, b = np.tile([5.0, 12.0], (z.size, 1)), np.tile([1.0, 3.0], (z.size, 1))
     got = log_pfq_equal_order(a, b, z, score=True)
     assert got[2][0] == 0.0
+
+
+def assert_log_gamma_exact(x):
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.loggamma(v)) for v in np.ravel(x).tolist()])
+    got = log_gamma(x).ravel()
+    error = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert error.max() <= 2e-15, (np.ravel(x)[error.argmax()], error.max())
+
+
+LOG_UNIFORM = np.exp(np.random.default_rng(19).uniform(math.log(1e-3), 33 * math.log(2.0), 3000))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.arange(1.0, 201.0),
+        LOG_UNIFORM,
+        np.concatenate([10.0 + np.linspace(-0.5, 0.5, 101), np.nextafter(10.0, [0.0, 20.0])]),
+        # the thresholds at which a block takes one series term fewer
+        np.concatenate([t * (1.0 + np.linspace(-1e-3, 1e-3, 21)) for t in special._LG_FROM]),
+        np.concatenate([1.0 + np.geomspace(1e-12, 0.4, 50) * [[-1.0], [1.0]], 2.0 + np.geomspace(1e-12, 0.4, 50) * [[-1.0], [1.0]]]).ravel(),
+    ],
+    ids=["integers 1-200", "log-uniform 1e-3 to 2^33", "both sides of 10", "term thresholds", "near the zeros at 1 and 2"],
+)
+def test_log_gamma_matches_mpmath(x):
+    assert_log_gamma_exact(x)
+
+
+def test_log_gamma_matches_mpmath_on_both_sides_of_a_block_edge():
+    x = np.resize(LOG_UNIFORM, 2 * special._LG_BLOCK + 100)
+    edges = np.arange(special._LG_BLOCK, x.size, special._LG_BLOCK)
+    near = (edges[:, None] + np.arange(-40, 40)).ravel()
+    got = log_gamma(x)
+    assert np.array_equal(got[near], log_gamma(x[near]))
+    assert_log_gamma_exact(x[near])
+
+
+def test_log_gamma_is_exactly_0_at_1_and_2():
+    assert log_gamma(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+    assert log_gamma(np.array([2.0, 1.0, 3.5, 30.0, 1e5]))[:2].tolist() == [0.0, 0.0]
+    assert log_gamma(1.0) == 0.0 and log_gamma(2.0) == 0.0
+
+
+def test_log_gamma_of_each_value_is_the_one_it_gets_alone():
+    # blocks take the series terms their smallest x needs; a value never depends on its neighbours
+    rng = np.random.default_rng(5)
+    x = np.concatenate([LOG_UNIFORM, rng.integers(1, 5000, 15000).astype(float), np.arange(1.0, 40.0, 0.25)])
+    x = rng.permutation(x)
+    whole = log_gamma(x)
+    assert x.size > 2 * special._LG_BLOCK
+    assert np.array_equal(whole, np.concatenate([log_gamma(part) for part in np.array_split(x, 7)]))
+    assert np.array_equal(whole, np.concatenate([log_gamma(x[s : s + special._LG_BLOCK]) for s in range(0, x.size, special._LG_BLOCK)]))
+    picks = rng.choice(x.size, 300, replace=False)
+    assert np.array_equal(whole[picks], [log_gamma(x[i : i + 1])[0] for i in picks])
+    # a block of whole numbers below the table's end reads the table; one more value computes them
+    ints = np.arange(1.0, special._LG_WHOLE.size)
+    assert np.array_equal(log_gamma(ints), log_gamma(np.append(ints, 0.5))[:-1])
+    assert np.array_equal(log_gamma(ints), log_gamma(np.append(ints, special._LG_WHOLE.size))[:-1])
+
+
+def test_log_gamma_keeps_the_shape():
+    assert log_gamma(5.0).shape == () and log_gamma(np.array(5.0)).shape == ()
+    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
+    assert log_gamma(np.empty(0)).shape == (0,)
+    assert log_gamma(np.empty((0, 3))).shape == (0, 3)
+    x = np.arange(1.0, 25.0).reshape(6, 4) * 3.7
+    assert log_gamma(x).shape == (6, 4)
+    assert np.array_equal(log_gamma(x), log_gamma(x.ravel()).reshape(6, 4))
+    assert np.array_equal(log_gamma(x.T), log_gamma(x).T)
+
+
+def test_a_nan_leaves_the_other_log_gammas_alone():
+    x = np.array([20.0, 5.0, 3000.0, 0.3, 1e5])
+    for i in range(x.size + 1):
+        got = log_gamma(np.insert(x, i, np.nan))
+        assert np.isnan(got[i]) and np.array_equal(np.delete(got, i), log_gamma(x))
+    assert np.isnan(log_gamma(np.full(3, np.nan))).all()
+
+
+def test_log_gamma_raises_no_warning():
+    x = np.concatenate([np.geomspace(1e-300, 1e300, 2001), [np.inf, 5e-324, 1.0, 2.0, 10.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_gamma(x)
+    assert np.all(np.isfinite(got[:-5])) and got[-5] == np.inf
