@@ -104,8 +104,10 @@ def _dataset_from_args(args) -> Dataset:
     dataset = load_dataset(counts, times, family=family, process=process)
     violations = validate_dataset(dataset)
     if violations:
-        for v in violations:
-            print(f"invalid data: {v}", file=sys.stderr)
+        for v in violations:  # sites and occasions numbered from 1, as in the files
+            where = "" if v.site is None else f" at site {v.site + 1}"
+            where += "" if v.occasion is None else f" occasion {v.occasion + 1}"
+            print(f"invalid data: {v.message}{where}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
     return dataset
 

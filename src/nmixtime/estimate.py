@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SeriesConvergenceError
 from .likelihood import irrelevant_constants, total_loglik
-from .model import Dataset, Parameterization
+from .model import Dataset, ObservationProcess, Parameterization
 
 __all__ = ["FitResult", "ProfileResult", "default_init", "fit", "profile_loglik"]
 
@@ -79,16 +79,39 @@ class ProfileResult:
     messages: list[str] = field(default_factory=list)
 
 
+def _pairwise_moments(dataset: Dataset) -> tuple[float, float]:
+    """Abundance and exposure h T matching pairs of a site's J >= 2 occasions,
+    which share one N ~ Poisson(lambda), or NaN. Counts: mean m = lambda e and
+    covariance c = lambda e^2 give e = c / m, the exposure (poisson process) or
+    p = 1 - exp(-h T) (binomial thinning, below 1). Binary zeros, either process:
+    P0 = exp(-lambda p), P00 = exp(-lambda (2p - p^2)), p = 2 - log P00 / log P0."""
+    y, j = dataset.counts.astype(float), dataset.n_occasions
+    if dataset.protocol.family.is_binary:
+        z = j - y.sum(axis=1)  # zero occasions per site
+        p0, p00 = float(z.mean()) / j, float(np.mean(z * (z - 1))) / (j * (j - 1))
+        if not 0 < p0 * p0 < p00 < p0 < 1:  # p in (0, 1)
+            return math.nan, math.nan
+        p = 2.0 - math.log(p00) / math.log(p0)
+        return -math.log(p0) / p, -math.log1p(-p)
+    m, s = float(y.mean()), y.sum(axis=1)
+    e = (float(np.mean(s * s - np.sum(y * y, axis=1))) / (j * (j - 1)) - m * m) / m if m > 0 else math.nan
+    if not e > 0:  # no positive covariance
+        return math.nan, math.nan
+    if dataset.protocol.process is ObservationProcess.POISSON_PROCESS:
+        return m / e, e
+    p = min(e, 1.0 - 1e-6)
+    return m / p, -math.log1p(-p)
+
+
 def default_init(dataset: Dataset) -> Parameterization:
-    """Moment-flavored starting point: abundance from site maxima, rate
-    from the overall detection fraction."""
-    counts = dataset.counts
-    lam0 = float(counts.max(axis=1).mean()) + 0.5
-    det_frac = float((counts > 0).mean())
+    """Constant log abundance and log rate from ``_pairwise_moments`` at the mean search time, else
+    (one occasion, unusable moments) from site maxima and the detection fraction; rate >= 1e-8."""
     mean_t = float(dataset.design.search_time.mean())
-    inner = min(1.0 - det_frac + 1e-3, 1.0 - 1e-6)
-    rate0 = max(-math.log(inner) / mean_t, 1e-8)
-    return Parameterization(math.log(lam0), math.log(rate0))
+    lam0, exposure = _pairwise_moments(dataset) if dataset.n_occasions > 1 else (math.nan, math.nan)
+    if not (0 < lam0 < math.inf and 0 <= exposure < math.inf):
+        lam0 = float(dataset.counts.max(axis=1).mean()) + 0.5
+        exposure = -math.log(min(1.0 - float((dataset.counts > 0).mean()) + 1e-3, 1.0 - 1e-6))
+    return Parameterization(math.log(lam0), math.log(max(exposure / mean_t, 1e-8)))
 
 
 class _CountedLoglik:
@@ -285,7 +308,7 @@ def fit(
 
     ``init`` fixes the coefficient structure (constant, per-site/occasion,
     or covariate-driven); omit it for constant abundance and rate started
-    at moment-based values. Each search stops within ``tol`` of its optimum
+    at ``default_init``'s pairwise-moment estimate. Each search stops within ``tol`` of its optimum
     in log-likelihood or after ``max_evals`` evaluations (see ``minimize``).
     When the first search fails to converge or lands on a flagged Hessian,
     up to ``multistart`` jittered restarts are tried and the best optimum

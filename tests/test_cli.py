@@ -219,6 +219,24 @@ def test_fit_invalid_data_exits_config(tmp_path, capsys):
     assert "invalid data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "loglik", "validate"])
+def test_invalid_data_lines_number_cells_as_the_files_do(tmp_path, capsys, command):
+    header = "site,occasion,search_time,count\n"
+    counts = tmp_path / "counts.csv"
+    counts.write_text(header + "1,1,1.0,-1\n1,2,1.0,0\n2,1,1.0,3\n2,2,1.0,-2\n")
+    argv = [command, "--counts", str(counts), "--model", "Count"]
+    argv += [] if command == "fit" else ["--params", write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 1.0})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid data: negative count at site 1 occasion 1",
+        "invalid data: negative count at site 2 occasion 2",
+    ]
+    # a load error names the same cell the same way
+    counts.write_text(header + "1,1,1.0,-1\n1,1,1.0,0\n")
+    assert main(argv) == 2
+    assert "duplicate cell site 1 occasion 1" in capsys.readouterr().err
+
+
 def test_fit_first_time_at_window_end_exits_config(tmp_path, capsys):
     # two detections whose first comes at the window's end: no density scores it
     counts = tmp_path / "counts.csv"

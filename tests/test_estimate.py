@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmixtime.estimate
-from nmixtime.errors import LikelihoodDomainError, SeriesConvergenceError
+from nmixtime.errors import LikelihoodDomainError, NMixTimeError, SeriesConvergenceError
 from nmixtime.estimate import (
+    FitResult,
     _CountedLoglik,
     _curvature_report,
     _step,
@@ -57,6 +60,83 @@ def test_default_init_is_finite_and_sized():
     x = init.free_values()
     assert x.shape == (2,)
     assert np.all(np.isfinite(x))
+
+
+MOMENT_FAMILIES = [Family.COUNT, Family.COUNT_T1, Family.BINARY, Family.BINARY_T1]
+
+
+@pytest.mark.parametrize("n_occ", [2, 4])
+@pytest.mark.parametrize("process", list(ObservationProcess), ids=lambda p: p.value)
+@pytest.mark.parametrize("family", MOMENT_FAMILIES, ids=lambda f: f.value)
+def test_the_default_start_is_consistent(family, process, n_occ):
+    # the pairwise-moment start converges on the truth as sites are added:
+    # at 20,000 sites its sampling sd is at most ~0.03 on either log scale,
+    # so 0.1 is over three sd; the share of detecting cells read as p
+    # started the log rate ~0.9 off
+    truth = Parameterization(math.log(3.0), math.log(0.5))
+    proto = Protocol.for_design(family, process, n_occ)
+    ds = simulate_dataset(SimConfig(proto, SurveyDesign(20_000, n_occ, 1.0), truth, seed=0))
+    np.testing.assert_allclose(default_init(ds).free_values(), truth.free_values(), rtol=0, atol=0.1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("lam, h", [(3.0, 0.5), (10.0, 0.2), (1.0, 1.5)])
+@pytest.mark.parametrize("process", list(ObservationProcess), ids=lambda p: p.value)
+def test_a_saturated_binary_survey_starts_at_its_optimum(process, lam, h, seed):
+    # two binary occasions at one search time: three frequencies (sites
+    # with zero, one and two detections) against two parameters, so the
+    # start that matches the shares of zeros and of double zeros matches all
+    # three, and is the maximum-likelihood estimate
+    proto = Protocol.for_design(Family.BINARY, process, 2)
+    truth = Parameterization(math.log(lam), math.log(h))
+    ds = simulate_dataset(SimConfig(proto, SurveyDesign(150, 2, 1.0), truth, seed=seed))
+    res = fit(ds)
+    assert res.converged and not res.flagged
+    assert res.n_evals == 1
+
+
+def test_the_default_start_needs_no_moments_for_one_occasion():
+    # one occasion has no pairs: abundance from the site maxima, the rate
+    # from the share of detecting cells
+    ds = Dataset.from_arrays(Protocol.for_design(Family.COUNT, BIN, 1), SurveyDesign(4, 1, 2.0), [[0], [3], [1], [0]])
+    x = default_init(ds).free_values()
+    np.testing.assert_allclose(x, [math.log(1.0 + 0.5), math.log(-math.log(0.501) / 2.0)], rtol=1e-15)
+
+
+KINDS = {
+    "Count": (Family.COUNT, BIN, 5),
+    "PCount": (Family.COUNT, ObservationProcess.POISSON_PROCESS, 5),
+    "Binary": (Family.BINARY, BIN, 1),
+}
+
+
+@st.composite
+def tiny_surveys(draw):
+    family, process, top = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    r, j = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    y = np.reshape(draw(st.lists(st.integers(0, top), min_size=r * j, max_size=r * j)), (r, j))
+    shape = draw(st.sampled_from(["any", "all zero", "one occasion"]))
+    if shape == "all zero":
+        y = 0 * y
+    elif shape == "one occasion":
+        y = np.where(np.arange(j) == draw(st.integers(0, j - 1)), y, 0)
+    design = SurveyDesign(r, j, draw(st.sampled_from([0.25, 1.0, 4.0])))
+    return Dataset.from_arrays(Protocol.for_design(family, process, j), design, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_surveys())
+def test_tiny_surveys_start_finite_and_fit_or_fail_typed(ds):
+    # surveys often too small or too uniform for the pairwise moments: the
+    # start stays finite, falling back where they are unusable, and the fit
+    # ends in a result or a typed error, never in a ZeroDivisionError or a
+    # math domain ValueError
+    assert np.all(np.isfinite(default_init(ds).free_values()))
+    try:
+        res = fit(ds)
+    except NMixTimeError:
+        return
+    assert isinstance(res, FitResult)
 
 
 def test_count_recovery_close_to_truth():
@@ -434,3 +514,22 @@ def test_search_matches_scipys_trust_exact(family, n_occ):
     assert res.converged and ref.success
     assert res.n_evals <= ref.nfev
     assert res.loglik - irrelevant_constants(ds) == pytest.approx(-ref.fun, rel=0, abs=1e-10)
+
+
+def test_field_fits_take_a_few_newton_steps_from_the_moment_start():
+    # The surveys of test_search_matches_scipys_trust_exact. The moment
+    # start is root-R consistent, about one standard error (~0.1 on the log
+    # scales at 200 sites) from the optimum and inside the first radius of
+    # 1, where the search takes full Newton steps, each squaring the error
+    # up to a factor of 1-2: 0.1 -> 2e-2 -> 8e-4 -> 1e-6 -> 2e-12. The score
+    # is the information's eigenvalues (~50-700 here) times that error,
+    # below the stop at sqrt(tol) = 1e-4 after at most four steps: 1 + 4
+    # evaluations a fit, 20 for the four. Started ~0.8 off in log rate,
+    # they took 27.
+    total = 0
+    for family, n_occ in [(Family.COUNT, 4), (Family.COUNT_T1, 4), (Family.BINARY_T1, 4), (Family.BINARY, 8)]:
+        ds, _ = simulated(family, 200, n_occ, 3.0, 0.5, seed=1)
+        res = fit(ds, multistart=0)
+        assert res.converged
+        total += res.n_evals
+    assert total <= 4 * (1 + 4)
