@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .datafiles import (
     params_to_dict,
     write_dataset,
 )
-from .errors import DataFormatError, NMixTimeError, OracleConvergenceError
+from .errors import DataFormatError, EndOfWindowWarning, NMixTimeError, OracleConvergenceError
 from .estimate import fit
 from .likelihood import total_loglik
 from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, validate_dataset
@@ -102,9 +103,21 @@ def _dataset_from_args(args) -> Dataset:
         times = Path(args.times) if args.times else None
     family, process = _parse_model(args.model, args.process)
     dataset = load_dataset(counts, times, family=family, process=process)
-    violations = validate_dataset(dataset)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EndOfWindowWarning)
+        violations = validate_dataset(dataset)
+    for w in caught:  # sites and occasions numbered from 1, as in the files
+        if isinstance(w.message, EndOfWindowWarning):
+            edge = w.message
+            print(
+                f"warning: detection time equals search time in {edge.cells} cell(s) "
+                f"(first: site {edge.site + 1} occasion {edge.occasion + 1})",
+                file=sys.stderr,
+            )
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if violations:
-        for v in violations:  # sites and occasions numbered from 1, as in the files
+        for v in violations:
             where = "" if v.site is None else f" at site {v.site + 1}"
             where += "" if v.occasion is None else f" occasion {v.occasion + 1}"
             print(f"invalid data: {v.message}{where}", file=sys.stderr)

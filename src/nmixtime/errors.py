@@ -9,6 +9,10 @@ class DataFormatError(NMixTimeError):
     """Raised when an input file (CSV/JSON) cannot be parsed into model objects."""
 
 
+class DesignSizeError(NMixTimeError, ValueError):
+    """Raised for a survey design with more cells than the machine could hold."""
+
+
 class LikelihoodDomainError(NMixTimeError, ValueError):
     """Raised when data lie outside the support of the requested density."""
 
@@ -36,3 +40,14 @@ class OracleConvergenceError(NMixTimeError):
         self.partial_value = partial_value
         self.n_terms = n_terms
         super().__init__(f"{message} (partial value {partial_value!r} after {n_terms} terms)")
+
+
+class EndOfWindowWarning(UserWarning):
+    """Detection times exactly at the end of their search window: legal but
+    unusual. Carries the number of such cells and the first one, 0-based."""
+
+    def __init__(self, cells: int, site: int, occasion: int):
+        self.cells, self.site, self.occasion = cells, site, occasion
+        super().__init__(
+            f"detection time equals search time in {cells} cell(s) (first: site {site} occasion {occasion})"
+        )

@@ -190,10 +190,13 @@ def minimize(curved, x0: np.ndarray, tol: float, max_evals: int):
     fourfold below a ratio of 0.25 and doubles (up to 1000) above 0.75 on
     the boundary. The search stops once the score's norm is below
     sqrt(tol), which leaves at most ~tol/2 of log-likelihood unattained
-    wherever the curvature is at least one, or after ``max_evals``
-    evaluations. Returns ``(x, loglik, score, information, stop)`` at the
-    best point accepted; ``stop`` says why an unconverged search stopped,
-    else is None. Only the solver's own arithmetic raises on overflow and
+    wherever the curvature is at least one; once an interior Newton step
+    predicts a rise of at most 8 eps |loglik|, below the value's rounding,
+    so that no proposal could show a gain (a large survey's score can stay
+    above sqrt(tol) there); or after ``max_evals`` evaluations. Returns
+    ``(x, loglik, score, information, stop)`` at the best point accepted;
+    ``stop`` says why an unconverged search stopped, else is None. Only the
+    solver's own arithmetic raises on overflow, division by zero and
     invalid operations, which stops the search; ``curved`` runs under the
     caller's settings, and its errors propagate.
     """
@@ -204,11 +207,13 @@ def minimize(curved, x0: np.ndarray, tol: float, max_evals: int):
     n_evals, radius = 1, 1.0
     while True:
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
                 if np.linalg.norm(score) < math.sqrt(tol):
                     return x, value, score, -hess, None
                 p, on_boundary = _step(score, -hess, radius)
                 gain = score @ p + 0.5 * (p @ hess @ p)  # the model's predicted rise
+                if not on_boundary and gain <= 8.0 * _EPS * abs(value):
+                    return x, value, score, -hess, None
                 if not gain > 0:
                     raise FloatingPointError("the model predicts no rise")
         except (ArithmeticError, np.linalg.LinAlgError) as exc:

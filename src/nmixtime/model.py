@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DesignSizeError, EndOfWindowWarning
 
 __all__ = [
     "Family",
@@ -141,6 +145,12 @@ class SurveyDesign:
     def __init__(self, n_sites: int, n_occasions: int, search_time):
         if n_sites < 1 or n_occasions < 1:
             raise ValueError("design needs at least one site and one occasion")
+        cells = int(n_sites) * int(n_occasions)
+        if 8 * cells > _physical_memory():  # checked before the matrix is allocated
+            raise DesignSizeError(
+                f"a design of {n_sites} sites x {n_occasions} occasions has {cells:.3g} cells, whose "
+                f"search times alone ({8 * cells / 2**30:.3g} GiB) exceed this machine's memory"
+            )
         try:
             t = np.asarray(search_time, dtype=float)
         except (ValueError, TypeError) as exc:
@@ -150,6 +160,14 @@ class SurveyDesign:
         if not np.all(np.isfinite(t)) or np.any(t <= 0):
             raise ValueError("search times must be positive and finite")
         _assign(self, n_sites=int(n_sites), n_occasions=int(n_occasions), search_time=_readonly(t))
+
+
+def _physical_memory() -> float:
+    """The machine's physical memory in bytes, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,7 +587,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     mismatch, if any, followed by the ``record_faults`` violations, which
     are exactly the records ``total_loglik`` refuses to score. Detection
     times exactly at the end of the search window are otherwise legal but
-    unusual, so they raise one warning per call instead.
+    unusual, so they raise one EndOfWindowWarning per call instead.
     """
     proto = dataset.protocol
     j_total = dataset.design.n_occasions
@@ -585,9 +603,5 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     out.extend(faults)
     if np.any(edge):
         c = int(np.flatnonzero(edge)[0])
-        warnings.warn(
-            f"detection time equals search time in {int(edge.sum())} cell(s) "
-            f"(first: site {c // j_total} occasion {c % j_total})",
-            stacklevel=2,
-        )
+        warnings.warn(EndOfWindowWarning(int(edge.sum()), c // j_total, c % j_total), stacklevel=2)
     return out

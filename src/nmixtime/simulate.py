@@ -7,8 +7,8 @@ whose indices 1..y draw its y detection times. So a site regenerates alike
 whatever sites surround it, in whatever order and with whatever parameters.
 Each count is the exact discrete inverse CDF of its uniform and each time an
 inverse CDF, all computed over arrays of cells at once. The count searches use
-scipy.special's Poisson and beta tail functions, imported by the first draw,
-so importing nmixtime loads no scipy.
+the Poisson and binomial tails of ``special``, numpy alone, each tail value a
+function of its own arguments, so a draw loads no scipy.
 """
 from __future__ import annotations
 
@@ -24,22 +24,13 @@ from .model import (
     Protocol,
     SurveyDesign,
 )
+from .special import binomial_tail, normal_quantile, poisson_tail
 
 __all__ = ["SimConfig", "simulate_dataset", "simulate_with_latent", "empirical_pmf_check"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAX_MEAN = 2.0**52  # every count below 2^53 is exact as a float
 _PMF_BLOCK = 200_000  # replicates drawn at once by empirical_pmf_check
-special = None  # scipy.special, imported by the first draw: see _tails
-
-
-def _tails():
-    """scipy.special, imported on first use. Its import costs more than all of
-    nmixtime's, and only the simulator's inverse CDFs need it."""
-    global special
-    if special is None:
-        from scipy import special
-    return special
 
 
 @dataclass(frozen=True)
@@ -69,43 +60,46 @@ def _uniforms(seed: int, site, tag, index) -> np.ndarray:
     return ((h >> 12) + 0.5) * 2.0**-52
 
 
-def _quantiles(lower, upper, u, mean, var, skew, top, *params) -> np.ndarray:
+def _quantiles(tail, u, mean, var, skew, top, *params) -> np.ndarray:
     """Per cell, the smallest k in [0, top] with P(K <= k) >= u, or top if none.
 
-    ``lower(k, *params)`` is P(K <= k) and ``upper`` is P(K > k); cells with
-    u > 1/2 compare P(K > k) with 1 - u, which is exact, so no precision is lost
-    near 1. The search starts at a Cornish-Fisher quantile from the mean,
-    variance and skew * sd, steps away by 1, 2, 4, ... until the answer is
-    bracketed, then halves the bracket. Every probe lies in the bracket and
-    narrows it, so a cell settles within 2 log2(top + 1) + 3 passes.
+    ``tail(k, *params, upper=upper)`` is P(K > k) where ``upper`` and P(K <= k)
+    elsewhere; cells with u > 1/2 compare P(K > k) with 1 - u, which is exact,
+    so no precision is lost near 1. The search starts at a Cornish-Fisher
+    quantile from the mean, variance and skew * sd, steps away by 1, 2, 4, ...
+    until the answer is bracketed, then halves the bracket. Every probe lies in
+    the bracket and narrows it, so a cell settles within 2 log2(top + 1) + 3
+    passes, each one call of ``tail``.
     """
-    z = _tails().ndtri(u)
+    z = normal_quantile(u)
     start = np.ceil(mean + np.sqrt(var) * z + (z * z - 1) * skew / 6 - 0.5)
     start, top, *params = (np.broadcast_to(a, u.shape).ravel() for a in (start, top, *params))
     found = top.copy()
     shape, u = u.shape, u.ravel()
     cells = np.flatnonzero(top > 0)
-    cells = cells[np.argsort(u[cells] > 0.5, kind="stable")]  # lower-tail cells first
-    target = u[cells] - (u[cells] > 0.5)  # -(1 - u) on the upper tail, exact
+    upper = u[cells] > 0.5
+    target = u[cells] - upper  # -(1 - u) on the upper tail, exact
     lo, hi = np.zeros_like(cells), top[cells]
     k = np.clip(start[cells], 0, hi - 1).astype(np.int64)
     step, hit, split = np.ones_like(lo), np.zeros(cells.shape, bool), np.zeros(cells.shape, bool)
     while cells.size:
-        m = np.count_nonzero(target > 0)
-        args = [a[cells] for a in params]
-        now = np.concatenate(
-            [lower(k[:m], *(a[:m] for a in args)), -upper(k[m:], *(a[m:] for a in args))]
-        ) >= target
+        now = np.copysign(tail(k, *(a.take(cells) for a in params), upper=upper), target) >= target
         split |= (now != hit) & (step > 1)
         hit = now
-        hi, lo = np.where(hit, k, hi), np.where(hit, lo, k + 1)
-        gallop = np.where(hit, np.maximum(k - step, lo), np.minimum(k + step, hi - 1))
-        k, step = np.where(split, (lo + hi) // 2, gallop), 2 * step
+        # np.where's picks as sums of products by 1 and 0, which are exact on integers
+        miss = ~hit
+        hi += hit * (k - hi)
+        lo += miss * (k + 1 - lo)
+        gallop = hit * np.maximum(k - step, lo) + miss * np.minimum(k + step, hi - 1)
+        k = gallop + split * ((lo + hi) // 2 - gallop)
+        step *= 2
         done = lo >= hi
-        found[cells[done]] = lo[done]
-        cells, target, lo, hi, k, step, hit, split = (
-            a[~done] for a in (cells, target, lo, hi, k, step, hit, split)
-        )
+        if done.any():
+            ends, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            found[cells.take(ends)] = lo.take(ends)
+            cells, upper, target, lo, hi, k, step, hit, split = (
+                a.take(keep) for a in (cells, upper, target, lo, hi, k, step, hit, split)
+            )
     return found.reshape(shape)
 
 
@@ -115,18 +109,13 @@ def _poisson(u: np.ndarray, mu) -> np.ndarray:
         raise ValueError(f"cannot simulate a Poisson mean of {mu.max():g}; it must be below 2^52")
     # Bernstein's inequality puts P(K > top) below 2^-53, under any uniform's 1 - u
     top = np.where(mu > 0, np.ceil(mu + 40 * np.sqrt(mu) + 40), 0).astype(np.int64)
-    tails = _tails()
-    return _quantiles(tails.pdtr, tails.pdtrc, u, mu, mu, 1.0, top, mu)
+    return _quantiles(poisson_tail, u, mu, mu, 1.0, top, mu)
 
 
 def _binomial(u: np.ndarray, n, p, q) -> np.ndarray:
     """Binomial(n, p) quantiles; q = 1 - p comes separately so neither loses precision."""
-    m, tails = n * p, _tails()
-    return _quantiles(
-        lambda k, n, p, q: tails.betainc(n - k, k + 1, q),
-        lambda k, n, p, q: tails.betainc(k + 1, n - k, p),
-        u, m, m * q, q - p, n, n, p, q,
-    )
+    m = n * p
+    return _quantiles(binomial_tail, u, m, m * q, q - p, n, n, p, q)
 
 
 def _counts(process: ObservationProcess, seed: int, sites, lam, rate, t_max):
@@ -167,7 +156,8 @@ def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
         else:
             # event times of a homogeneous stream are uniform over the window
             times = u * t_max
-        times = times[np.lexsort((times, np.repeat(cells, y)))]  # sorted within each cell
+        # sorted within each cell: complex numbers sort by real part, then imaginary part, exactly
+        times = times[np.argsort(np.repeat(cells, y) + 1j * times)]
         if family.records_first_time:
             times, y = times[first], 1
         sizes.flat[cells] = y

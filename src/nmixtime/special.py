@@ -21,6 +21,20 @@ second ones.
 
 The terms' log-factorials and Pochhammer ratios come from ``log_gamma``,
 Stirling's series on numpy arrays, so the kernels import no scipy.
+
+The simulator's inverse CDFs take ``poisson_tail`` and ``binomial_tail``,
+P(K <= k) or P(K > k), and place their first probe with
+``normal_quantile``, also numpy alone:
+- near the mode, where both incomplete-beta parameters are large, the
+  uniform asymptotic expansion BASYM of DiDonato & Morris, "Significant
+  digit computation of the incomplete beta function ratios", ACM TOMS 18
+  (1992) 360-373 (Alg. 708), Temme's expansion for large parameters. Its
+  limit n -> inf is the Poisson tail, the incomplete gamma ratio in the
+  form of DiDonato & Morris, ACM TOMS 12 (1986) 377-393;
+- elsewhere, the tail summed from its truncation point away from the mode,
+  starting at the saddle-point pmf exp(-stirlerr - bd0) of Loader, "Fast
+  and accurate computation of binomial probabilities" (2000);
+- the normal quantile of Wichura, Appl. Statist. 37 (1988) 477-484, AS 241.
 """
 from __future__ import annotations
 
@@ -34,12 +48,15 @@ import numpy as np
 from .errors import SeriesConvergenceError
 
 __all__ = [
+    "binomial_tail",
     "log_gamma",
     "log_sum_exp",
     "safe_exp",
     "log_poisson_raw_moment",
     "log_poisson_detection_moment",
     "log_pfq_equal_order",
+    "normal_quantile",
+    "poisson_tail",
 ]
 
 NEG_INF = float("-inf")
@@ -546,3 +563,363 @@ def log_pfq_equal_order(a, b, z, score: bool = False):
     d2_log_z[rows] = cov[:, 0, 0]
     derivs = (out, d_log_z, d2_log_z)
     return derivs if a.ndim == 2 else tuple(float(x[0]) for x in derivs)
+
+
+# Wichura's AS 241 (PPND16): normal quantiles to ~1e-16 from three rational
+# functions, one for |u - 1/2| <= 0.425 and two of r = sqrt(-log min(u, 1 - u))
+_PPND_CENTRAL = (
+    (3.3871328727963666080, 133.14166789178437745, 1971.5909503065514427, 13731.693765509461125,
+     45921.953931549871457, 67265.770927008700853, 33430.575583588128105, 2509.0809287301226727),
+    (1.0, 42.313330701600911252, 687.18700749205790830, 5394.1960214247511077,
+     21213.794301586595867, 39307.895800092710610, 28729.085735721942674, 5226.4952788528545610),
+)
+_PPND_NEAR = (
+    (1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550, 3.64784832476320460504,
+     1.27045825245236838258, 0.241780725177450611770, 0.0227238449892691845833, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187, 1.67638483018380384940, 0.689767334985100004550,
+     0.148103976427480074590, 0.0151986665636164571966, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
+)
+_PPND_FAR = (
+    (6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580, 0.296560571828504891230,
+     0.0265321895265761230930, 0.00124266094738807843860, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 0.599832206555887937690, 0.136929880922735805310, 0.0148753612908506148525,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
+)
+
+
+def _rational(x, coefficients):
+    """num(x) / den(x) for coefficient lists taken lowest power first."""
+    num, den = (np.full(x.shape, c[-1]) for c in coefficients)
+    for a, b in zip(coefficients[0][-2::-1], coefficients[1][-2::-1]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    return num / den
+
+
+def normal_quantile(u):
+    """The standard normal quantile of each u in (0, 1), within ~1e-16
+    relative (Wichura, "The percentage points of the normal distribution",
+    Appl. Statist. 37 (1988) 477-484, AS 241)."""
+    u = np.asarray(u, dtype=float)
+    q = u.ravel() - 0.5
+    out = q * _rational(0.180625 - q * q, _PPND_CENTRAL)
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        ut, qt = u.ravel().take(tails), q.take(tails)
+        r = np.sqrt(-np.log(np.minimum(ut, 0.5 - qt)))  # 1 - u is exact for u >= 1/2
+        x = _rational(r - 1.6, _PPND_NEAR)
+        far = np.flatnonzero(r > 5.0)
+        x[far] = _rational(r.take(far) - 5.0, _PPND_FAR)
+        out[tails] = np.copysign(x, qt)
+    return out.reshape(u.shape)
+
+
+# Poisson and binomial tails (see the module docstring). Each point's smaller
+# tail is computed and the larger one is 1 less it. Both methods agree with
+# the exact tails to ~1e-14 relative where they meet, far less than a term,
+# so either tail is monotone in k across the switch.
+_ASYM_FROM = 25.0  # the expansion takes both incomplete-beta parameters at least this
+_ASYM_REACH = 0.3  # and a point at most this share of the smaller one from the mean
+_ASYM_TERMS = 20  # the expansion's coefficients d_0..d_20
+_ULP = 2.0**-54  # a sum stops once its rest is below this share of it
+_FEW = 16  # trials, or twice the Poisson mean, up to which a pmf takes plain log-factorials
+# stirlerr(x) = log x! - (x + 1/2) log x + x - log(2 pi) / 2 at x = 1..9 (index 0 unused)
+_STIRLERR_SMALL = np.array([
+    np.nan, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733,
+])
+# Chebyshev coefficients of erfcx(y) = exp(y^2) erfc(y) in t = (y - 4) / (y + 4)
+_ERFCX_CHEBYSHEV = (
+    0.2981017936936576, -0.42908644125580536, 0.18027256568771055, -0.06523752449734899,
+    0.020367256576744864, -0.005449087066459008, 0.0012278515372606755, -0.0002246979421877305,
+    3.068543113098951e-05, -2.3178234999468535e-06, -1.4628356484727578e-07, 6.927830518748949e-08,
+    -6.8831107633628464e-09, -6.858489149445451e-10, 2.4593734989496684e-10, -7.814909174028096e-12,
+    -5.889394733817263e-12, 6.869230438567993e-13, 1.255049258010826e-13, -2.8232509502798152e-14,
+    -2.6031646343175433e-15, 1.0249960195009234e-15, 5.72841468125685e-17, -3.692875129327215e-17,
+)
+
+
+def _erfcx(y):
+    """exp(y^2) erfc(y) for y >= 0, within ~4e-15 relative up to y = 30."""
+    return np.polynomial.chebyshev.chebval((y - 4.0) / (y + 4.0), _ERFCX_CHEBYSHEV)
+
+
+def _rlog1(t):
+    """t - log(1 + t) for t > -1; below |t| = 1/4 from the series in v = t / (2 + t)."""
+    out = t - np.log1p(t)
+    near = np.abs(t) < 0.25
+    if near.any():
+        v = t[near] / (2.0 + t[near])
+        w = v * v
+        # log(1 + t) = 2 atanh(v) = 2 (v + v^3 / 3 + v^5 / 5 + ...) and t = 2 v / (1 - v)
+        series = np.polynomial.polynomial.polyval(w, [1.0 / (2 * j + 3) for j in range(10)])
+        out[near] = 2.0 * w / (1.0 - v) - 2.0 * v * w * series
+    return out
+
+
+def _stirlerr(x):
+    """log Gamma(x + 1) - (x + 1/2) log x + x - log(2 pi) / 2 at whole x >= 1
+    (0 at x = inf): a table below 10, Stirling's series from there."""
+    out = np.empty(x.shape)
+    small = x < 10.0
+    out[small] = _STIRLERR_SMALL[x[small].astype(np.int64)]
+    big = x[~small]
+    if big.size:
+        out[~small] = _stirling_series(big, big.min(), big.max(), 1.0 / big, np.empty(big.size), np.empty(big.size))
+    return out
+
+
+def _bd0(x, m, d):
+    """x log(x / m) + m - x for x > 0, given d = m - x to full precision (Loader's bd0)."""
+    t = d / x
+    out = x * _rlog1(np.maximum(t, -0.5))
+    far = t < -0.5  # m < x / 2, where log(x / m) loses nothing
+    if far.any():
+        out[far] = x[far] * np.log(x[far] / m[far]) + d[far]
+    return out
+
+
+def _log_pmf(x, n, p, q):
+    """log P(K = x) for K ~ Binomial(n, p), 0 <= x <= n, q = 1 - p; for K ~
+    Poisson(p) where n is None.
+
+    Up to _FEW trials or a mean of _FEW / 2, log n! - log x! - log (n - x)! +
+    x log p + (n - x) log q (x log mu - mu - log x!), whose rounding, ~eps
+    n log n, is no larger than the saddle-point form's there; past that, the
+    saddle-point form, which loses nothing to the cancellation of large terms.
+    """
+    few = (p <= 0.5 * _FEW) if n is None else (n <= _FEW) & (p > 0.0) & (q > 0.0)
+    if few.all():
+        return _plain_log_pmf(x, n, p, q)
+    out = np.empty(x.shape)
+    for cells, form in ((np.flatnonzero(few), _plain_log_pmf), (np.flatnonzero(~few), _saddle_log_pmf)):
+        if cells.size:
+            out[cells] = form(*(None if v is None else v.take(cells) for v in (x, n, p, q)))
+    return out
+
+
+def _plain_log_pmf(x, n, p, q):
+    if n is None:
+        return x * np.log(p) - p - _LG_WHOLE.take((x + 1.0).astype(np.intp))
+    whole = _LG_WHOLE.take((np.stack([n, x, n - x]) + 1.0).astype(np.intp))
+    return x * np.log(p) + (n - x) * np.log(q) + (whole[0] - whole[1] - whole[2])
+
+
+def _saddle_log_pmf(x, n, p, q):
+    """-stirlerr(x) - bd0(x, mu) - log(2 pi x) / 2 for Poisson; for the
+    binomial stirlerr(n) - stirlerr(x) - stirlerr(n - x) - bd0(x, n p) -
+    bd0(n - x, n q) - log(2 pi x (n - x) / n) / 2, which at x = 0 or n keeps
+    its bd0s alone."""
+    if n is None:
+        out = np.where(x > 0.0, -_bd0(np.maximum(x, 1.0), p, p - x), -p)
+        some = x > 0.0
+        out[some] -= _stirlerr(x[some]) + 0.5 * np.log(2.0 * np.pi * x[some])
+        return out
+    d = np.where(p <= 0.5, n * p - x, (n - x) - n * q)  # the mean less x, from the smaller of p and q
+    y = n - x
+    out = np.where(x > 0.0, -_bd0(np.maximum(x, 1.0), n * p, d), -n * p)
+    out -= np.where(y > 0.0, _bd0(np.maximum(y, 1.0), n * q, -d), n * q)
+    inner = (x > 0.0) & (y > 0.0)
+    xi, ni, yi = x[inner], n[inner], y[inner]
+    out[inner] += _stirlerr(ni) - _stirlerr(xi) - _stirlerr(yi) - 0.5 * np.log(2.0 * np.pi * xi * (yi / ni))
+    return out
+
+
+def _sum_away(u, du, v, dv, scale):
+    """sum_{i >= 0} prod_{l < i} scale (u - l du) / (v + l dv), for ratios that
+    fall below 1 and stay there: a tail's terms relative to its first.
+
+    Blocks of 4, 8, 16, ... terms, each only for the sums that the blocks
+    before left unfinished; a sum ends with the block after which its rest is
+    below an ulp. The blocks are the same whatever other sums come along, so
+    each sum is a function of its own arguments alone.
+    """
+    total, last, cells, first, width = np.ones(u.shape), 1.0, None, 0, 4
+    while True:
+        i = np.arange(first, first + width, dtype=float)[:, None]  # (terms, sums): long inner loops
+        terms = u - i * du
+        terms /= v + i * dv
+        if np.ndim(scale):
+            terms *= scale
+        ratio = terms[-1].copy()
+        terms[0] *= last
+        sums = terms[0].copy()
+        for j in range(1, width):  # in order, however many sums come along
+            terms[j] *= terms[j - 1]
+            sums += terms[j]
+        last = terms[-1]
+        if cells is None:
+            total += sums
+        else:
+            total[cells] += sums
+        # the rest is below last * ratio / (1 - ratio): stop once that is an ulp or less
+        more = np.flatnonzero(last * ratio > _ULP * (total if cells is None else total.take(cells)) * (1.0 - ratio))
+        if not more.size:
+            return total
+        cells = more if cells is None else cells.take(more)
+        last, u, du, v, dv, scale = (np.take(x, more) if np.ndim(x) else x for x in (last, u, du, v, dv, scale))
+        first, width = first + width, 2 * width
+
+
+@functools.cache
+def _basym_polynomials():
+    """BASYM's coefficients d_0..d_20 as polynomials in h = min(a, b) /
+    max(a, b), lowest power first: row 0 for a >= b, row 1 for a < b. The
+    recursion of Alg. 708 on polynomials; computed once, on first use."""
+    table = np.zeros((2, _ASYM_TERMS + 1, _ASYM_TERMS + 2))
+    for row, sign in enumerate((-1.0, 1.0)):  # r1 = sign (1 - h)
+        a0 = [sign * np.array([2.0 / 3.0, -2.0 / 3.0])]
+        c, d = [-0.5 * a0[0]], [0.5 * a0[0]]
+        for n in range(2, _ASYM_TERMS + 1, 2):
+            even = np.zeros(n + 1)
+            even[::2] = 1.0
+            a0 += [2.0 / (n + 2) * (-1.0) ** np.arange(n + 1), 2.0 * sign / (n + 3) * np.convolve([1.0, -1.0], even)]
+            for i in (n, n + 1):
+                r = -0.5 * (i + 1)
+                b0 = [r * a0[0]]
+                for m in range(2, i + 1):
+                    bsum = sum((j * r - (m - j)) * np.convolve(a0[j - 1], b0[m - j - 1]) for j in range(1, m))
+                    b0.append(r * a0[m - 1] + bsum / m)
+                c.append(b0[i - 1] / (i + 1))
+                d.append(-(sum(np.convolve(d[i - j - 1], c[j - 1]) for j in range(1, i)) + c[i - 1]))
+        for i, poly in enumerate(d):
+            table[row, i, : poly.size] = poly
+    return table
+
+
+def _basym(a, b, lam):
+    """I_x(a, b) for lam = (a + b)(1 - x) - b >= 0, the smaller tail, with a
+    and b large and one of them possibly inf (DiDonato & Morris's BASYM)."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    h = lo / hi
+    f = np.zeros(lam.shape)
+    for x, y in ((a, -lam), (b, lam)):  # x rlog1(y / x), which is 0 at x = inf
+        finite = np.isfinite(x)
+        f[finite] += x[finite] * _rlog1(y[finite] / x[finite])
+    bcorr = _stirlerr(a) + _stirlerr(b) - _stirlerr(a + b)
+    # d_0..d_20 at h, the polynomials of the row for a < b or a >= b: their
+    # constant terms at h = 0 (Poisson), else Horner's rule, where d_i, of
+    # degree i + 1, joins at its leading power
+    table, row = _basym_polynomials(), (a < b).astype(np.intp)
+    d = table[:, :, 0].take(row, axis=0)
+    curved = np.flatnonzero(h > 0.0)
+    if curved.size:
+        row, x = row.take(curved), h.take(curved)[:, None]
+        dc = table[:, :, _ASYM_TERMS + 1].take(row, axis=0)
+        for j in range(_ASYM_TERMS, -1, -1):
+            r = max(j - 1, 0)
+            dc[:, r:] *= x
+            dc[:, r:] += table[:, r:, j].take(row, axis=0)
+        d[curved] = dc
+    e1 = 2.0**-1.5
+    z2 = 2.0 * f
+    w0 = 1.0 / np.sqrt(lo * (1.0 + h))
+    j0, j1 = 0.25 * math.sqrt(math.pi) * _erfcx(np.sqrt(f)), e1
+    total = j0 + d[:, 0] * w0 * j1
+    znm1, zn, w = np.sqrt(z2), z2, w0
+    for n in range(2, _ASYM_TERMS + 1, 2):
+        j0 = e1 * znm1 + (n - 1) * j0
+        j1 = e1 * zn + n * j1
+        znm1, zn, w = znm1 * z2, zn * z2, w * w0
+        total += d[:, n - 1] * w * j0
+        w = w * w0
+        total += d[:, n] * w * j1
+    return 2.0 / math.sqrt(math.pi) * np.exp(-f - bcorr) * total
+
+
+def _split(a):
+    """a as hi + lo, hi with at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """a * b as hi + lo exactly (Dekker)."""
+    hi = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _tail(k, upper, n, p, q):
+    """P(K > k) where ``upper``, else P(K <= k), for K ~ Binomial(n, p) with q =
+    1 - p, or for K ~ Poisson(p) where n is None, at whole k >= 0."""
+    poisson = n is None
+    k, upper, p, q, n = np.broadcast_arrays(
+        np.asarray(k, dtype=float), upper, p, 1.0 if poisson else q, np.inf if poisson else n
+    )
+    shape = k.shape
+    k, upper, p, q, n = (np.ravel(v) for v in (k, upper, p, q, n))
+    p, q, n = (v.astype(float, copy=False) for v in (p, q, n))
+    beyond = k >= n  # where P(K <= k) = 1
+    if beyond.any():
+        out = np.where(upper, 0.0, 1.0)
+        inside = np.flatnonzero(~beyond)
+        k, upper, n, p, q = (v.take(inside) for v in (k, upper, n, p, q))
+        out[inside] = _tail(k, upper, None if poisson else n, p, q)
+        return out.reshape(shape)
+    # lam = (n + 1) p - (k + 1), mu - (k + 1) for Poisson: P(K <= k) is the smaller tail where lam >= 0
+    if poisson:
+        lam, m = p - (k + 1.0), k + 1.0
+    else:
+        by_q = p > 0.5  # q holds the precision there: lam = (n - k) - (n + 1) q
+        lam = (n + 1.0) * p - (k + 1.0)
+        if by_q.any():
+            lam = np.where(by_q, (n - k) - (n + 1.0) * q, lam)
+        m = np.minimum(k + 1.0, n - k)
+    low = lam >= 0.0
+    expand = (m >= _ASYM_FROM) & (np.abs(lam) <= _ASYM_REACH * m)
+    if not expand.any():
+        small = _summed_tail(k, n, p, q, low, poisson)
+    else:
+        near, rest = np.flatnonzero(expand), np.flatnonzero(~expand)
+        kn, nn = k.take(near), n.take(near)
+        if not poisson:  # lam to the last bit: (n + 1) p is the one product that rounds
+            on_q = by_q.take(near)
+            hi, lo = _two_product(nn + 1.0, np.where(on_q, q.take(near), p.take(near)))
+            lam[near] = np.where(on_q, ((nn - kn) - hi) - lo, (hi - (kn + 1.0)) + lo)
+            low[near] = lam.take(near) >= 0.0
+        below = low.take(near)
+        # (a, b) = (n - k, k + 1) for the lower tail, (k + 1, n - k) for the upper
+        a, b = np.where(below, nn - kn, kn + 1.0), np.where(below, kn + 1.0, nn - kn)
+        small = np.empty(k.shape)
+        small[near] = _basym(a, b, np.abs(lam.take(near)))
+        small[rest] = _summed_tail(*(v.take(rest) for v in (k, n, p, q, low)), poisson)
+    # the asked-for tail is the smaller one or 1 less it: |flip - small| is either exactly
+    return np.abs((low == upper) - small).reshape(shape)
+
+
+def _summed_tail(k, n, p, q, below, poisson):
+    """The smaller tail, P(K <= k) where ``below`` and P(K > k) elsewhere,
+    summed from its first term away from the mode."""
+    x = k + 1.0 - below  # the first term
+    above = ~below
+    # term ratios (x - i) / mu below the mode and mu / (x + 1 + i) above for
+    # Poisson; (x - i) q / ((n - x + 1 + i) p) and (n - x - i) p / ((x + 1 + i) q).
+    # Each pick of two is a sum of products by 1 and 0, exact for finite values
+    if poisson:
+        down = below.astype(float)
+        steps = x * below + p * above, down, p * below + (x + 1.0) * above, 1.0 - down, 1.0
+        return np.exp(_log_pmf(x, None, p, None)) * _sum_away(*steps)
+    odds = q / p, p / q
+    scale = np.where(below, *odds) if (p == 0.0).any() or (q == 0.0).any() else odds[0] * below + odds[1] * above
+    steps = n - x + (x + x - n) * below, 1.0, x + 1.0 + (n - x - x) * below, 1.0, scale
+    return np.exp(_log_pmf(x, n, p, q)) * _sum_away(*steps)
+
+
+def poisson_tail(k, mu, upper=False):
+    """P(K > k) where ``upper``, else P(K <= k), for K ~ Poisson(mu), at whole
+    k >= 0; ``upper`` is a bool or a bool array, broadcast with k and mu."""
+    with np.errstate(divide="ignore"):
+        return _tail(k, upper, None, mu, None)
+
+
+def binomial_tail(k, n, p, q, upper=False):
+    """P(K > k) where ``upper``, else P(K <= k), for K ~ Binomial(n, p), at
+    whole k >= 0. q = 1 - p comes separately, so that neither loses precision
+    near 0 or 1; ``upper`` is a bool or a bool array, broadcast with the rest."""
+    with np.errstate(divide="ignore"):
+        return _tail(k, upper, n, p, q)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nmixtime.cli
+import nmixtime.model
 import nmixtime.oracle
 from nmixtime.cli import main
+from nmixtime.errors import DesignSizeError
 from nmixtime.likelihood import total_loglik
 from nmixtime.datafiles import load_dataset, params_from_dict
 from nmixtime.model import Family, ObservationProcess, Protocol, SurveyDesign
@@ -248,6 +251,21 @@ def test_fit_first_time_at_window_end_exits_config(tmp_path, capsys):
     assert "invalid data: first detection time equals search time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "loglik", "validate"])
+def test_a_time_at_window_end_warns_in_one_line_numbered_from_1(tmp_path, capsys, command):
+    # legal but unusual: one warning line, cells counted as the files count them
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,0\n1,2,1.0,1\n2,1,1.0,2\n2,2,1.0,1\n")
+    times = tmp_path / "times.csv"
+    times.write_text("site,occasion,detection_index,time\n1,2,1,1.0\n2,1,1,0.3\n2,1,2,0.6\n2,2,1,1.0\n")
+    argv = [command, "--counts", str(counts), "--times", str(times), "--model", "CountT"]
+    argv += [] if command == "fit" else ["--params", write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 1.0})]
+    main(argv)
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: detection time equals search time in 2 cell(s) (first: site 1 occasion 2)"
+    ]
+
+
 def test_single_visit_binary_fit_flags_and_exits_3(tmp_path, capsys):
     cfg = sim_config(
         tmp_path, model="Binary", sites=80, occasions=1, **{"lambda": 2.0, "rate": 1.0}
@@ -377,6 +395,22 @@ def test_simulate_out_of_memory_prints_one_error_line(tmp_path, capsys, monkeypa
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: out of memory: Unable to allocate 7.28 TiB for an array with shape (100000000000, 10)"]
+
+
+def test_simulate_refuses_a_design_larger_than_memory_before_allocating(tmp_path, capsys, monkeypatch):
+    # 10^11 sites x 4 occasions: 3.2 TB of search times alone, refused from the cell count
+    def allocated(*args):
+        raise AssertionError("the design's search-time matrix was allocated")
+
+    monkeypatch.setattr(nmixtime.model, "_broadcast", allocated)
+    with pytest.raises(DesignSizeError, match="exceed this machine's memory"):
+        SurveyDesign(10**11, 4, 1.0)
+    cfg = sim_config(tmp_path, sites=1e11, occasions=4)
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a design of 100000000000 sites x 4 occasions")
 
 
 def test_validate_nmax_below_the_first_sites_count_exits_4(tmp_path, capsys):

@@ -533,3 +533,14 @@ def test_field_fits_take_a_few_newton_steps_from_the_moment_start():
         assert res.converged
         total += res.n_evals
     assert total <= 4 * (1 + 4)
+
+
+def test_a_large_survey_stops_at_the_rounding_of_its_loglik():
+    # At 10^5 sites the log-likelihood is ~1e6 and rounds by ~eps |f| ~ 1e-10;
+    # the Newton step from the optimum then predicts a rise below that, and
+    # every proposal's measured gain is rounding noise. The search must stop
+    # there as converged rather than reject proposals until its budget ends.
+    ds, truth = simulated(Family.COUNT_T, 100_000, 4, 5.0, 0.4, seed=3)
+    res = fit(ds, multistart=0, max_evals=30)
+    assert res.converged and not res.flagged and res.n_evals <= 6
+    assert np.allclose(res.estimates.free_values(), truth.free_values(), atol=0.02)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from nmixtime import simulate
 from nmixtime.datafiles import write_dataset
@@ -153,39 +153,39 @@ def test_uniforms_lie_strictly_inside_the_unit_interval(monkeypatch):
 
 
 def test_importing_the_package_loads_no_scipy():
-    # in a fresh interpreter: this module imports scipy.special itself
+    # in a fresh interpreter, before and after a draw: this module imports scipy itself
     code = (
         "import sys, nmixtime, nmixtime.cli\n"
         "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
         "from nmixtime import Family, ObservationProcess, Parameterization, Protocol, SimConfig, SurveyDesign\n"
         "proto = Protocol.for_design(Family.COUNT, ObservationProcess.BINOMIAL_COUNT, 2)\n"
         "nmixtime.simulate_dataset(SimConfig(proto, SurveyDesign(3, 2, 1.0), Parameterization(0.5, 0.0), 1))\n"
-        "print('scipy.special' in sys.modules)"
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     )
     src = str(Path(simulate.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 class CountedTails:
-    """scipy.special with its tail functions counted. An inverse CDF calls one
-    lower-tail and one upper-tail function per pass; past ``budget`` passes this
-    raises, so a search that never settles fails instead of hanging."""
+    """The simulator's tail functions, counted. An inverse CDF calls its tail
+    function once per pass; past ``budget`` passes this raises, so a search
+    that never settles fails instead of hanging."""
 
-    def __init__(self, budget):
+    NAMES = ("poisson_tail", "binomial_tail")
+
+    def __init__(self, monkeypatch, budget):
         self.budget, self.passes = budget, 0.0
+        for name in self.NAMES:
+            monkeypatch.setattr(simulate, name, self.counted(getattr(simulate, name)))
 
-    def __getattr__(self, name):
-        f = getattr(special, name)
-        if name not in ("pdtr", "pdtrc", "betainc"):
-            return f
-
-        def counted(*args):
-            self.passes += 0.5
+    def counted(self, f):
+        def counted(*args, **kwargs):
+            self.passes += 1
             if self.passes > self.budget:
                 raise AssertionError(f"the search ran past {self.budget:.1f} passes")
-            return f(*args)
+            return f(*args, **kwargs)
 
         return counted
 
@@ -205,8 +205,7 @@ def check_quantiles(k, u, dist, top):
 @pytest.mark.parametrize("mu", [0.0, 3.0, 2000.0, 5e4, 1e5])
 def test_poisson_inverse_cdf_is_exact_and_bounded(monkeypatch, mu):
     top = math.ceil(mu + 40 * math.sqrt(mu) + 40) if mu > 0 else 0
-    tails = CountedTails(2 * math.log2(top + 1) + 3)
-    monkeypatch.setattr(simulate, "special", tails)
+    CountedTails(monkeypatch, 2 * math.log2(top + 1) + 3)
     check_quantiles(simulate._poisson(U_GRID, mu), U_GRID, stats.poisson(mu), top)
 
 
@@ -223,8 +222,7 @@ def test_poisson_inverse_cdf_is_exact_and_bounded(monkeypatch, mu):
 )
 def test_binomial_inverse_cdf_is_exact_and_bounded(monkeypatch, n, p, q):
     q = 1.0 - p if q is None else q
-    tails = CountedTails(2 * math.log2(n + 1) + 3)
-    monkeypatch.setattr(simulate, "special", tails)
+    CountedTails(monkeypatch, 2 * math.log2(n + 1) + 3)
     k = simulate._binomial(U_GRID, np.int64(n), p, q)
     check_quantiles(k, U_GRID, stats.binom(n, p), n)
 

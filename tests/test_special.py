@@ -6,6 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as scipy_special, stats
 from scipy.special import gammaln, logsumexp
 
 import bruteforce
@@ -13,11 +14,14 @@ from bruteforce import tilted_mean
 from nmixtime import special
 from nmixtime.errors import SeriesConvergenceError
 from nmixtime.special import (
+    binomial_tail,
     log_gamma,
     log_pfq_equal_order,
     log_poisson_detection_moment,
     log_poisson_raw_moment,
     log_sum_exp,
+    normal_quantile,
+    poisson_tail,
     safe_exp,
 )
 
@@ -726,3 +730,217 @@ def test_log_gamma_raises_no_warning():
         warnings.simplefilter("error")
         got = log_gamma(x)
     assert np.all(np.isfinite(got[:-5])) and got[-5] == np.inf
+
+
+# Poisson and binomial tails. A tail e^-E whose exponent is known to an ulp is
+# uncertain by eps E relative, so each bound below allows that beside 1e-13.
+# scipy's tails lose digits as they near underflow (1e-5 off at 2.5e-299),
+# so the comparisons with it stop at 1e-280.
+EPS = np.finfo(float).eps
+# scipy's pdtr sums at most 2000 series terms, so past ~4.5 sd at large means
+# it stops short (1e-8 off at mu = 1e6, 8 sd up, against mpmath): the grids
+# stay within 4.5 sd, and the mpmath test takes the points beyond
+Z = np.linspace(-4.5, 4.5, 19)
+
+
+def rel_err(ours, ref):
+    return np.abs(ours - ref) / ref
+
+
+def poisson_grid():
+    mus = np.geomspace(1e-3, 2.0**52, 40)
+    ks = [np.unique(np.concatenate([np.round(mu + math.sqrt(mu) * Z), np.arange(30.0)]).clip(0.0)) for mu in mus]
+    return np.concatenate(ks), np.repeat(mus, [k.size for k in ks])
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_poisson_tails_match_scipy_within_their_conditioning(upper):
+    # d P(K <= k) / d mu = -pmf(k), so a relative change of eps in mu moves
+    # either tail by eps * cond relative. scipy is that far off itself (1e-13
+    # at mu = 182, 4.5 sd down, against mpmath), so the 1e-13 bound at
+    # mu <= 1e6 is the mpmath test's.
+    k, mu = poisson_grid()
+    ref = (scipy_special.pdtrc if upper else scipy_special.pdtr)(k, mu)
+    ours = poisson_tail(k, mu, upper=upper)
+    some = ref > 1e-280
+    assert np.all(ours[~some] < 1e-270)
+    ref, ours, k, mu = ref[some], ours[some], k[some], mu[some]
+    cond = mu * stats.poisson.pmf(k, mu) / ref
+    assert np.all(rel_err(ours, ref) <= 1e-13 + EPS * np.abs(np.log(ref)) + 4.0 * EPS * cond)
+
+
+# the simulator's p and q: each from the exposure to the last bit
+EXPOSURES = np.geomspace(1e-9, 50.0, 14)
+P_Q = [(0.0, 1.0), (1.0 - 1e-15, 1.0 - (1.0 - 1e-15)), *zip(-np.expm1(-EXPOSURES), np.exp(-EXPOSURES))]
+
+
+def binomial_grid():
+    for n in np.round(np.geomspace(1.0, 2.0**52, 30)):
+        for p, q in P_Q:
+            # scipy's betainc drifts (1e-4 at n = 4.5e15, p = 1e-9, against this
+            # binomial's own Poisson limit) where p is tiny and n p large; the
+            # mpmath test takes n = 1e12, p = 1e-9
+            if n > 1e6 and min(p, q) < 1e-6 and n * min(p, q) > 10:
+                continue
+            if p == 1.0 and q > 0.0:  # the mpmath test's: betainc sees p alone
+                continue
+            sd = math.sqrt(n * p * q)
+            k = np.concatenate([np.round(n * p + sd * Z), np.arange(20.0), n - 1.0 - np.arange(20.0)])
+            yield np.unique(k.clip(0.0, n - 1.0)), n, p, q
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_binomial_tails_match_scipy_within_their_conditioning(upper):
+    # d P(K <= k) / dp = -n Binomial(n - 1, p).pmf(k) = -d P(K <= k) / dq, so
+    # a relative change of eps in p or q moves either tail by eps * cond
+    # relative. Past n ~ 1e4 scipy's own error exceeds 1e-13 (1e-12 at n = 1e6,
+    # p = 0.05, 4 sd down, against mpmath), so the 1e-13 bound at n <= 1e6 is
+    # the mpmath test's.
+    for k, n, p, q in binomial_grid():
+        ref = scipy_special.betainc(k + 1.0, n - k, p) if upper else scipy_special.betainc(n - k, k + 1.0, q)
+        ours = binomial_tail(k, n, p, q, upper=upper)
+        some = ref > 1e-280
+        assert np.all(ours[~some] < 1e-270), (n, p)
+        ref, ours, k = ref[some], ours[some], k[some]
+        cond = n * max(p, q) * stats.binom.pmf(k, n - 1.0, p) / ref
+        bound = 1e-13 + EPS * np.abs(np.log(ref)) + 4.0 * EPS * cond
+        assert np.all(rel_err(ours, ref) <= bound), (n, p, k[np.argmax(rel_err(ours, ref) / bound)])
+
+
+def mp_tail(first, ratio):
+    """first * (1 + r_0 + r_0 r_1 + ...) in 40 digits, to a 1e-35 rest."""
+    total, term, i = mpmath.mpf(0), mpmath.mpf(1), 0
+    while True:
+        total += term
+        term *= ratio(i)
+        i += 1
+        if term <= total * mpmath.mpf(10) ** -35:
+            return first * total
+
+
+def mp_poisson_tail(k, mu, upper):
+    mu = mpmath.mpf(mu)
+    log_pmf = lambda x: x * mpmath.log(mu) - mu - mpmath.loggamma(x + 1)  # noqa: E731
+    if k < mu:  # sum the smaller side
+        small = mp_tail(mpmath.exp(log_pmf(k)), lambda i: (k - i) / mu if i < k else 0)
+    else:
+        small = mp_tail(mpmath.exp(log_pmf(k + 1)), lambda i: mu / (k + 2 + i))
+    return float(1 - small if (k < mu) == upper else small)
+
+
+def mp_binomial_tail(k, n, p, q, upper):
+    # the smaller of p and q holds the precision, as in binomial_tail
+    p, q = (mpmath.mpf(p), 1 - mpmath.mpf(p)) if p <= 0.5 else (1 - mpmath.mpf(q), mpmath.mpf(q))
+    log_pmf = lambda x: (  # noqa: E731
+        mpmath.loggamma(n + 1) - mpmath.loggamma(x + 1) - mpmath.loggamma(n - x + 1)
+        + x * mpmath.log(p) + (n - x) * mpmath.log(q)
+    )
+    if k < n * p:
+        small = mp_tail(mpmath.exp(log_pmf(k)), lambda i: (k - i) * q / ((n - k + 1 + i) * p) if i < k else 0)
+    else:
+        small = mp_tail(
+            mpmath.exp(log_pmf(k + 1)), lambda i: (n - k - 1 - i) * p / ((k + 2 + i) * q) if i < n - k - 1 else 0
+        )
+    return float(1 - small if (k < n * p) == upper else small)
+
+
+@pytest.mark.parametrize(
+    "k, mu, upper",
+    [
+        (1_008_000, 1e6, True),  # 8 sd up, where scipy's pdtr is 1e-8 off
+        (992_001, 1e6, False),
+        (25, 1e-3, True),
+        (26, 3.0, True),
+        (2, 3.0, False),
+        (57, 37.8, True),
+        (122, 182.5, False),  # 4.5 sd down, where scipy's pdtr is 1e-13 off
+        (24, 30.0, False),  # the last point summed before the expansion
+        (25, 30.0, False),
+    ],
+)
+def test_poisson_tails_match_mpmath(k, mu, upper):
+    with mpmath.workdps(40):
+        ref = mp_poisson_tail(k, mu, upper)
+    assert rel_err(poisson_tail(k, mu, upper=upper), ref) <= 1e-13 + EPS * abs(math.log(ref))
+
+
+@pytest.mark.parametrize(
+    "k, n, p, q, upper",
+    [
+        (274, 1e12, 1e-9, None, False),  # scipy's betainc is 2e-6 off
+        (49_128, 1e6, 0.05, None, False),  # and 1e-12 here
+        (25_192, 517_947, 0.05, None, False),
+        (11_025, 30_000, 0.39, None, False),
+        (12_376, 30_000, 0.39, None, True),
+        (3, 20, 0.39, None, False),
+        (3, 20, 0.39, None, True),
+        (28, 30, 1.0 - 1e-15, None, False),
+        (999_997, 1e6, -math.expm1(-50.0), math.exp(-50.0), False),
+        (7, 10, -math.expm1(-50.0), math.exp(-50.0), True),
+    ],
+)
+def test_binomial_tails_match_mpmath(k, n, p, q, upper):
+    q = 1.0 - p if q is None else q
+    with mpmath.workdps(40):
+        ref = mp_binomial_tail(k, n, p, q, upper)
+    assert rel_err(binomial_tail(k, n, p, q, upper=upper), ref) <= 1e-13 + EPS * abs(math.log(ref))
+
+
+def test_tails_are_monotone_in_k_across_every_switch():
+    # every k of windows around the smaller tail's side (k at the mean), the
+    # expansion's edges at 25 and at 0.3 of the smaller parameter, and so over
+    # the saddle-point pmf's branches and the plain log-factorial pmf's limits
+    def window(centres, sd):
+        half = 60 + 12 * min(sd, 50)
+        return np.unique(np.concatenate([np.arange(c - half, c + half) for c in centres]).round())
+
+    def check(lower, upper):
+        assert np.all(np.diff(lower) >= 0.0) and np.all(np.diff(upper) <= 0.0)
+        assert np.all(np.abs(lower + upper - 1.0) <= 2 * EPS)
+
+    for mu in [0.5, 7.9, 8.0, 8.1, 24.5, 30.0, 40.0, 100.0, 1e4, 1e6, 2.0**52]:
+        k = window([mu, mu / 1.3, mu / 0.7, 24.0], math.sqrt(mu))
+        k = k[k >= 0]
+        check(poisson_tail(k, mu), poisson_tail(k, mu, upper=True))
+    for n in [16, 17, 49, 50, 51, 100, 1000, 1e5, 1e9]:
+        for p in [0.05, 0.39, 0.5, 0.9]:
+            m, q = n * p, 1.0 - p  # the expansion's edges: |m - k| = 0.3 min(k + 1, n - k), about
+            k = window([m, m / 1.3, m / 0.7, (m + 0.3 * n) / 1.3, (m - 0.3 * n) / 0.7, 24.0, n - 25.0], math.sqrt(m * q))
+            k = k[(k >= 0) & (k < n)]
+            check(binomial_tail(k, n, p, q), binomial_tail(k, n, p, q, upper=True))
+
+
+def test_each_tail_is_the_one_it_gets_alone():
+    # a simulated site's draws cannot depend on which cells share its batch
+    rng = np.random.default_rng(5)
+    mu = np.exp(rng.uniform(-3.0, 12.0, 400))
+    k = np.floor(mu + np.sqrt(mu) * rng.normal(0.0, 4.0, mu.size)).clip(0.0)
+    upper = rng.random(mu.size) > 0.5
+    alone = [poisson_tail(k[i : i + 1], mu[i : i + 1], upper=upper[i : i + 1])[0] for i in range(mu.size)]
+    assert alone == poisson_tail(k, mu, upper=upper).tolist()
+    n = np.floor(np.exp(rng.uniform(0.0, 14.0, 400)))
+    p = np.exp(rng.uniform(-12.0, 0.0, n.size))
+    p[::7] = 1.0 - p[::7]
+    q = 1.0 - p
+    k = np.floor(n * p + np.sqrt(n * p * q) * rng.normal(0.0, 4.0, n.size)).clip(0.0, n - 1.0)
+    alone = [binomial_tail(*(v[i : i + 1] for v in (k, n, p, q)), upper=upper[i : i + 1])[0] for i in range(n.size)]
+    assert alone == binomial_tail(k, n, p, q, upper=upper).tolist()
+
+
+def test_tails_at_the_edges_of_the_support():
+    assert poisson_tail(0, 2.0) == math.exp(-2.0) and poisson_tail(5, 0.0) == 1.0
+    assert binomial_tail([0, 3, 9], 10, 0.0, 1.0).tolist() == [1.0, 1.0, 1.0]
+    assert binomial_tail([0, 3, 9], 10, 1.0, 0.0, upper=True).tolist() == [1.0, 1.0, 1.0]
+    assert binomial_tail([10, 12], 10, 0.3, 0.7).tolist() == [1.0, 1.0]
+    assert binomial_tail([10, 12], 10, 0.3, 0.7, upper=True).tolist() == [0.0, 0.0]
+    assert poisson_tail(np.zeros((2, 3)), 1.5).shape == (2, 3)
+
+
+def test_normal_quantile_matches_scipy():
+    # to a few ulp: it only places the simulator's first probe
+    u = np.concatenate(
+        [[2.0**-53, 1.0 - 2.0**-53, 0.5], np.linspace(0.0, 1.0, 2001)[1:-1], np.geomspace(1e-300, 0.3, 300)]
+    )
+    u = np.concatenate([u, 1.0 - u[(u < 0.5) & (u >= 2.0**-53)]])
+    ref = scipy_special.ndtri(u)
+    assert np.all(np.abs(normal_quantile(u) - ref) <= 8 * EPS * np.maximum(np.abs(ref), 1e-3))
