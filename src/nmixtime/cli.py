@@ -102,6 +102,10 @@ def _dataset_from_args(args) -> Dataset:
         counts = Path(args.counts)
         times = Path(args.times) if args.times else None
     family, process = _parse_model(args.model, args.process)
+    if not family.records_times:
+        times = None
+    elif times is not None and not times.exists():
+        raise DataFormatError(f"cannot read {times}: no such file")
     dataset = load_dataset(counts, times, family=family, process=process)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", EndOfWindowWarning)

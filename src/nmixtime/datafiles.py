@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,9 @@ COUNTS_FILE = "counts.csv"
 TIMES_FILE = "times.csv"
 MANIFEST_FILE = "manifest.json"
 _DTYPE = {int: np.int64, float: np.float64}
+_NONBLANK = re.compile(r"[^\r\n]")
+_LINE_BREAK = re.compile(r"\r\n?|\n")  # how a text-mode open splits lines
+_ARCHIVES = {".gz", ".bz2", ".xz", ".lzma"}
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,13 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
 def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
     """The file's text and the columns named by ``columns`` (name -> int or
     float), each as its values and a mask of those that fail to parse (read
-    as 0). Only a body that one typed np.loadtxt parse refuses is read row by
-    row, with csv and Python's int/float: they accept every token it does,
-    with the same value, and more (``1_0``, Unicode digits). Blank lines are
-    skipped; a short row reads None for its missing fields."""
+    as 0). The text is read first, for the UTF-8 check, the header and the
+    lines errors name. The body then gets one typed np.loadtxt parse from the
+    path, which numpy reads in chunks, skipping the header's physical lines
+    (a quoted field may span several). Only a body that parse refuses is
+    read row by row, with csv and Python's int/float: they accept every token
+    it does, with the same value, and more (``1_0``, Unicode digits). Blank
+    lines are skipped; a short row reads None for its missing fields."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -128,12 +135,18 @@ def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
         if missing:
             raise DataFormatError(f"{path}: missing column(s) {', '.join(missing)}")
         where = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
-        body = text[buf.tell():]
-        if body.strip("\r\n"):  # loadtxt warns on a body of blank lines alone
+        end = buf.tell()
+        if _NONBLANK.search(text, end):  # loadtxt warns on a body of blank lines alone
+            # numpy would decompress a path named like an archive, so such a file parses from the text
+            source, skip = (
+                (io.StringIO(text[end:], newline=""), 0) if path.suffix in _ARCHIVES
+                else (path, len(_LINE_BREAK.findall(text, 0, end)))
+            )
             with contextlib.suppress(ValueError):
                 table = np.loadtxt(
-                    io.StringIO(body, newline=""), dtype=[(c, _DTYPE[kind]) for c, kind in columns.items()],
-                    delimiter=",", quotechar='"', comments=None, ndmin=1, usecols=[where[c] for c in columns],
+                    source, dtype=[(c, _DTYPE[kind]) for c, kind in columns.items()], delimiter=",",
+                    quotechar='"', comments=None, ndmin=1, usecols=[where[c] for c in columns],
+                    skiprows=skip, encoding="utf-8",
                 )
                 return [(table[c], np.zeros(table.size, dtype=bool)) for c in columns], text
         rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
@@ -195,9 +208,11 @@ def load_dataset(
 ) -> Dataset:
     """Assemble a Dataset from CSV files; structural problems raise DataFormatError.
 
-    Each file gets one typed parse (a row-wise reader runs only for one
-    that parse refuses, accepting the same syntax), and a row error names
-    the first offending line, blank lines counted (the header is line 1).
+    Each file gets one typed parse, read from its path in chunks (a
+    row-wise reader runs only for one that parse refuses, accepting the same
+    syntax), and a row error names the first offending line, blank lines
+    counted (the header is line 1). Detection times are ordered by cell and
+    detection_index, whatever the order of their rows.
     Semantic consistency (times matching counts, values in range) is the
     job of validate_dataset, which callers should run on the result.
     """
@@ -245,7 +260,7 @@ def load_dataset(
         ))
         _raise_first(times_path, text, checks)
         of_time = ti * n_occ + tj
-        order = np.lexsort((times, d, of_time))
+        order = np.lexsort((d, of_time))  # d runs 1..k in a cell that loads, so times never break a tie
         of_time, d, times = of_time[order], d[order], times[order]
         sizes = np.bincount(of_time, minlength=n)
         expected = np.arange(d.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1

@@ -44,7 +44,6 @@ from .model import (
     Family,
     ObservationProcess,
     Parameterization,
-    record_faults,
     _workspace_from_rows,  # noqa: F401 -- perfbench/tracing.py rebinds this name
 )
 from . import special
@@ -183,7 +182,7 @@ def data_pass(dataset: Dataset) -> SiteData:
     (and so ``validate_dataset``) reports, raises LikelihoodDomainError
     naming the first such cell; past that check every record is scorable.
     """
-    faults, _ = record_faults(dataset)
+    faults, _ = dataset.faults
     if faults:
         raise LikelihoodDomainError(
             f"{dataset.protocol.label} cannot score {len(faults)} record(s); first: {faults[0]}"

@@ -282,6 +282,11 @@ class Dataset:
         )
 
     @functools.cached_property
+    def faults(self) -> tuple[tuple[Violation, ...], np.ndarray]:
+        """``record_faults`` of this dataset, scanned once for its life."""
+        return record_faults(self)
+
+    @functools.cached_property
     def site_data(self):
         """Data-only arrays the likelihood kernels read, built on first use.
 
@@ -521,18 +526,18 @@ def build_workspace(dataset: Dataset, params: Parameterization, site: int) -> Si
     )
 
 
-def record_faults(dataset: Dataset) -> tuple[list[Violation], np.ndarray]:
+def record_faults(dataset: Dataset) -> tuple[tuple[Violation, ...], np.ndarray]:
     """Check every cell's recorded values against the protocol's support.
 
     Returns one Violation per faulty cell, in site and occasion order (the
-    scan does not stop at the first), and the flat (R*J,) mask of the clean
-    cells whose last detection time equals the search time. A cell's first
-    failing check among a negative count, a binary response above 1, a
-    times length that does not match the count and a time that is not
-    positive and finite ends that cell's scan; unsorted times and a time
-    past the search window are both reported. A first detection time at
-    the end of the window is a fault when the cell has later detections to
-    place, since those have no time left.
+    scan does not stop at the first), and the read-only flat (R*J,) mask of
+    the clean cells whose last detection time equals the search time. A
+    cell's first failing check among a negative count, a binary response
+    above 1, a times length that does not match the count and a time that
+    is not positive and finite ends that cell's scan; unsorted times and a
+    time past the search window are both reported. A first detection time
+    at the end of the window is a fault when the cell has later detections
+    to place, since those have no time left.
     """
     family, design = dataset.protocol.family, dataset.design
     j_total = design.n_occasions
@@ -577,7 +582,7 @@ def record_faults(dataset: Dataset) -> tuple[list[Violation], np.ndarray]:
     for c, k in found:
         message = faults[k][1] or f"times length != expected ({size[c]} recorded, {want[c]} required)"
         out.append(Violation(message, site=c // j_total, occasion=c % j_total))
-    return out, edge & ~crowded
+    return tuple(out), _readonly(edge & ~crowded)
 
 
 def validate_dataset(dataset: Dataset) -> list[Violation]:
@@ -585,9 +590,11 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
 
     Returns an empty list when the dataset is clean; otherwise a visits
     mismatch, if any, followed by the ``record_faults`` violations, which
-    are exactly the records ``total_loglik`` refuses to score. Detection
-    times exactly at the end of the search window are otherwise legal but
-    unusual, so they raise one EndOfWindowWarning per call instead.
+    are exactly the records ``total_loglik`` refuses to score. That scan is
+    the dataset's cached ``faults``, so scoring the dataset afterwards does
+    not repeat it. Detection times exactly at the end of the search window
+    are otherwise legal but unusual, so they raise one EndOfWindowWarning
+    per call instead.
     """
     proto = dataset.protocol
     j_total = dataset.design.n_occasions
@@ -599,7 +606,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
                 f"but the design has {j_total} occasion(s)"
             )
         )
-    faults, edge = record_faults(dataset)
+    faults, edge = dataset.faults
     out.extend(faults)
     if np.any(edge):
         c = int(np.flatnonzero(edge)[0])

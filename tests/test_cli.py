@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nmixtime.cli
+import nmixtime.likelihood
 import nmixtime.model
 import nmixtime.oracle
 from nmixtime.cli import main
@@ -238,6 +239,51 @@ def test_invalid_data_lines_number_cells_as_the_files_do(tmp_path, capsys, comma
     counts.write_text(header + "1,1,1.0,-1\n1,1,1.0,0\n")
     assert main(argv) == 2
     assert "duplicate cell site 1 occasion 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "loglik", "validate"])
+def test_a_counts_model_reads_no_times_from_a_data_directory(tmp_path, capsys, command):
+    cfg = sim_config(tmp_path, sites=12)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    params = write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 0.8})
+    argv = [command, "--data", str(data), "--model", "Count"]
+    argv += [] if command == "fit" else ["--params", params]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "loglik":
+        counts_only = load_dataset(data / "counts.csv", family=Family.COUNT, process=ObservationProcess.BINOMIAL_COUNT)
+        expected = total_loglik(counts_only, params_from_dict({"lambda": 2.0, "rate": 0.8}))
+        assert json.loads(out)["per_site"] == expected.per_site.tolist()
+
+
+@pytest.mark.parametrize("command", ["fit", "loglik", "validate"])
+def test_a_times_model_without_times_csv_prints_one_error_line(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "counts.csv").write_text("site,occasion,search_time,count\n1,1,1.0,2\n1,2,1.0,1\n2,1,1.0,0\n2,2,1.0,3\n")
+    argv = [command, "--data", str(data), "--model", "CountT"]
+    argv += [] if command == "fit" else ["--params", write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 1.0})]
+    assert main(argv) == 2
+    assert one_error_line(capsys) == f"error: cannot read {data / 'times.csv'}: no such file"
+
+
+@pytest.mark.parametrize("command", ["fit", "loglik"])
+def test_a_cli_run_scans_the_records_once(tmp_path, monkeypatch, command):
+    cfg = sim_config(tmp_path, sites=12)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    calls = []
+    original = nmixtime.model.record_faults
+    for module in (nmixtime.model, nmixtime.likelihood, nmixtime.cli):  # every name it is called through
+        if getattr(module, "record_faults", None) is original:
+            monkeypatch.setattr(module, "record_faults", lambda ds: calls.append(1) or original(ds))
+    argv = [command, "--data", str(data), "--model", "CountT", "--out", str(tmp_path / "out.json")]
+    argv += [] if command == "fit" else ["--params", write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 0.8})]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_fit_first_time_at_window_end_exits_config(tmp_path, capsys):

@@ -204,6 +204,67 @@ def test_load_crlf_files(tmp_path):
     _same_data(back, ds)
 
 
+@pytest.mark.parametrize("arrange", ["shuffled", "reversed"])
+def test_row_order_does_not_change_what_loads(tmp_path, arrange):
+    ds, _ = make_dataset(Family.COUNT_T, r=20, j=3, lam=4.0, h=1.2)
+    paths = write_dataset(ds, tmp_path / "std")
+    out = tmp_path / arrange
+    out.mkdir()
+    rng = np.random.default_rng(11)
+    for name in ("counts.csv", "times.csv"):
+        header, *rows = paths["counts"].with_name(name).read_text().splitlines(keepends=True)
+        order = rng.permutation(len(rows)) if arrange == "shuffled" else range(len(rows) - 1, -1, -1)
+        (out / name).write_text(header + "".join(rows[k] for k in order))
+    assert (out / "times.csv").read_text() != paths["times"].read_text()
+    back = load_dataset(out / "counts.csv", out / "times.csv", family=Family.COUNT_T, process=BIN)
+    _same_data(back, load_dataset(paths["counts"], paths["times"], family=Family.COUNT_T, process=BIN))
+    _same_data(back, ds)
+
+
+def test_a_repeated_detection_index_names_its_cell_and_sorted_indices(tmp_path):
+    counts = write_counts(tmp_path, GOOD_COUNTS)
+    times = tmp_path / "times.csv"
+    times.write_text("site,occasion,detection_index,time\n1,1,2,0.5\n1,1,1,0.4\n1,1,1,0.2\n")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
+    assert str(info.value) == "detection_index values for site 1 occasion 1 must run 1..3, got [1, 1, 2]"
+
+
+HEADER = "site,occasion,search_time,count"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + ',"note\nmore"\n1,1,1.0,2,x\n1,2,1.0,0,y\n',
+        HEADER + ',"note\r\nmore"\r\n1,1,1.0,2,x\r\n1,2,1.0,0,y\r\n',
+        # the header's second line would read as a row, a duplicate cell
+        HEADER + ',"note\n1,2,1.0,5,x"\n1,1,1.0,2,x\n1,2,1.0,0,y\n',
+        GOOD_COUNTS.replace("\n", "\r"),
+        HEADER + "\n\n\r\n" + GOOD_COUNTS.removeprefix(HEADER + "\n"),
+    ],
+    ids=["quoted-lf", "quoted-crlf", "quoted-row", "cr", "blank-lines"],
+)
+def test_header_edge_cases_load_as_the_plain_file_in_one_typed_parse(tmp_path, monkeypatch, text):
+    plain = load_dataset(write_counts(tmp_path, GOOD_COUNTS), family=Family.COUNT, process=BIN)
+    p = tmp_path / "edge.csv"
+    p.write_bytes(text.encode("utf-8"))
+
+    def row_wise(*args):
+        raise AssertionError("the typed parse refused the body")
+
+    monkeypatch.setattr("nmixtime.datafiles._parse", row_wise)
+    _same_data(load_dataset(p, family=Family.COUNT, process=BIN), plain)
+
+
+def test_a_plain_file_named_like_an_archive_loads(tmp_path):
+    # numpy would decompress a path ending in .gz; the file is plain text
+    plain = load_dataset(write_counts(tmp_path, GOOD_COUNTS), family=Family.COUNT, process=BIN)
+    p = tmp_path / "counts.csv.gz"
+    p.write_text(GOOD_COUNTS)
+    _same_data(load_dataset(p, family=Family.COUNT, process=BIN), plain)
+
+
 def test_load_float_site_and_count_rejected(tmp_path):
     p = write_counts(tmp_path, "site,occasion,search_time,count\n1.0,1,1.0,2\n")
     with pytest.raises(DataFormatError, match="line 2: non-integer site/occasion"):

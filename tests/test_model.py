@@ -380,6 +380,12 @@ class TestValidation:
         assert [str(w.message) for w in caught] == [
             "detection time equals search time in 2 cell(s) (first: site 2 occasion 1)"
         ]
+        # the scan is cached read-only; each call still warns and returns a fresh list
+        found.clear()
+        with pytest.warns(UserWarning, match="in 2 cell"):
+            assert len(validate_dataset(count_t)) == 11
+        faults, edge = count_t.faults
+        assert isinstance(faults, tuple) and not edge.flags.writeable
 
         binary_t1 = dataset(
             Family.BINARY_T1,
