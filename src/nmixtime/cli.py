@@ -37,6 +37,7 @@ from .errors import DataFormatError, EndOfWindowWarning, NMixTimeError, OracleCo
 from .estimate import fit
 from .likelihood import total_loglik
 from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, validate_dataset
+from .numtext import BLOCK, float_cells, join
 from .oracle import OracleConfig, oracle_site_logliks
 from .simulate import SimConfig, simulate_dataset
 
@@ -107,6 +108,8 @@ def _dataset_from_args(args) -> Dataset:
     elif times is not None and not times.exists():
         raise DataFormatError(f"cannot read {times}: no such file")
     dataset = load_dataset(counts, times, family=family, process=process)
+    if family.records_times and times is None and (dataset.counts > 0).any():
+        raise DataFormatError(f"{counts} holds detections and {family.value} records their times: give --times FILE")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", EndOfWindowWarning)
         violations = validate_dataset(dataset)
@@ -140,9 +143,27 @@ def _finite(value):
     return value
 
 
+def _json_value(value) -> str:
+    """``value`` as json.dumps(indent=2) writes it one level into an object;
+    an array (a vector of floats) is formatted in numpy, non-finite values as null."""
+    if not isinstance(value, np.ndarray):
+        return json.dumps(_finite(value), indent=2, allow_nan=False).replace("\n", "\n  ")
+    if not value.size:
+        return "[]"
+    items = b"".join(
+        join([b"    ", float_cells(value[k:k + BLOCK], nonfinite="null"), b",\n"])
+        for k in range(0, value.size, BLOCK)
+    )
+    return "[\n" + items[:-2].decode() + "\n  ]"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    """Write ``payload`` as strict (RFC 8259) JSON: NaN and infinities become null."""
-    text = json.dumps(_finite(payload), indent=2, allow_nan=False)
+    """Write ``payload`` as strict (RFC 8259) JSON: NaN and infinities become null.
+    An array value is written as json writes its list, without a call per value."""
+    if any(isinstance(v, np.ndarray) for v in payload.values()):
+        text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {_json_value(v)}" for k, v in payload.items()) + "\n}"
+    else:
+        text = json.dumps(_finite(payload), indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -224,7 +245,7 @@ def cmd_loglik(args) -> int:
     payload = {
         "model": dataset.protocol.label,
         "total": ll.total,
-        "per_site": ll.per_site.tolist(),
+        "per_site": ll.per_site,
         "constants_included": ll.irrelevant_constants_included,
     }
     _emit(payload, args.out)

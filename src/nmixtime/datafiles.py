@@ -3,9 +3,10 @@
 Counts travel as long-format CSV (one row per site-occasion cell, search
 time included), detection times as a companion CSV keyed by detection
 index. Site and occasion identifiers are 1-based in files and 0-based in
-memory. Floats are written with repr, so a load/save round trip is
-byte-identical. Both directions work on whole columns: one typed parse per
-file, one formatting pass per column.
+memory. Numbers are written as repr writes them, formatted in numpy, so
+a load/save round trip is byte-identical. Both directions work on whole
+columns: one typed parse per file, and one byte buffer per block of rows
+written.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .model import (
     Protocol,
     SurveyDesign,
 )
+from .numtext import BLOCK, float_cells, int_cells, join
 
 __all__ = [
     "RunManifest",
@@ -75,17 +77,18 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _reprs(column: np.ndarray) -> list:
-    """repr of each value, formatted once per distinct value (np.unique merges -0.0 with 0.0, and NaNs)."""
-    values, inverse = np.unique(column, return_inverse=True)
-    return np.array([repr(v) for v in values.tolist()], dtype=object)[inverse].tolist()
-
-
-def _write_rows(path: Path, header: str, cell: np.ndarray, n_occ: int, *columns) -> None:
-    """One line per entry of ``cell``: its 1-based site and occasion, then the strings of ``columns``."""
-    fields = (_reprs(cell // n_occ + 1), _reprs(cell % n_occ + 1), *columns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*fields)), ""]))
+def _write_csv(path: Path, header: str, cell: np.ndarray, n_occ: int, columns) -> None:
+    """One line per entry of ``cell``: its 1-based site and occasion, then
+    its value in each (formatter, column) pair of ``columns``. Each block of
+    rows is formatted into one byte buffer."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for k in range(0, cell.size, BLOCK):
+            rows = slice(k, k + BLOCK)
+            parts = [int_cells(cell[rows] // n_occ + 1), b",", int_cells(cell[rows] % n_occ + 1)]
+            for cells, column in columns:
+                parts += [b",", cells(column[rows])]
+            fh.write(join([*parts, b"\n"]))
 
 
 def write_dataset(dataset: Dataset, out_dir) -> dict:
@@ -98,9 +101,9 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
     n_occ = dataset.n_occasions
     cell = np.arange(dataset.counts.size)
     counts_path = out_dir / COUNTS_FILE
-    _write_rows(
+    _write_csv(
         counts_path, "site,occasion,search_time,count", cell, n_occ,
-        _reprs(dataset.design.search_time.ravel()), _reprs(dataset.counts.ravel()),
+        [(float_cells, dataset.design.search_time.ravel()), (int_cells, dataset.counts.ravel())],
     )
     times_path = None
     if dataset.protocol.family.records_times:
@@ -108,9 +111,9 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
         size = dataset.times_per_cell.ravel()
         of_time = np.repeat(cell, size)
         index = np.arange(of_time.size) - np.repeat(dataset.times_start.ravel(), size) + 1
-        _write_rows(
+        _write_csv(
             times_path, "site,occasion,detection_index,time", of_time, n_occ,
-            _reprs(index), map(repr, dataset.times_flat.tolist()),
+            [(int_cells, index), (float_cells, dataset.times_flat)],
         )
     return {"counts": counts_path, "times": times_path}
 

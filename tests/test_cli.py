@@ -270,6 +270,91 @@ def test_a_times_model_without_times_csv_prints_one_error_line(tmp_path, capsys,
     assert one_error_line(capsys) == f"error: cannot read {data / 'times.csv'}: no such file"
 
 
+@pytest.mark.parametrize("command", ["fit", "loglik", "validate"])
+def test_a_times_model_given_counts_with_detections_and_no_times_prints_one_error_line(tmp_path, capsys, command):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,2\n1,2,1.0,0\n2,1,1.0,1\n2,2,1.0,1\n")
+    argv = [command, "--counts", str(counts), "--model", "CountT"]
+    argv += [] if command == "fit" else ["--params", write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 1.0})]
+    assert main(argv) == 2
+    assert one_error_line(capsys) == f"error: {counts} holds detections and CountT records their times: give --times FILE"
+
+
+@pytest.mark.parametrize("command", ["fit", "loglik", "validate"])
+def test_a_times_model_given_counts_without_detections_needs_no_times(tmp_path, capsys, command):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,0\n1,2,1.0,0\n2,1,1.0,0\n2,2,1.0,0\n")
+    argv = [command, "--counts", str(counts), "--model", "CountT", "--out", str(tmp_path / "out.json")]
+    argv += [] if command == "fit" else ["--params", write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 1.0})]
+    assert main(argv) in (0, 3)  # a fit to no detections may be flagged
+    assert "error" not in capsys.readouterr().err
+    assert strict_json((tmp_path / "out.json").read_text())["model"] == "CountT:M"
+
+
+def _finite_lists(value):
+    """``value`` with arrays as lists and non-finite floats as None."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_lists(v) for v in value]
+    return value
+
+
+def dumped(payload) -> str:
+    """The JSON text of one json.dumps call on ``payload`` with its arrays as lists."""
+    return json.dumps(_finite_lists(payload), indent=2, allow_nan=False) + "\n"
+
+
+EMIT_PAYLOADS = {
+    "non-finite sites": {
+        "model": "CountT:M", "total": -math.inf,
+        "per_site": np.array([-1.5, -math.inf, math.nan, 0.1, -0.0, 1e-5, -1e300, -12.25, math.inf]),
+        "constants_included": False,
+    },
+    "no sites": {"model": "Count:M", "total": 0.0, "per_site": np.array([]), "constants_included": True},
+    "one site": {"model": "PCountT1:S", "total": -3.75, "per_site": np.array([-3.75]), "constants_included": False},
+    "more sites than one block": {
+        "model": "Count:M", "total": -math.inf,
+        "per_site": np.concatenate([-np.linspace(0.5, 900.0, 70_000), [-math.inf, math.nan, -0.0]]),
+        "constants_included": False,
+    },
+    "fit": {
+        "model": "Binary:M", "estimates": {"log_lambda": 0.5, "log_rate": -1.25}, "se": [0.1, math.nan],
+        "loglik": -41.0, "aic": 86.0, "converged": True, "n_evals": 4, "hessian_condition": math.inf,
+        "covariance": [[1.0, 0.0], [0.0, 2.5]], "messages": ["a \"quoted\"\nline", "\u00e9"],
+    },
+    "nested around an array": {
+        "estimates": {"log_lambda": [0.5, -math.inf], "inner": {"x": []}}, "empty": {}, "none": [],
+        "per_site": np.array([2.0, -0.25]), "text": "tab\there", "flag": None,
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(EMIT_PAYLOADS))
+def test_emit_writes_what_one_dumps_call_writes(tmp_path, capsys, name):
+    payload = EMIT_PAYLOADS[name]
+    nmixtime.cli._emit(payload, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == dumped(payload)
+    nmixtime.cli._emit(payload, None)
+    assert capsys.readouterr().out == dumped(payload)
+
+
+def test_loglik_json_is_what_one_dumps_call_writes(tmp_path, capsys):
+    cfg = sim_config(tmp_path, sites=30)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--out", str(data)]) == 0
+    params = {"lambda": 2.5, "rate": 0.7}
+    assert main(["loglik", "--data", str(data), "--model", "CountT", "--params", write_json(tmp_path / "p.json", params)]) == 0
+    ds = load_dataset(data / "counts.csv", data / "times.csv", family=Family.COUNT_T, process=ObservationProcess.BINOMIAL_COUNT)
+    ll = total_loglik(ds, params_from_dict(params))
+    payload = {"model": "CountT:M", "total": ll.total, "per_site": ll.per_site, "constants_included": False}
+    assert capsys.readouterr().out.split("\n", 1)[1] == dumped(payload)
+
+
 @pytest.mark.parametrize("command", ["fit", "loglik"])
 def test_a_cli_run_scans_the_records_once(tmp_path, monkeypatch, command):
     cfg = sim_config(tmp_path, sites=12)

@@ -18,6 +18,7 @@ from nmixtime.datafiles import (
 from nmixtime.errors import DataFormatError
 from nmixtime.likelihood import total_loglik
 from nmixtime.model import (
+    Dataset,
     Family,
     ObservationProcess,
     Parameterization,
@@ -369,6 +370,65 @@ def test_write_load_write_is_byte_identical(tmp_path, family, process, j):
     for name in ("counts", "times"):
         if paths[name] is not None:
             assert paths2[name].read_bytes() == paths[name].read_bytes()
+
+
+def repr_files(dataset) -> tuple[bytes, bytes | None]:
+    """counts.csv and times.csv as a writer calling repr on every value and
+    joining each row's fields with commas writes them."""
+    n_occ = dataset.n_occasions
+    search, counts = dataset.design.search_time.ravel().tolist(), dataset.counts.ravel().tolist()
+    lines = ["site,occasion,search_time,count"]
+    for c, (t, y) in enumerate(zip(search, counts)):
+        lines.append(",".join([repr(c // n_occ + 1), repr(c % n_occ + 1), repr(t), repr(y)]))
+    counts_file = "\n".join(lines + [""]).encode()
+    if not dataset.protocol.family.records_times:
+        return counts_file, None
+    lines = ["site,occasion,detection_index,time"]
+    times = iter(dataset.times_flat.tolist())
+    for c, size in enumerate(dataset.times_per_cell.ravel().tolist()):
+        for k in range(1, size + 1):
+            lines.append(",".join([repr(c // n_occ + 1), repr(c % n_occ + 1), repr(k), repr(next(times))]))
+    return counts_file, "\n".join(lines + [""]).encode()
+
+
+def assert_written_as_repr(dataset, out_dir):
+    paths = write_dataset(dataset, out_dir)
+    counts, times = repr_files(dataset)
+    assert paths["counts"].read_bytes() == counts
+    assert (paths["times"] and paths["times"].read_bytes()) == times
+
+
+@pytest.mark.parametrize("family, process, j", VARIANTS, ids=[Protocol.for_design(*v).label for v in VARIANTS])
+def test_every_protocol_is_written_as_repr_writes_it(tmp_path, family, process, j):
+    search = 0.4 + 0.35 * (np.arange(25 * j).reshape(25, j) % 5)
+    cfg = SimConfig(
+        Protocol.for_design(family, process, j), SurveyDesign(25, j, search),
+        Parameterization(math.log(3.0), math.log(0.8)), seed=2024,
+    )
+    assert_written_as_repr(simulate_dataset(cfg), tmp_path)
+
+
+@pytest.mark.parametrize("sites", [10_000, 17_000])  # 17,000 x 4: both files run past one 65,536-row block
+def test_a_large_survey_is_written_as_repr_writes_it(tmp_path, sites):
+    cfg = SimConfig(
+        Protocol.for_design(Family.COUNT_T, BIN, 4), SurveyDesign(sites, 4, 1.0),
+        Parameterization(math.log(3.0), math.log(0.5)), seed=1,
+    )
+    ds = simulate_dataset(cfg)
+    assert sites < 17_000 or ds.times_flat.size > 65_536
+    assert_written_as_repr(ds, tmp_path)
+
+
+def test_edge_values_are_written_as_repr_writes_them(tmp_path):
+    search = [[1e-5, 0.1, 2.5, 1e16], [1e-4, 1e15, 9999999999999998.0, 0.30000000000000004]]
+    counts = [[0, 10**9, 2**62, 7], [0, 0, 10**18, 1]]
+    design = SurveyDesign(2, 4, search)
+    ds = Dataset.from_arrays(Protocol.for_design(Family.COUNT, BIN, 4), design, counts)
+    assert_written_as_repr(ds, tmp_path / "count")
+    times_per_cell = np.array([[0, 3, 2, 7], [0, 0, 1, 1]])
+    times = [1e-5, 5e-324, 0.1, 2.5, 1e16, 1e-4, np.nextafter(1e-4, 0), 0.5 + 2**-17, 0.25, 2.0**53, 1e15, 7.0, 0.1, 3.0]
+    ds = Dataset.from_arrays(Protocol.for_design(Family.COUNT_T, BIN, 4), design, times_per_cell, times_per_cell, times)
+    assert_written_as_repr(ds, tmp_path / "times")
 
 
 INT_TOKENS = ["1", "2", "3", " 2 ", "+1", "0", "-1", "1_0", "\u0661", "1.0", "", "nan", "x", "0x1p3", "1e0", '2""',
