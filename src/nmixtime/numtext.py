@@ -24,6 +24,10 @@ An exact tie in step 3, and every value outside that domain (zero,
 subnormals, |x| < 1e-4 or >= 1e16, inf, nan), is formatted by ``repr``
 itself. numpy integers wrap silently on overflow, so the comments below
 state the bound of each int64 quantity.
+
+numpy's own float-to-bytes cast (``x.astype("S24")``, Dragon4) gives the
+same text but runs about 4x slower than ``float_cells`` on 47k floats,
+slower even than a ``repr`` per value.
 """
 from __future__ import annotations
 
@@ -130,10 +134,6 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 def float_cells(values, nonfinite: str | None = None) -> np.ndarray:
     """Cells of ``repr`` of each float64; ``nonfinite`` if given replaces the text of inf and nan."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    bits = x.view(np.int64)
-    if x.size > 1 and (bits == bits[0]).all():  # one value (a survey's search time, often): format it once
-        one = float_cells(x[:1], nonfinite)
-        return np.broadcast_to(one, (x.size, one.shape[1]))
     a = np.abs(x)
     inside = (a >= 1e-4) & (a < 1e16)
     d, s, t, sure = _shortest(np.where(inside, a, 1.0))
