@@ -25,11 +25,9 @@ from .model import (
     Parameterization,
     Protocol,
     SiteRecord,
-    SiteWorkspace,
     SurveyDesign,
     Violation,
     Visits,
-    build_workspace,
     validate_dataset,
 )
 from .oracle import OracleConfig, oracle_site_loglik, oracle_site_logliks, oracle_total_loglik
@@ -54,11 +52,9 @@ __all__ = [
     "SeriesConvergenceError",
     "SimConfig",
     "SiteRecord",
-    "SiteWorkspace",
     "SurveyDesign",
     "Violation",
     "Visits",
-    "build_workspace",
     "default_init",
     "empirical_pmf_check",
     "fit",

@@ -105,8 +105,6 @@ def _dataset_from_args(args) -> Dataset:
     family, process = _parse_model(args.model, args.process)
     if not family.records_times:
         times = None
-    elif times is not None and not times.exists():
-        raise DataFormatError(f"cannot read {times}: no such file")
     dataset = load_dataset(counts, times, family=family, process=process)
     if family.records_times and times is None and (dataset.counts > 0).any():
         raise DataFormatError(f"{counts} holds detections and {family.value} records their times: give --times FILE")
@@ -158,12 +156,10 @@ def _json_value(value) -> str:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    """Write ``payload`` as strict (RFC 8259) JSON: NaN and infinities become null.
-    An array value is written as json writes its list, without a call per value."""
-    if any(isinstance(v, np.ndarray) for v in payload.values()):
-        text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {_json_value(v)}" for k, v in payload.items()) + "\n}"
-    else:
-        text = json.dumps(_finite(payload), indent=2, allow_nan=False)
+    """Write ``payload`` (not empty) as json.dumps(indent=2) would, but strict
+    (RFC 8259): NaN and infinities become null, and an array value is written
+    as json writes its list, without a call per value."""
+    text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {_json_value(v)}" for k, v in payload.items()) + "\n}"
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:

@@ -215,10 +215,13 @@ def load_dataset(
     row-wise reader runs only for one that parse refuses, accepting the same
     syntax), and a row error names the first offending line, blank lines
     counted (the header is line 1). Detection times are ordered by cell and
-    detection_index, whatever the order of their rows.
+    detection_index, whatever the order of their rows. A times file that
+    does not exist is an error, not an empty one.
     Semantic consistency (times matching counts, values in range) is the
     job of validate_dataset, which callers should run on the result.
     """
+    if times_path is not None and not Path(times_path).exists():
+        raise DataFormatError(f"cannot read {times_path}: no such file")
     counts_path = Path(counts_path)
     columns, text = _read_columns(
         counts_path, {"site": int, "occasion": int, "search_time": float, "count": int}
@@ -249,7 +252,7 @@ def load_dataset(
 
     sizes = np.zeros(n, dtype=np.int64)
     times = ()
-    if times_path is not None and Path(times_path).exists():
+    if times_path is not None:
         times_path = Path(times_path)
         columns, text = _read_columns(
             times_path, {"site": int, "occasion": int, "detection_index": int, "time": float}

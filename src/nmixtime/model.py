@@ -28,11 +28,9 @@ __all__ = [
     "SiteRecord",
     "Dataset",
     "Parameterization",
-    "SiteWorkspace",
     "Violation",
     "record_faults",
     "validate_dataset",
-    "build_workspace",
 ]
 
 
@@ -442,88 +440,6 @@ class Parameterization:
     @property
     def n_free(self) -> int:
         return self.log_lambda.size + self.log_rate.size
-
-
-@dataclass(frozen=True, eq=False)
-class SiteWorkspace:
-    """Per-site quantities shared by the likelihood kernels.
-
-    Exposure here means rate * time: the expected number of detection
-    events per individual over a window. Detection occasions are those
-    with at least one detection.
-    """
-
-    site: int
-    counts: np.ndarray
-    times: tuple[np.ndarray, ...]
-    search_time: np.ndarray            # (J,)
-    log_rate: np.ndarray               # (J,) log of per-occasion hazard / event rate
-    rate: np.ndarray                   # (J,)
-    detect_prob: np.ndarray            # (J,) 1 - exp(-rate * T), binomial thinning probability
-    max_count: int                     # largest single-occasion count: no fewer animals than that
-    total_count: int
-    undetected_exposure: float         # sum of rate * T over occasions with no detection
-    detected_exposures: np.ndarray     # rate * T per detection occasion, in occasion order
-    time_exposure: float | None        # rate * first-time over detections + rate * T elsewhere
-    log_lambda: float
-
-    def __post_init__(self):
-        for name in ("counts", "search_time", "log_rate", "rate", "detect_prob", "detected_exposures"):
-            arr = getattr(self, name)
-            if arr.flags.writeable:
-                object.__setattr__(self, name, _readonly(np.asarray(arr)))
-
-
-def _workspace_from_rows(
-    record: SiteRecord,
-    search_row: np.ndarray,
-    log_rate_row: np.ndarray,
-    log_lambda: float,
-) -> SiteWorkspace:
-    y = record.counts
-    rate = np.exp(log_rate_row)
-    exposure = rate * search_row
-    detect_prob = -np.expm1(-exposure)
-    detected = y > 0
-    undetected_exposure = float(exposure[~detected].sum())
-    detected_exposures = exposure[detected]
-
-    time_exposure: float | None = float(undetected_exposure)
-    for j in np.flatnonzero(detected):
-        tj = record.times[j]
-        if tj.size == 0:
-            time_exposure = None
-            break
-        time_exposure += float(rate[j]) * float(tj[0])
-
-    return SiteWorkspace(
-        site=record.site,
-        counts=y,
-        times=record.times,
-        search_time=search_row,
-        log_rate=log_rate_row,
-        rate=rate,
-        detect_prob=detect_prob,
-        max_count=int(y.max()) if y.size else 0,
-        total_count=int(y.sum()),
-        undetected_exposure=undetected_exposure,
-        detected_exposures=detected_exposures,
-        time_exposure=time_exposure,
-        log_lambda=float(log_lambda),
-    )
-
-
-def build_workspace(dataset: Dataset, params: Parameterization, site: int) -> SiteWorkspace:
-    """Assemble the derived per-site quantities the kernels work from."""
-    if not 0 <= site < dataset.n_sites:
-        raise IndexError(f"site index {site} out of range for {dataset.n_sites} sites")
-    log_lambda_vec, log_rate_mat = params.resolve(dataset.design)
-    return _workspace_from_rows(
-        dataset.records[site],
-        dataset.design.search_time[site],
-        log_rate_mat[site],
-        float(log_lambda_vec[site]),
-    )
 
 
 def record_faults(dataset: Dataset) -> tuple[tuple[Violation, ...], np.ndarray]:

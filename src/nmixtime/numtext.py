@@ -35,6 +35,8 @@ import math
 
 import numpy as np
 
+from .special import _two_product
+
 __all__ = ["BLOCK", "int_cells", "float_cells", "join"]
 
 BLOCK = 65_536  # rows to format at a time, so temporaries do not grow with the input
@@ -42,7 +44,6 @@ BLOCK = 65_536  # rows to format at a time, so temporaries do not grow with the 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**18 < 2**63
 _POW10F = 10.0 ** np.arange(23)  # exact doubles up to 10**22
 _POW5 = 5 ** np.arange(23, dtype=np.int64)  # 5**22 < 2**52
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 _CHUNK = 18  # decimal digits an int64 holds
 _ZERO = ord("0")
 
@@ -84,15 +85,6 @@ def int_cells(values) -> np.ndarray:
     return chars
 
 
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi, lo with hi = fl(a b) and hi + lo = a b exactly (no overflow here: a, b < 1e22)."""
-    hi = a * b
-    ca, cb = _SPLIT * a, _SPLIT * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
 def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For positive ``a`` in [1e-4, 1e16): (D, s, t, sure). repr's digits are
     the whole number D, a multiple of 10**t and no higher power of ten, and
@@ -101,7 +93,7 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     s = 16 - np.floor(np.log10(a)).astype(np.int64)
     hi = a * _POW10F[s]  # log10 can be off by one near a power of ten
     s += (hi < 1e16).astype(np.int64) - (hi >= 1e17)  # s in [1, 21]
-    hi, lo = _two_product(a, _POW10F[s])
+    hi, lo = _two_product(a, _POW10F[s])  # exact: no overflow with a, 10**s < 1e22
     mant, e2 = np.frexp(a)  # a = mant 2**e2 with mant in [0.5, 1)
     e = 55 - e2.astype(np.int64) - s  # 0 <= e <= 51 for V in [1e16, 1e17)
     units = np.ldexp(lo, e).astype(np.int64)  # lo is a multiple of 2**(2 - e) and |lo| <= 8: < 2**54

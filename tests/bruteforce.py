@@ -325,6 +325,8 @@ def reference_load_dataset(
 ) -> Dataset:
     """``nmixtime.datafiles.load_dataset`` done row by row: the same Dataset,
     or the same DataFormatError text."""
+    if times_path is not None and not Path(times_path).exists():
+        raise DataFormatError(f"cannot read {times_path}: no such file")
     counts_path = Path(counts_path)
     (site, occasion, search_col, count_col), lines = _reference_columns(
         counts_path, ["site", "occasion", "search_time", "count"]
@@ -352,7 +354,7 @@ def reference_load_dataset(
     search[i, j], counts[i, j] = t, y
     sizes = np.zeros((n_sites, n_occ), dtype=np.int64)
     flat: list[float] = []
-    if times_path is not None and Path(times_path).exists():
+    if times_path is not None:
         times_path = Path(times_path)
         (t_site, t_occ, index_col, time_col), lines = _reference_columns(
             times_path, ["site", "occasion", "detection_index", "time"]

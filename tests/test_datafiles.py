@@ -126,6 +126,14 @@ def test_load_missing_file(tmp_path):
         load_dataset(tmp_path / "nope.csv", family=Family.COUNT, process=BIN)
 
 
+def test_load_missing_times_file(tmp_path):
+    counts = write_counts(tmp_path, GOOD_COUNTS)
+    times = tmp_path / "times.csv"
+    with pytest.raises(DataFormatError) as raised:
+        load_dataset(counts, times, family=Family.COUNT_T, process=BIN)
+    assert str(raised.value) == f"cannot read {times}: no such file"
+
+
 def test_load_duplicate_cell(tmp_path):
     p = write_counts(tmp_path, GOOD_COUNTS + "1,2,1.0,3\n")
     with pytest.raises(DataFormatError, match="duplicate cell"):

@@ -1,4 +1,4 @@
-"""Data model, design normalization, workspace quantities, validation."""
+"""Data model, design normalization, validation."""
 import math
 import re
 
@@ -14,7 +14,6 @@ from nmixtime.model import (
     SiteRecord,
     SurveyDesign,
     Visits,
-    build_workspace,
     validate_dataset,
 )
 
@@ -244,46 +243,6 @@ def test_array_holders_compare_by_identity():
     assert len({a: 0, b: 1, d1: 2, d2: 3, p: 4}) == 5
     # protocols hold no arrays and keep value equality
     assert Protocol.for_design(Family.COUNT, BIN, 2) == proto
-
-
-class TestWorkspace:
-    def test_detection_split_of_exposure(self):
-        # one detected and one undetected occasion, unit exposure each
-        ds = dataset(Family.BINARY, BIN, [[1, 0]])
-        ws = build_workspace(ds, Parameterization(0.0, 0.0), 0)
-        assert ws.undetected_exposure == pytest.approx(1.0)
-        assert np.allclose(ws.detected_exposures, [1.0])
-        assert ws.max_count == 1
-
-    def test_all_zero_record(self):
-        ds = dataset(Family.BINARY, BIN, [[0, 0, 0]], search_time=0.5)
-        ws = build_workspace(ds, Parameterization(0.0, 0.0), 0)
-        assert ws.undetected_exposure == pytest.approx(1.5)
-        assert ws.detected_exposures.size == 0
-        assert ws.max_count == 0
-
-    def test_count_summaries(self):
-        ds = dataset(Family.COUNT, BIN, [[2, 3]], search_time=10.0)
-        ws = build_workspace(ds, Parameterization(0.0, np.log([0.1, 0.2])), 0)
-        assert np.allclose(ws.detect_prob, [1 - math.exp(-1.0), 1 - math.exp(-2.0)])
-        assert ws.max_count == 3
-        assert ws.total_count == 5
-
-    def test_first_detection_time_exposure(self):
-        ds = dataset(
-            Family.BINARY_T1,
-            BIN,
-            [[1, 0]],
-            times=[[[0.3], []]],
-            search_time=np.array([1.0, 2.0]),
-        )
-        ws = build_workspace(ds, Parameterization(0.0, math.log(0.5)), 0)
-        assert ws.time_exposure == pytest.approx(0.5 * 0.3 + 0.5 * 2.0)
-
-    def test_no_time_exposure_without_times(self):
-        ds = dataset(Family.COUNT, BIN, [[1, 2]])
-        ws = build_workspace(ds, Parameterization(0.0, 0.0), 0)
-        assert ws.time_exposure is None
 
 
 class TestValidation:
