@@ -31,6 +31,7 @@ from .datafiles import (
     load_dataset,
     params_from_dict,
     params_to_dict,
+    read_text,
     write_dataset,
 )
 from .errors import DataFormatError, EndOfWindowWarning, NMixTimeError, OracleConvergenceError
@@ -82,10 +83,7 @@ def _whole(config: dict, key: str, default=None) -> int:
 
 def _load_json(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -108,26 +106,27 @@ def _dataset_from_args(args) -> Dataset:
     dataset = load_dataset(counts, times, family=family, process=process)
     if family.records_times and times is None and (dataset.counts > 0).any():
         raise DataFormatError(f"{counts} holds detections and {family.value} records their times: give --times FILE")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", EndOfWindowWarning)
+    with warnings.catch_warnings():  # reported below, from the scan it comes from
+        warnings.simplefilter("ignore", EndOfWindowWarning)
         violations = validate_dataset(dataset)
-    for w in caught:  # sites and occasions numbered from 1, as in the files
-        if isinstance(w.message, EndOfWindowWarning):
-            edge = w.message
-            print(
-                f"warning: detection time equals search time in {edge.cells} cell(s) "
-                f"(first: site {edge.site + 1} occasion {edge.occasion + 1})",
-                file=sys.stderr,
-            )
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    edge = dataset.faults[1]
+    if edge.any():
+        first = divmod(int(np.argmax(edge)), dataset.n_occasions)
+        print(
+            f"warning: detection time equals search time in {int(edge.sum())} cell(s) (first: {_cell(*first)})",
+            file=sys.stderr,
+        )
     if violations:
         for v in violations:
-            where = "" if v.site is None else f" at site {v.site + 1}"
-            where += "" if v.occasion is None else f" occasion {v.occasion + 1}"
+            where = "" if v.site is None else " at " + _cell(v.site, v.occasion)
             print(f"invalid data: {v.message}{where}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
     return dataset
+
+
+def _cell(site: int, occasion: int) -> str:
+    """A 0-based cell as the files number it, from 1."""
+    return f"site {site + 1} occasion {occasion + 1}"
 
 
 def _finite(value):
@@ -175,13 +174,10 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _whole(config, "seed", 0)
     resolved = {**config, "seed": seed, "process": process.value}
 
-    try:
-        design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), config["search_time"])
-        params = params_from_dict(config)
-        protocol = Protocol.for_design(family, process, design.n_occasions)
-        sim = SimConfig(protocol, design, params, seed)
-    except (ValueError, TypeError) as exc:
-        raise DataFormatError(str(exc)) from exc
+    design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), config["search_time"])
+    params = params_from_dict(config)
+    protocol = Protocol.for_design(family, process, design.n_occasions)
+    sim = SimConfig(protocol, design, params, seed)
 
     t0 = time.perf_counter()
     dataset = simulate_dataset(sim)

@@ -118,6 +118,23 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
     return {"counts": counts_path, "times": times_path}
 
 
+def read_text(path, newline=None) -> str:
+    """The UTF-8 text of the file at ``path``, lines split as ``open`` splits
+    them with ``newline``. A file that cannot be read raises one
+    DataFormatError that names it once: ``cannot read PATH: no such file``,
+    ``cannot read PATH: <the system's reason>`` or ``PATH: <the decode
+    error>``."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"cannot read {path}: no such file") from exc
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
     """The file's text and the columns named by ``columns`` (name -> int or
     float), each as its values and a mask of those that fail to parse (read
@@ -128,9 +145,8 @@ def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
     read row by row, with csv and Python's int/float: they accept every token
     it does, with the same value, and more (``1_0``, Unicode digits). Blank
     lines are skipped; a short row reads None for its missing fields."""
+    text = read_text(path, newline="")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
         buf = io.StringIO(text, newline="")
         reader = csv.reader(buf)
         header = next(reader, [])
@@ -153,9 +169,7 @@ def _read_columns(path: Path, columns: dict) -> tuple[list, str]:
                 )
                 return [(table[c], np.zeros(table.size, dtype=bool)) for c in columns], text
         rows = [row + [None] * (len(header) - len(row)) for row in reader if row]
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     return [_parse([row[where[c]] for row in rows], kind) for c, kind in columns.items()], text
 
@@ -220,8 +234,6 @@ def load_dataset(
     Semantic consistency (times matching counts, values in range) is the
     job of validate_dataset, which callers should run on the result.
     """
-    if times_path is not None and not Path(times_path).exists():
-        raise DataFormatError(f"cannot read {times_path}: no such file")
     counts_path = Path(counts_path)
     columns, text = _read_columns(
         counts_path, {"site": int, "occasion": int, "search_time": float, "count": int}

@@ -236,7 +236,9 @@ def _curvature_report(
 ) -> tuple[np.ndarray, np.ndarray, float, list[str]]:
     """Covariance, standard errors, condition number, and any complaints,
     from the information ``info``, residual ``score`` and log-likelihood
-    ``f0`` of the search's last evaluation at its estimate.
+    ``f0`` of the search's last evaluation at its estimate. ``info`` is
+    finite: ``_CountedLoglik`` scores a non-finite Hessian as impossible,
+    and the search accepts no impossible point.
 
     The covariance is the inverse of ``info`` on the eigenvalues kept, and
     the condition number the ratio of the largest to the smallest
@@ -252,10 +254,6 @@ def _curvature_report(
     messages: list[str] = []
     nan_cov = np.full((k, k), math.nan)
     nan_se = np.full(k, math.nan)
-    if not np.all(np.isfinite(info)):
-        messages.append("hessian contains non-finite entries; no standard errors available")
-        return nan_cov, nan_se, math.inf, messages
-
     resolution = RIDGE_SAFETY * (float(np.max(np.abs(score), initial=0.0)) + _EPS * (1.0 + abs(f0)))
     eigs, vecs = np.linalg.eigh(info)
     if eigs[-1] <= resolution:
@@ -414,5 +412,5 @@ def profile_loglik(
             warm = xo
         else:
             out[idx] = math.nan
-            messages.append(f"grid point {g!r}: reduced fit failed ({stop})")
+            messages.append(f"grid point {float(g)!r}: reduced fit failed ({stop})")
     return ProfileResult(coef_index, grid, out, messages)

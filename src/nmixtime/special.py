@@ -38,7 +38,6 @@ P(K <= k) or P(K > k), and place their first probe with
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import sys
@@ -98,10 +97,9 @@ def log_sum_exp(values, axis=None):
 
 
 # Stirling's series for log Gamma(x) - (x - 1/2)(log x - 1) - log(2 pi) / 2 + 1/2:
-# B_2k / (2k (2k - 1) x^(2k - 1)), k = 1, 2, ... From x >= _LG_FROM[-k] on, k terms
-# leave out less than 1e-17 x, a tenth of an ulp of log Gamma(x) or less.
+# B_2k / (2k (2k - 1) x^(2k - 1)), k = 1, 2, ... From x >= 9.5 on, these eight terms
+# leave out less than 5e-18, the ninth, below a tenth of an ulp of log Gamma(x).
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
-_LG_FROM = sorted((abs(c) * 1e17) ** (1 / (2 * k + 2)) for k, c in enumerate(_STIRLING[1:], 1))
 _LG_BLOCK = 8192  # elements log_gamma takes at once, in two reused buffers
 _LOG_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(10)])
 
@@ -109,15 +107,15 @@ _LOG_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(10)])
 def log_gamma(x):
     """log Gamma(x) for x > 0, elementwise: an array shaped like ``x``.
 
-    From 10 on, Stirling's series, in blocks of _LG_BLOCK elements that take
-    the terms their least x needs. Below 10, with k the nearest integer to x
-    (to x + 1 below 1/2, less log x) and e = x - k: log (k - 1)! + [log
-    Gamma(10 + e) - log 9!] - sum_{i=k}^9 log1p(e / i), the bracket taken as
-    Stirling's less its value at 10, so an integer gives exactly log (k - 1)!
-    (0 at 1 and 2) and values near 1 and 2 keep their precision. A block of
-    whole numbers below 4096, the kernels' arguments up to abundances of
-    ~4000, reads a table of those same values. Each value depends on its x
-    alone and lies within ~5e-16 max(1, |log Gamma|) of the exact one.
+    From 10 on, Stirling's series, in blocks of _LG_BLOCK elements. Below 10,
+    with k the nearest integer to x (to x + 1 below 1/2, less log x) and e =
+    x - k: log (k - 1)! + [log Gamma(10 + e) - log 9!] - sum_{i=k}^9
+    log1p(e / i), the bracket taken as Stirling's less its value at 10, so
+    an integer gives exactly log (k - 1)! (0 at 1 and 2) and values near 1
+    and 2 keep their precision. A block of whole numbers below 4096, the
+    kernels' arguments up to abundances of ~4000, reads a table of those
+    same values. Each value depends on its x alone and lies within ~5e-16
+    max(1, |log Gamma|) of the exact one.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
@@ -136,46 +134,39 @@ def log_gamma(x):
                 continue
         if buffers is None:
             buffers = np.empty((2, min(flat.size, _LG_BLOCK)))
-        _log_gamma(b, lo, hi, o, *buffers[:, : b.size])
+        _log_gamma(b, o, *buffers[:, : b.size])
     return out
 
 
-def _log_gamma(x, lo, hi, out, series, scratch):
-    """log Gamma of a block whose least and largest values are ``lo`` and
-    ``hi``, into ``out``: (x - 1/2)(log x - 1) plus Stirling's series from 10
-    on, _below_10 below."""
-    big = x if lo >= 10.0 else np.maximum(x, 10.0)
-    _stirling_series(big, max(lo, 10.0), max(hi, 10.0), np.divide(1.0, big, out=out), series, scratch)
+def _log_gamma(x, out, series, scratch):
+    """log Gamma of a block into ``out``: (x - 1/2)(log x - 1) plus Stirling's
+    series from 10 on, _below_10 below."""
+    big = np.maximum(x, 10.0)
+    _stirling_series(big, np.divide(1.0, big, out=out), series, scratch)
     series += 0.5 * math.log(2.0 * math.pi) - 0.5
     np.log(big, out=out)
     out -= 1.0
     out *= np.subtract(big, 0.5, out=scratch)
     out += series
-    if lo < 10.0:
-        small = x < 10.0
+    small = np.flatnonzero(x < 10.0)
+    if small.size:
         out[small] = _below_10(x[small])
     return out
 
 
-def _stirling_series(x, lo, hi, inv, out, r2):
+def _stirling_series(x, inv, out, r2):
     """Stirling's series at each x >= 9.5 into ``out``, given ``inv`` = 1/x:
-    Horner's rule in 1/x^2 from the last term ``lo``, the least x, needs,
-    with the terms an x does not need zeroed, so it gets its value alone."""
-    most, least = (1 + len(_LG_FROM) - bisect.bisect_right(_LG_FROM, v) for v in (lo, hi))
-    if most == 1:
-        return np.multiply(inv, _STIRLING[0], out=out)
+    Horner's rule in 1/x^2 over all eight terms."""
     np.multiply(inv, inv, out=r2)
-    out.fill(_STIRLING[most - 1])
-    for k in range(most - 1, 0, -1):
-        if k >= least:
-            out *= x < _LG_FROM[-k]
+    out.fill(_STIRLING[-1])
+    for c in _STIRLING[-2::-1]:
         out *= r2
-        out += _STIRLING[k - 1]
+        out += c
     out *= inv
     return out
 
 
-_SERIES_AT_10 = _stirling_series(np.full(1, 10.0), 10.0, 10.0, np.full(1, 0.1), np.empty(1), np.empty(1))
+_SERIES_AT_10 = _stirling_series(np.full(1, 10.0), np.full(1, 0.1), np.empty(1), np.empty(1))
 
 
 def _below_10(x):
@@ -185,7 +176,7 @@ def _below_10(x):
     tiny = k == 0.0  # x < 1/2 takes log Gamma(x + 1) - log x
     k[tiny], e[tiny] = 1.0, (x[tiny] + 1.0) - 1.0
     t = 10.0 + e
-    series = _stirling_series(t, t.min(), t.max(), 1.0 / t, np.empty(t.size), np.empty(t.size))
+    series = _stirling_series(t, 1.0 / t, np.empty(t.size), np.empty(t.size))
     bracket = 9.5 * np.log1p(e / 10.0) + e * (np.log(t) - 1.0) + (series - _SERIES_AT_10)
     i = np.arange(1.0, 10.0)
     steps = np.where(i >= k[:, None], np.log1p(e[:, None] / i), 0.0).sum(axis=1)
@@ -195,7 +186,7 @@ def _below_10(x):
 
 
 # log Gamma of the whole numbers below 4096, as _log_gamma gives them (index 0 is unused)
-_LG_WHOLE = np.append(np.nan, _log_gamma(np.arange(1.0, 4096.0), 1.0, 4095.0, *np.empty((3, 4095))))
+_LG_WHOLE = np.append(np.nan, _log_gamma(np.arange(1.0, 4096.0), *np.empty((3, 4095))))
 
 
 # A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
@@ -668,7 +659,7 @@ def _stirlerr(x):
     out[small] = _STIRLERR_SMALL[x[small].astype(np.int64)]
     big = x[~small]
     if big.size:
-        out[~small] = _stirling_series(big, big.min(), big.max(), 1.0 / big, np.empty(big.size), np.empty(big.size))
+        out[~small] = _stirling_series(big, 1.0 / big, np.empty(big.size), np.empty(big.size))
     return out
 
 
@@ -737,13 +728,12 @@ def _sum_away(u, du, v, dv, scale):
     below an ulp. The blocks are the same whatever other sums come along, so
     each sum is a function of its own arguments alone.
     """
-    total, last, cells, first, width = np.ones(u.shape), 1.0, None, 0, 4
+    total, last, cells, first, width = np.ones(u.shape), 1.0, np.arange(u.size), 0, 4
     while True:
         i = np.arange(first, first + width, dtype=float)[:, None]  # (terms, sums): long inner loops
         terms = u - i * du
         terms /= v + i * dv
-        if np.ndim(scale):
-            terms *= scale
+        terms *= scale
         ratio = terms[-1].copy()
         terms[0] *= last
         sums = terms[0].copy()
@@ -751,15 +741,12 @@ def _sum_away(u, du, v, dv, scale):
             terms[j] *= terms[j - 1]
             sums += terms[j]
         last = terms[-1]
-        if cells is None:
-            total += sums
-        else:
-            total[cells] += sums
+        total[cells] += sums
         # the rest is below last * ratio / (1 - ratio): stop once that is an ulp or less
-        more = np.flatnonzero(last * ratio > _ULP * (total if cells is None else total.take(cells)) * (1.0 - ratio))
+        more = np.flatnonzero(last * ratio > _ULP * total.take(cells) * (1.0 - ratio))
         if not more.size:
             return total
-        cells = more if cells is None else cells.take(more)
+        cells = cells.take(more)
         last, u, du, v, dv, scale = (np.take(x, more) if np.ndim(x) else x for x in (last, u, du, v, dv, scale))
         first, width = first + width, 2 * width
 
@@ -800,20 +787,15 @@ def _basym(a, b, lam):
         finite = np.isfinite(x)
         f[finite] += x[finite] * _rlog1(y[finite] / x[finite])
     bcorr = _stirlerr(a) + _stirlerr(b) - _stirlerr(a + b)
-    # d_0..d_20 at h, the polynomials of the row for a < b or a >= b: their
-    # constant terms at h = 0 (Poisson), else Horner's rule, where d_i, of
-    # degree i + 1, joins at its leading power
-    table, row = _basym_polynomials(), (a < b).astype(np.intp)
-    d = table[:, :, 0].take(row, axis=0)
-    curved = np.flatnonzero(h > 0.0)
-    if curved.size:
-        row, x = row.take(curved), h.take(curved)[:, None]
-        dc = table[:, :, _ASYM_TERMS + 1].take(row, axis=0)
-        for j in range(_ASYM_TERMS, -1, -1):
-            r = max(j - 1, 0)
-            dc[:, r:] *= x
-            dc[:, r:] += table[:, r:, j].take(row, axis=0)
-        d[curved] = dc
+    # d_0..d_20 at h by Horner's rule on the polynomials of the row for a < b
+    # or a >= b, where d_i, of degree i + 1, joins at its leading power; at
+    # h = 0 (Poisson) the last step leaves exactly the constant terms
+    table, row, x = _basym_polynomials(), (a < b).astype(np.intp), h[:, None]
+    d = table[:, :, _ASYM_TERMS + 1].take(row, axis=0)
+    for j in range(_ASYM_TERMS, -1, -1):
+        r = max(j - 1, 0)
+        d[:, r:] *= x
+        d[:, r:] += table[:, r:, j].take(row, axis=0)
     e1 = 2.0**-1.5
     z2 = 2.0 * f
     w0 = 1.0 / np.sqrt(lo * (1.0 + h))
@@ -865,10 +847,11 @@ def _tail(k, upper, n, p, q):
     if poisson:
         lam, m = p - (k + 1.0), k + 1.0
     else:
-        by_q = p > 0.5  # q holds the precision there: lam = (n - k) - (n + 1) q
-        lam = (n + 1.0) * p - (k + 1.0)
-        if by_q.any():
-            lam = np.where(by_q, (n - k) - (n + 1.0) * q, lam)
+        # lam to the last bit: (n + 1) p is the one product that rounds; q holds
+        # the precision where p > 1/2, with lam = (n - k) - (n + 1) q
+        by_q = p > 0.5
+        hi, lo = _two_product(n + 1.0, np.where(by_q, q, p))
+        lam = np.where(by_q, ((n - k) - hi) - lo, (hi - (k + 1.0)) + lo)
         m = np.minimum(k + 1.0, n - k)
     low = lam >= 0.0
     expand = (m >= _ASYM_FROM) & (np.abs(lam) <= _ASYM_REACH * m)
@@ -876,13 +859,7 @@ def _tail(k, upper, n, p, q):
         small = _summed_tail(k, n, p, q, low, poisson)
     else:
         near, rest = np.flatnonzero(expand), np.flatnonzero(~expand)
-        kn, nn = k.take(near), n.take(near)
-        if not poisson:  # lam to the last bit: (n + 1) p is the one product that rounds
-            on_q = by_q.take(near)
-            hi, lo = _two_product(nn + 1.0, np.where(on_q, q.take(near), p.take(near)))
-            lam[near] = np.where(on_q, ((nn - kn) - hi) - lo, (hi - (kn + 1.0)) + lo)
-            low[near] = lam.take(near) >= 0.0
-        below = low.take(near)
+        kn, nn, below = k.take(near), n.take(near), low.take(near)
         # (a, b) = (n - k, k + 1) for the lower tail, (k + 1, n - k) for the upper
         a, b = np.where(below, nn - kn, kn + 1.0), np.where(below, kn + 1.0, nn - kn)
         small = np.empty(k.shape)
@@ -899,14 +876,14 @@ def _summed_tail(k, n, p, q, below, poisson):
     above = ~below
     # term ratios (x - i) / mu below the mode and mu / (x + 1 + i) above for
     # Poisson; (x - i) q / ((n - x + 1 + i) p) and (n - x - i) p / ((x + 1 + i) q).
-    # Each pick of two is a sum of products by 1 and 0, exact for finite values
+    # Each pick of two but the odds, which may be inf, is a sum of products by 1
+    # and 0, exact for finite values
     if poisson:
         down = below.astype(float)
         steps = x * below + p * above, down, p * below + (x + 1.0) * above, 1.0 - down, 1.0
         return np.exp(_log_pmf(x, None, p, None)) * _sum_away(*steps)
-    odds = q / p, p / q
-    scale = np.where(below, *odds) if (p == 0.0).any() or (q == 0.0).any() else odds[0] * below + odds[1] * above
-    steps = n - x + (x + x - n) * below, 1.0, x + 1.0 + (n - x - x) * below, 1.0, scale
+    odds = np.where(below, q / p, p / q)
+    steps = n - x + (x + x - n) * below, 1.0, x + 1.0 + (n - x - x) * below, 1.0, odds
     return np.exp(_log_pmf(x, n, p, q)) * _sum_away(*steps)
 
 

@@ -280,8 +280,10 @@ def _reference_columns(path: Path, required: list[str]) -> tuple[list[list], lis
             reader = csv.reader(fh)
             header = next(reader, [])
             numbered = [(reader.line_num, row) for row in reader if row]
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"cannot read {path}: no such file") from exc
     except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        raise DataFormatError(f"cannot read {path}: {exc.strerror}") from exc
     except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     missing = [c for c in required if c not in header]
@@ -325,8 +327,6 @@ def reference_load_dataset(
 ) -> Dataset:
     """``nmixtime.datafiles.load_dataset`` done row by row: the same Dataset,
     or the same DataFormatError text."""
-    if times_path is not None and not Path(times_path).exists():
-        raise DataFormatError(f"cannot read {times_path}: no such file")
     counts_path = Path(counts_path)
     (site, occasion, search_col, count_col), lines = _reference_columns(
         counts_path, ["site", "occasion", "search_time", "count"]

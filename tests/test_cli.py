@@ -1,8 +1,10 @@
 """End-to-end command-line runs, in process via main(argv)."""
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import time
@@ -644,6 +646,54 @@ def test_a_wrong_typed_simulate_value_names_its_key(tmp_path, capsys, key):
     assert main(["simulate", "--config", write_json(tmp_path / "c.json", config), "--out", str(tmp_path / "d")]) == 2
     assert names_its_key(one_error_line(capsys), key)
     assert not (tmp_path / "d").exists()
+
+
+def reading(flag, path, tmp_path, count_data):
+    """argv of a run that reads ``path`` as its ``flag`` input, its other inputs good."""
+    params = write_json(tmp_path / "good.json", {"lambda": 2.0, "rate": 0.8})
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,1\n")
+    return {
+        "--config": ["simulate", "--config", path, "--out", str(tmp_path / "out")],
+        "--counts": ["loglik", "--counts", path, "--model", "Count", "--params", params],
+        "--times": ["loglik", "--counts", str(counts), "--times", path, "--model", "CountT", "--params", params],
+        "--params": ["loglik", "--data", count_data, "--model", "Count", "--params", path],
+        "--init": ["fit", "--data", count_data, "--model", "Count", "--init", path],
+    }[flag]
+
+
+JSON_INPUTS = ["--config", "--params", "--init"]
+
+
+@pytest.mark.parametrize("flag", [*JSON_INPUTS, "--counts", "--times"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_input_file_is_named_once_in_one_line(tmp_path, capsys, count_data, flag, kind):
+    path = tmp_path / "input"
+    reason = "no such file"
+    if kind == "directory":
+        path.mkdir()
+        reason = os.strerror(errno.EISDIR)
+    capsys.readouterr()
+    assert main(reading(flag, str(path), tmp_path, count_data)) == 2
+    assert one_error_line(capsys) == f"error: cannot read {path}: {reason}"
+
+
+@pytest.mark.parametrize("flag", JSON_INPUTS)
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff{}", ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"{", " is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"[1, 2]", ": expected a JSON object at the top level"),
+    ],
+    ids=["not UTF-8", "not JSON", "not an object"],
+)
+def test_a_json_input_that_is_no_object_is_named_in_one_line(tmp_path, capsys, count_data, flag, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert main(reading(flag, str(path), tmp_path, count_data)) == 2
+    assert one_error_line(capsys) == f"error: {path}{message}"
 
 
 @pytest.mark.parametrize("tail_tol", ["0", "1", "-1e-3", "nan"])

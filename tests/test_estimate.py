@@ -447,6 +447,15 @@ def test_an_impossible_start_stops_at_once(monkeypatch):
     )
 
 
+def test_a_profile_point_past_a_wall_is_a_gap(monkeypatch):
+    # every series fails past log lambda = 0: the profile skips that point and goes on
+    ds, truth = simulated(Family.COUNT, 200, 4, 3.0, 0.5, seed=0)
+    wall_past(0.0, monkeypatch)
+    prof = profile_loglik(ds, truth, 0, [0.5, -0.5])
+    assert math.isnan(prof.loglik[0]) and math.isfinite(prof.loglik[1])
+    assert prof.messages == ["grid point 0.5: reduced fit failed (the log-likelihood is not finite at the start)"]
+
+
 def test_importing_the_package_loads_no_optimizer():
     # in a fresh interpreter: test_search_matches_scipys_trust_exact imports scipy.optimize here
     code = "import sys, nmixtime; print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"

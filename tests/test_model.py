@@ -192,6 +192,39 @@ def test_refused_layouts_keep_their_messages(params, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "log_lambda, log_rate, covariates, message",
+    [
+        (0.1, 0.0, {"site_covariates": np.ones(N_SITES)}, "site_covariates must be a (n_sites, p) matrix"),
+        ([0.1, 0.2], 0.0, {"site_covariates": np.ones((N_SITES, 3))},
+         "log_lambda must hold 3 coefficients to match site_covariates"),
+        (0.1, 0.2, {"rate_covariates": np.ones((N_SITES, 3))},
+         "rate_covariates must be a (n_sites, n_occasions, q) array"),
+        (0.1, 0.2, {"rate_covariates": np.ones((N_SITES, 3, 2))},
+         "log_rate must hold 2 coefficients to match rate_covariates"),
+    ],
+    ids=["site covariates not 2-D", "lambda vs site covariates", "rate covariates not 3-D", "rate vs rate covariates"],
+)
+def test_covariates_of_the_wrong_shape_are_refused(log_lambda, log_rate, covariates, message):
+    with pytest.raises(ValueError) as info:
+        Parameterization(log_lambda, log_rate, **covariates)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "counts, times, message",
+    [
+        ([[1, 2]], None, "counts must be one-dimensional"),
+        ([1, 2], [[0.5]], "times must have one entry per occasion (2), got 1"),
+    ],
+    ids=["2-D counts", "one time list for two occasions"],
+)
+def test_a_site_record_of_the_wrong_shape_is_refused(counts, times, message):
+    with pytest.raises(ValueError) as info:
+        SiteRecord(0, counts, times)
+    assert str(info.value) == message
+
+
 class TestDatasetColumns:
     def test_records_and_arrays_give_the_same_columns(self):
         ds = dataset(

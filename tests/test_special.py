@@ -663,8 +663,10 @@ LOG_UNIFORM = np.exp(np.random.default_rng(19).uniform(math.log(1e-3), 33 * math
         np.arange(1.0, 201.0),
         LOG_UNIFORM,
         np.concatenate([10.0 + np.linspace(-0.5, 0.5, 101), np.nextafter(10.0, [0.0, 20.0])]),
-        # the thresholds at which a block takes one series term fewer
-        np.concatenate([t * (1.0 + np.linspace(-1e-3, 1e-3, 21)) for t in special._LG_FROM]),
+        # where each Stirling term past the first falls below 1e-17 x
+        np.concatenate([
+            t * (1.0 + np.linspace(-1e-3, 1e-3, 21)) for t in (9.27, 11.42, 15.50, 24.69, 52.70, 207.30, 4082.48)
+        ]),
         np.concatenate([1.0 + np.geomspace(1e-12, 0.4, 50) * [[-1.0], [1.0]], 2.0 + np.geomspace(1e-12, 0.4, 50) * [[-1.0], [1.0]]]).ravel(),
     ],
     ids=["integers 1-200", "log-uniform 1e-3 to 2^33", "both sides of 10", "term thresholds", "near the zeros at 1 and 2"],
