@@ -12,6 +12,7 @@ count), which prints one ``oracle failed: ...`` line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -28,6 +29,7 @@ from .datafiles import (
     TIMES_FILE,
     RunManifest,
     config_digest,
+    json_numbers,
     load_dataset,
     params_from_dict,
     params_to_dict,
@@ -154,13 +156,23 @@ def _json_value(value) -> str:
     return "[\n" + items[:-2].decode() + "\n  ]"
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError inside as ``cannot write PATH: <reason>``, PATH the file it names, else ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _emit(payload: dict, out: str | None) -> None:
     """Write ``payload`` (not empty) as json.dumps(indent=2) would, but strict
     (RFC 8259): NaN and infinities become null, and an array value is written
     as json writes its list, without a call per value."""
     text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {_json_value(v)}" for k, v in payload.items()) + "\n}"
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -174,26 +186,25 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _whole(config, "seed", 0)
     resolved = {**config, "seed": seed, "process": process.value}
 
-    design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), config["search_time"])
+    design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), json_numbers(config, "search_time"))
     params = params_from_dict(config)
     protocol = Protocol.for_design(family, process, design.n_occasions)
     sim = SimConfig(protocol, design, params, seed)
 
     t0 = time.perf_counter()
     dataset = simulate_dataset(sim)
-    paths = write_dataset(dataset, args.out)
+    with _writing(args.out):
+        paths = write_dataset(dataset, args.out)
     elapsed = time.perf_counter() - t0
 
-    outputs = {"counts": COUNTS_FILE}
-    if paths["times"] is not None:
-        outputs["times"] = TIMES_FILE
     manifest = RunManifest(
         command="simulate",
         config_digest=config_digest(resolved),
-        outputs=outputs,
+        outputs={key: path.name for key, path in paths.items() if path is not None},
         timings={"elapsed_seconds": round(elapsed, 6)},
     )
-    (Path(args.out) / MANIFEST_FILE).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    with _writing(args.out):
+        (Path(args.out) / MANIFEST_FILE).write_text(manifest.to_json() + "\n", encoding="utf-8")
     print(
         f"wrote {design.n_sites} sites x {design.n_occasions} occasions "
         f"({protocol.label}) to {args.out}"

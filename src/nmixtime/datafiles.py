@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +60,7 @@ class RunManifest:
     timings: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config_digest": self.config_digest,
-                "outputs": self.outputs,
-                "timings": self.timings,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def config_digest(config: dict) -> str:
@@ -297,6 +288,18 @@ def load_dataset(
     )
 
 
+def json_numbers(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a float array; a boolean at any depth of its (nested) lists is refused."""
+    try:
+        values = np.asarray(payload[key], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DataFormatError(f"'{key}' must hold numbers: {exc}") from exc
+    # the float parse passed, so the lists are rectangular and these are their leaves
+    if bool in set(map(type, np.asarray(payload[key], dtype=object).ravel())):
+        raise DataFormatError(f"'{key}' must hold numbers, not true or false")
+    return values
+
+
 def params_from_dict(payload: dict) -> Parameterization:
     """Build a Parameterization from JSON-style keys.
 
@@ -310,10 +313,7 @@ def params_from_dict(payload: dict) -> Parameterization:
         if has_log == has_nat:
             raise DataFormatError(f"provide exactly one of '{log_key}' or '{nat_key}'")
         key = log_key if has_log else nat_key
-        try:
-            values = np.asarray(payload[key], dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise DataFormatError(f"'{key}' must hold numbers: {exc}") from exc
+        values = json_numbers(payload, key)
         if has_log:
             return values
         if np.any(values < 0):
@@ -328,10 +328,5 @@ def params_from_dict(payload: dict) -> Parameterization:
 
 
 def params_to_dict(params: Parameterization) -> dict:
-    def plain(arr: np.ndarray):
-        return float(arr) if arr.ndim == 0 else arr.tolist()
-
-    return {
-        "log_lambda": plain(params.log_lambda),
-        "log_rate": plain(params.log_rate),
-    }
+    # tolist gives a 0-d array's float itself
+    return {"log_lambda": params.log_lambda.tolist(), "log_rate": params.log_rate.tolist()}

@@ -6,9 +6,10 @@ a site's abundance; tag j + 1 is occasion j, whose index 0 draws the count and
 whose indices 1..y draw its y detection times. So a site regenerates alike
 whatever sites surround it, in whatever order and with whatever parameters.
 Each count is the exact discrete inverse CDF of its uniform and each time an
-inverse CDF, all computed over arrays of cells at once. The count searches use
-the Poisson and binomial tails of ``special``, numpy alone, each tail value a
-function of its own arguments, so a draw loads no scipy.
+inverse CDF, all computed over arrays of cells at once; a first-time protocol
+inverts only each cell's least uniform, whose time is the cell's first. The
+count searches use the Poisson and binomial tails of ``special``, numpy alone,
+each tail value a function of its own arguments, so a draw loads no scipy.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .model import (
     Protocol,
     SurveyDesign,
 )
-from .special import binomial_tail, normal_quantile, poisson_tail
+from .special import binomial_tail, poisson_tail
 
 __all__ = ["SimConfig", "simulate_dataset", "simulate_with_latent", "empirical_pmf_check"]
 
@@ -69,9 +70,13 @@ def _quantiles(tail, u, mean, var, skew, top, *params) -> np.ndarray:
     quantile from the mean, variance and skew * sd, steps away by 1, 2, 4, ...
     until the answer is bracketed, then halves the bracket. Every probe lies in
     the bracket and narrows it, so a cell settles within 2 log2(top + 1) + 3
-    passes, each one call of ``tail``.
+    passes, each one call of ``tail``. The answer does not depend on the start,
+    only the number of passes does, so the start's normal quantile z is
+    Hastings' approximation (Abramowitz & Stegun 26.2.23, |error| < 4.5e-4).
     """
-    z = normal_quantile(u)
+    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))  # 1 - u is exact for u >= 1/2
+    z = np.copysign(t - (2.515517 + t * (0.802853 + t * 0.010328))
+                    / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))), u - 0.5)
     start = np.ceil(mean + np.sqrt(var) * z + (z * z - 1) * skew / 6 - 0.5)
     start, top, *params = (np.broadcast_to(a, u.shape).ravel() for a in (start, top, *params))
     found = top.copy()
@@ -145,10 +150,12 @@ def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
         cells = np.flatnonzero(counts)
         y = counts.flat[cells]
         first = np.cumsum(y) - y
-        j = design.n_occasions
-        index = np.arange(y.sum()) - np.repeat(first - 1, y)
-        u = _uniforms(cfg.seed, np.repeat(cells // j, y), np.repeat(cells % j + 1, y), index)
-        h, t_max = np.repeat(rate.flat[cells], y), np.repeat(search.flat[cells], y)
+        owner, j = np.repeat(cells, y), design.n_occasions
+        u = _uniforms(cfg.seed, owner // j, owner % j + 1, np.arange(owner.size) - np.repeat(first - 1, y))
+        if family.records_first_time:
+            # each time is a nondecreasing function of its own uniform: the first is the least's
+            u, owner, y = np.minimum.reduceat(u, first), cells, 1
+        h, t_max = rate.take(owner), search.take(owner)
         if process is ObservationProcess.BINOMIAL_COUNT:
             # inverse CDF of an Exp(h) waiting time truncated to [0, t_max];
             # the clip absorbs rounding at u -> 1
@@ -156,10 +163,9 @@ def simulate_with_latent(cfg: SimConfig) -> tuple[Dataset, np.ndarray]:
         else:
             # event times of a homogeneous stream are uniform over the window
             times = u * t_max
-        # sorted within each cell: complex numbers sort by real part, then imaginary part, exactly
-        times = times[np.argsort(np.repeat(cells, y) + 1j * times)]
-        if family.records_first_time:
-            times, y = times[first], 1
+        if not family.records_first_time:
+            # sorted within each cell: complex numbers sort by real part, then imaginary part, exactly
+            times = times[np.argsort(owner + 1j * times)]
         sizes.flat[cells] = y
     if family.is_binary:
         counts = np.minimum(counts, 1)

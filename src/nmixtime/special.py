@@ -23,8 +23,7 @@ The terms' log-factorials and Pochhammer ratios come from ``log_gamma``,
 Stirling's series on numpy arrays, so the kernels import no scipy.
 
 The simulator's inverse CDFs take ``poisson_tail`` and ``binomial_tail``,
-P(K <= k) or P(K > k), and place their first probe with
-``normal_quantile``, also numpy alone:
+P(K <= k) or P(K > k), also numpy alone:
 - near the mode, where both incomplete-beta parameters are large, the
   uniform asymptotic expansion BASYM of DiDonato & Morris, "Significant
   digit computation of the incomplete beta function ratios", ACM TOMS 18
@@ -33,8 +32,7 @@ P(K <= k) or P(K > k), and place their first probe with
   form of DiDonato & Morris, ACM TOMS 12 (1986) 377-393;
 - elsewhere, the tail summed from its truncation point away from the mode,
   starting at the saddle-point pmf exp(-stirlerr - bd0) of Loader, "Fast
-  and accurate computation of binomial probabilities" (2000);
-- the normal quantile of Wichura, Appl. Statist. 37 (1988) 477-484, AS 241.
+  and accurate computation of binomial probabilities" (2000).
 """
 from __future__ import annotations
 
@@ -54,7 +52,6 @@ __all__ = [
     "log_poisson_raw_moment",
     "log_poisson_detection_moment",
     "log_pfq_equal_order",
-    "normal_quantile",
     "poisson_tail",
 ]
 
@@ -554,57 +551,6 @@ def log_pfq_equal_order(a, b, z, score: bool = False):
     d2_log_z[rows] = cov[:, 0, 0]
     derivs = (out, d_log_z, d2_log_z)
     return derivs if a.ndim == 2 else tuple(float(x[0]) for x in derivs)
-
-
-# Wichura's AS 241 (PPND16): normal quantiles to ~1e-16 from three rational
-# functions, one for |u - 1/2| <= 0.425 and two of r = sqrt(-log min(u, 1 - u))
-_PPND_CENTRAL = (
-    (3.3871328727963666080, 133.14166789178437745, 1971.5909503065514427, 13731.693765509461125,
-     45921.953931549871457, 67265.770927008700853, 33430.575583588128105, 2509.0809287301226727),
-    (1.0, 42.313330701600911252, 687.18700749205790830, 5394.1960214247511077,
-     21213.794301586595867, 39307.895800092710610, 28729.085735721942674, 5226.4952788528545610),
-)
-_PPND_NEAR = (
-    (1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550, 3.64784832476320460504,
-     1.27045825245236838258, 0.241780725177450611770, 0.0227238449892691845833, 7.74545014278341407640e-4),
-    (1.0, 2.05319162663775882187, 1.67638483018380384940, 0.689767334985100004550,
-     0.148103976427480074590, 0.0151986665636164571966, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
-)
-_PPND_FAR = (
-    (6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580, 0.296560571828504891230,
-     0.0265321895265761230930, 0.00124266094738807843860, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
-    (1.0, 0.599832206555887937690, 0.136929880922735805310, 0.0148753612908506148525,
-     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
-)
-
-
-def _rational(x, coefficients):
-    """num(x) / den(x) for coefficient lists taken lowest power first."""
-    num, den = (np.full(x.shape, c[-1]) for c in coefficients)
-    for a, b in zip(coefficients[0][-2::-1], coefficients[1][-2::-1]):
-        num *= x
-        num += a
-        den *= x
-        den += b
-    return num / den
-
-
-def normal_quantile(u):
-    """The standard normal quantile of each u in (0, 1), within ~1e-16
-    relative (Wichura, "The percentage points of the normal distribution",
-    Appl. Statist. 37 (1988) 477-484, AS 241)."""
-    u = np.asarray(u, dtype=float)
-    q = u.ravel() - 0.5
-    out = q * _rational(0.180625 - q * q, _PPND_CENTRAL)
-    tails = np.flatnonzero(np.abs(q) > 0.425)
-    if tails.size:
-        ut, qt = u.ravel().take(tails), q.take(tails)
-        r = np.sqrt(-np.log(np.minimum(ut, 0.5 - qt)))  # 1 - u is exact for u >= 1/2
-        x = _rational(r - 1.6, _PPND_NEAR)
-        far = np.flatnonzero(r > 5.0)
-        x[far] = _rational(r.take(far) - 5.0, _PPND_FAR)
-        out[tails] = np.copysign(x, qt)
-    return out.reshape(u.shape)
 
 
 # Poisson and binomial tails (see the module docstring). Each point's smaller

@@ -583,6 +583,10 @@ BASE_CONFIG = '"model": "Count", "sites": 3, "occasions": 2, "search_time": 1.0,
         ('"search_time": {"a": 1}', "not 'dict'"),
         ('"lambda": {"a": 1}', "not 'dict'"),
         ('"rate": {"a": 1}', "not 'dict'"),
+        ('"search_time": true', "'search_time' must hold numbers, not true or false"),
+        ('"search_time": [1.0, true]', "'search_time' must hold numbers, not true or false"),
+        ('"lambda": false', "'lambda' must hold numbers, not true or false"),
+        ('"rate": [[0.5, 1.0], [false, 1.0], [0.5, 1.0]]', "'rate' must hold numbers, not true or false"),
     ],
 )
 def test_simulate_refuses_a_bad_json_value_in_one_line(tmp_path, capsys, value, message):
@@ -620,6 +624,50 @@ def test_a_dict_valued_parameter_file_exits_2(tmp_path, capsys, count_data, key,
     argv = [command, "--data", count_data, "--model", "Count", flag, write_json(tmp_path / "p.json", params)]
     assert main(argv) == 2
     assert "not 'dict'" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"log_lambda": true, "rate": 0.8', "'log_lambda' must hold numbers, not true or false"),
+        ('"lambda": 2.0, "log_rate": [[false]]', "'log_rate' must hold numbers, not true or false"),
+        ('"lambda": [2.0, 2.0, true, 2.0], "rate": 0.8', "'lambda' must hold numbers, not true or false"),
+        ('"lambda": 2.0, "rate": [true]', "'rate' must hold numbers, not true or false"),
+        ('"log_lambda": NaN, "rate": 0.8', "log_lambda entries must not be NaN or +inf"),
+        ('"lambda": 2.0, "log_rate": Infinity', "log_rate entries must not be NaN or +inf"),
+    ],
+)
+@pytest.mark.parametrize("command, flag", [("fit", "--init"), ("loglik", "--params"), ("validate", "--params")])
+def test_a_parameter_file_refuses_booleans_nan_and_infinity(tmp_path, capsys, count_data, command, flag, text, message):
+    path = tmp_path / "p.json"
+    path.write_text("{" + text + "}", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--data", count_data, "--model", "Count", flag, str(path)]) == 2
+    assert one_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "loglik", "validate"])
+def test_an_unwritable_output_is_named_once_in_one_line(tmp_path, capsys, count_data, command):
+    if command == "simulate":
+        (tmp_path / "file").write_text("")
+        out, reason = tmp_path / "file" / "x", os.strerror(errno.ENOTDIR)
+        argv = ["simulate", "--config", sim_config(tmp_path), "--out", str(out)]
+    else:
+        out, reason = tmp_path / "missing" / "out.json", os.strerror(errno.ENOENT)
+        params = write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 0.8})
+        flag = "--init" if command == "fit" else "--params"
+        argv = [command, "--data", count_data, "--model", "Count", flag, params, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert one_error_line(capsys) == f"error: cannot write {out}: {reason}"
+
+
+def test_a_header_field_too_long_for_csv_is_named_in_one_line(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count," + "x" * 140_000 + "\n1,1,1.0,2\n")
+    params = write_json(tmp_path / "p.json", {"lambda": 2.0, "rate": 0.8})
+    assert main(["loglik", "--counts", str(counts), "--model", "Count", "--params", params]) == 2
+    assert one_error_line(capsys) == f"error: {counts}: field larger than field limit (131072)"
 
 
 def names_its_key(err, key):

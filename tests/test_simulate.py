@@ -227,6 +227,37 @@ def test_binomial_inverse_cdf_is_exact_and_bounded(monkeypatch, n, p, q):
     check_quantiles(k, U_GRID, stats.binom(n, p), n)
 
 
+@pytest.mark.parametrize(
+    "tail, top, params",
+    [
+        *((simulate.poisson_tail, math.ceil(mu + 40 * math.sqrt(mu) + 40), (mu,)) for mu in (3.0, 2000.0, 1e5)),
+        *((simulate.binomial_tail, n, (n, p, 1.0 - p)) for n, p in ((25, 0.39), (2000, 0.7), (100_000, 0.39))),
+    ],
+    ids=["poisson-3", "poisson-2000", "poisson-1e5", "binomial-25", "binomial-2000", "binomial-1e5"],
+)
+def test_the_count_search_ends_alike_from_any_start(tail, top, params):
+    # the search returns the smallest k with P(K <= k) >= u; a mean of 0 or
+    # top, with no spread, starts it at either end of its range instead
+    draw = (simulate._poisson if tail is simulate.poisson_tail else simulate._binomial)(U_GRID, *params)
+    for mean in (0.0, top):
+        assert np.array_equal(simulate._quantiles(tail, U_GRID, mean, 0.0, 0.0, top, *params), draw)
+
+
+@pytest.mark.parametrize("process", [BIN, POI])
+def test_first_time_surveys_keep_each_cells_first_time_of_a_full_survey(process):
+    # a first-time draw inverts only each cell's least uniform
+    design = SurveyDesign(2000, 3, _pinned_search_times(2000, 3))
+    params = Parameterization(math.log(3.0), np.log(np.linspace(0.3, 1.5, 6000).reshape(2000, 3)))
+    full = simulate_dataset(SimConfig(Protocol.for_design(Family.COUNT_T, process, 3), design, params, 5))
+    detected = full.counts > 0
+    first = full.times_flat[full.times_start[detected]]
+    for family in (Family.COUNT_T1, Family.BINARY_T1):
+        ds = simulate_dataset(SimConfig(Protocol.for_design(family, process, 3), design, params, 5))
+        assert np.array_equal(ds.counts, np.minimum(full.counts, 1) if family.is_binary else full.counts)
+        assert np.array_equal(ds.times_per_cell, detected)
+        assert ds.times_flat.tobytes() == first.tobytes()
+
+
 def test_poisson_means_past_exact_integers_are_refused():
     with pytest.raises(ValueError, match="Poisson mean"):
         simulate_dataset(config(Family.COUNT, BIN, 3, 1, 1e20, 1.0))

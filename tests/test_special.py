@@ -20,7 +20,6 @@ from nmixtime.special import (
     log_poisson_detection_moment,
     log_poisson_raw_moment,
     log_sum_exp,
-    normal_quantile,
     poisson_tail,
     safe_exp,
 )
@@ -181,6 +180,8 @@ def test_pfq_validation_and_convergence():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             log_pfq_equal_order([1.0], [2.0], bad)
+    with pytest.raises(ValueError, match=r"^need one series argument per parameter row, got shape \(3,\)$"):
+        log_pfq_equal_order([[1.0], [2.0]], [[2.0], [3.0]], [0.5, 1.0, 2.0])
     # the terms z^n / (n+1)! rise past any term bound: the error carries the
     # log-sum of the terms it did add
     z = 1e300
@@ -936,13 +937,3 @@ def test_tails_at_the_edges_of_the_support():
     assert binomial_tail([10, 12], 10, 0.3, 0.7).tolist() == [1.0, 1.0]
     assert binomial_tail([10, 12], 10, 0.3, 0.7, upper=True).tolist() == [0.0, 0.0]
     assert poisson_tail(np.zeros((2, 3)), 1.5).shape == (2, 3)
-
-
-def test_normal_quantile_matches_scipy():
-    # to a few ulp: it only places the simulator's first probe
-    u = np.concatenate(
-        [[2.0**-53, 1.0 - 2.0**-53, 0.5], np.linspace(0.0, 1.0, 2001)[1:-1], np.geomspace(1e-300, 0.3, 300)]
-    )
-    u = np.concatenate([u, 1.0 - u[(u < 0.5) & (u >= 2.0**-53)]])
-    ref = scipy_special.ndtri(u)
-    assert np.all(np.abs(normal_quantile(u) - ref) <= 8 * EPS * np.maximum(np.abs(ref), 1e-3))
