@@ -29,7 +29,6 @@ from .datafiles import (
     TIMES_FILE,
     RunManifest,
     config_digest,
-    json_numbers,
     load_dataset,
     params_from_dict,
     params_to_dict,
@@ -39,7 +38,7 @@ from .datafiles import (
 from .errors import DataFormatError, EndOfWindowWarning, NMixTimeError, OracleConvergenceError
 from .estimate import fit
 from .likelihood import total_loglik
-from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, validate_dataset
+from .model import Dataset, Family, ObservationProcess, Protocol, SurveyDesign, _numbers, validate_dataset
 from .numtext import BLOCK, float_cells, join
 from .oracle import OracleConfig, oracle_site_logliks
 from .simulate import SimConfig, simulate_dataset
@@ -93,6 +92,10 @@ def _load_json(path) -> dict:
     return payload
 
 
+class _InvalidData(Exception):
+    """A dataset that breaks its protocol's rules, its lines printed."""
+
+
 def _dataset_from_args(args) -> Dataset:
     if args.data is not None:
         counts = Path(args.data) / COUNTS_FILE
@@ -122,7 +125,7 @@ def _dataset_from_args(args) -> Dataset:
         for v in violations:
             where = "" if v.site is None else " at " + _cell(v.site, v.occasion)
             print(f"invalid data: {v.message}{where}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise _InvalidData
     return dataset
 
 
@@ -186,7 +189,8 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _whole(config, "seed", 0)
     resolved = {**config, "seed": seed, "process": process.value}
 
-    design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), json_numbers(config, "search_time"))
+    search_time = _numbers(config["search_time"], "'search_time'")  # named as the config names it
+    design = SurveyDesign(_whole(config, "sites"), _whole(config, "occasions"), search_time)
     params = params_from_dict(config)
     protocol = Protocol.for_design(family, process, design.n_occasions)
     sim = SimConfig(protocol, design, params, seed)
@@ -214,17 +218,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = _dataset_from_args(args)
-    init = None
-    if args.init:
-        init = params_from_dict(_load_json(args.init))
-    result = fit(
-        dataset,
-        init,
-        tol=args.tol,
-        max_evals=args.max_evals,
-        multistart=args.multistart,
-        seed=args.seed,
-    )
+    init = params_from_dict(_load_json(args.init)) if args.init else None
+    result = fit(dataset, init, tol=args.tol, max_evals=args.max_evals, multistart=args.multistart, seed=args.seed)
     payload = {
         "model": dataset.protocol.label,
         "estimates": params_to_dict(result.estimates),
@@ -352,10 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return exc.code
+    try:
         return args.func(args)
-    except SystemExit as exc:  # usage errors, --help and re-raised validation exits
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_CONFIG
+    except _InvalidData:
+        return EXIT_CONFIG
     except (NMixTimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,6 +29,7 @@ from .model import (
     Parameterization,
     Protocol,
     SurveyDesign,
+    _numbers,
 )
 from .numtext import BLOCK, float_cells, int_cells, join
 
@@ -288,18 +289,6 @@ def load_dataset(
     )
 
 
-def json_numbers(payload: dict, key: str) -> np.ndarray:
-    """``payload[key]`` as a float array; a boolean at any depth of its (nested) lists is refused."""
-    try:
-        values = np.asarray(payload[key], dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise DataFormatError(f"'{key}' must hold numbers: {exc}") from exc
-    # the float parse passed, so the lists are rectangular and these are their leaves
-    if bool in set(map(type, np.asarray(payload[key], dtype=object).ravel())):
-        raise DataFormatError(f"'{key}' must hold numbers, not true or false")
-    return values
-
-
 def params_from_dict(payload: dict) -> Parameterization:
     """Build a Parameterization from JSON-style keys.
 
@@ -313,7 +302,7 @@ def params_from_dict(payload: dict) -> Parameterization:
         if has_log == has_nat:
             raise DataFormatError(f"provide exactly one of '{log_key}' or '{nat_key}'")
         key = log_key if has_log else nat_key
-        values = json_numbers(payload, key)
+        values = _numbers(payload[key], f"'{key}'")  # its ValueError becomes a DataFormatError below
         if has_log:
             return values
         if np.any(values < 0):
@@ -323,7 +312,7 @@ def params_from_dict(payload: dict) -> Parameterization:
 
     try:
         return Parameterization(pick("log_lambda", "lambda"), pick("log_rate", "rate"))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
 
 

@@ -120,6 +120,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float array; what is no number, a boolean at any depth
+    included, raises one ValueError naming ``name``."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from exc
+    # the float parse passed, so any lists are rectangular and these are their leaves
+    leaves = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if leaves.dtype == bool or (leaves.dtype == object and {bool, np.bool_} & set(map(type, leaves.ravel()))):
+        raise ValueError(f"{name} must hold numbers, not true or false")
+    return out
+
+
 def _assign(obj, **fields):
     """Set the fields of a frozen dataclass instance; returns the instance."""
     for name, value in fields.items():
@@ -149,11 +163,7 @@ class SurveyDesign:
                 f"a design of {n_sites} sites x {n_occasions} occasions has {cells:.3g} cells, whose "
                 f"search times alone ({8 * cells / 2**30:.3g} GiB) exceed this machine's memory"
             )
-        try:
-            t = np.asarray(search_time, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"search_time must hold numbers: {exc}") from exc
-        t = _broadcast(t, None, (n_sites, n_occasions), "",
+        t = _broadcast(_numbers(search_time, "search_time"), None, (n_sites, n_occasions), "",
                        "search_time must be scalar, length {1}, or shape ({0}, {1}); got shape {shape}")
         if not np.all(np.isfinite(t)) or np.any(t <= 0):
             raise ValueError("search times must be positive and finite")
@@ -362,8 +372,8 @@ class Parameterization:
     rate_covariates: np.ndarray | None = None
 
     def __init__(self, log_lambda, log_rate, site_covariates=None, rate_covariates=None):
-        ll = np.asarray(log_lambda, dtype=float).copy()
-        lr = np.asarray(log_rate, dtype=float).copy()
+        ll = _numbers(log_lambda, "log_lambda").copy()
+        lr = _numbers(log_rate, "log_rate").copy()
         for name, arr in (("log_lambda", ll), ("log_rate", lr)):
             if np.any(np.isnan(arr)) or np.any(arr == np.inf):
                 raise ValueError(f"{name} entries must not be NaN or +inf")

@@ -5,12 +5,13 @@ series overflow double precision long before the model sizes of interest,
 so everything works on log scale. All three series are positive and
 log-concave; one summer adds them up around their largest term. A row
 whose peak lies far from the series' start sums every k-th exact term
-times k, with k ~ sigma / 4 for a bell of width sigma: by Poisson
-summation the aliasing error is ~exp(-2 pi^2 sigma^2 / k^2) (Trefethen &
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56
-(2014) 385-458), so such a row sums at most 128 exact terms, 128 k
-indices (at least +-8 sigma) around the peak, whatever the peak, rather
-than O(sqrt(peak)). The bound of 2^32 on the peak index limits the
+times k, k in (sigma / 4, sigma / 2] for a bell of width sigma: by Poisson
+summation the aliasing error is ~exp(-2 pi^2 sigma^2 / k^2) <= exp(-79)
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56 (2014) 385-458), so such a row sums at most 64 exact terms,
+64 k indices (at least +-8 sigma) around the peak, whatever the peak. 32
+samples would span +-4 sigma, or at twice the stride alias by up to
+exp(-2 pi^2) ~ 3e-9, above eps. The bound of 2^32 on the peak index limits the
 precision of the terms (~eps n log n), not the cost.
 
 Each function has two modes: the value alone, or with ``score=True`` the
@@ -187,7 +188,7 @@ _LG_WHOLE = np.append(np.nan, _log_gamma(np.arange(1.0, 4096.0), *np.empty((3, 4
 
 
 # A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
-# one strided at k > 1 (see _strides) is cut to 128 exact terms, 128 k > 16
+# one strided at k > 1 (see _strides) is cut to 64 exact terms, 64 k > 16
 # sigma indices. At most _BLOCK window terms are evaluated at once.
 _SPREAD = 16.0
 _BLOCK = 2**16
@@ -224,14 +225,15 @@ def _strides(log_ratio, rows, peak):
     The terms near the peak form a smooth bell of width sigma, read from the
     slope of the log ratio: sigma^2 = 2d / (log_ratio(peak - d) -
     log_ratio(peak + d)) with d = ceil(sqrt(peak)). At k = 2^floor(log2(sigma
-    / 4)) the aliasing of a sum of every k-th term, exp(-2 pi^2 sigma^2 /
-    k^2), is below exp(-316). The stride is 1 where sigma < 8 or the slope
-    is not finite and positive."""
+    / 2)) the aliasing of a sum of every k-th term, exp(-2 pi^2 sigma^2 /
+    k^2), is at most exp(-8 pi^2) ~ 5e-35; at twice that, up to exp(-2 pi^2)
+    ~ 3e-9, above eps. The stride is 1 where sigma < 8 or the slope is not
+    finite and positive."""
     d = np.ceil(np.sqrt(peak))
     with np.errstate(divide="ignore", invalid="ignore"):
         before, after = log_ratio(rows, np.stack([peak - d, peak + d]))
         sigma = np.sqrt(2.0 * d / (before - after))
-        k = 2.0 ** np.floor(np.log2(sigma / 4.0))
+        k = 2.0 ** np.floor(np.log2(sigma / 2.0))
     return np.where((sigma >= 8.0) & (sigma < np.inf), k, 1.0)
 
 
@@ -306,10 +308,10 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     sum. A window still rising at its end moves around the row's peak, found
     by galloping and bisecting on the sign of the ratio, and spans
     16 sqrt(peak) indices. Clear of ``start``, it sums every k-th exact term
-    times k, with k ~ sigma / 4 for a bell of width sigma (see _strides): the
-    aliasing error is ~exp(-316). Cut to 128 k > 16 sigma indices, such a
-    window costs at most 128 exact terms rather than O(sqrt(peak)). A window
-    that grows back to ``start`` sums every term again. Raises
+    times k, with k ~ sigma / 2 for a bell of width sigma (see _strides): the
+    aliasing error is at most exp(-79). Cut to 64 k > 16 sigma indices (32
+    samples would span +-4 sigma), such a window costs at most 64 exact
+    terms. A window that grows back to ``start`` sums every term again. Raises
     SeriesConvergenceError for a row still rising 2^32 terms on; that bound
     limits the precision of the terms (their lgamma floor, ~eps n log n),
     not the cost.
@@ -354,11 +356,11 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
             width[rows] = first * 2.0 ** np.ceil(np.log2(np.maximum(1.0, _SPREAD * np.sqrt(peak) / first)))
             lo[rows] = np.maximum(start, peak - width[rows] / 2)
             # a window truncated at start is no smooth bell: it keeps stride 1;
-            # a strided one is cut to 128 samples around the peak
+            # a strided one is cut to 64 samples around the peak
             clear = lo[rows] > start
             rows, peak = rows[clear], peak[clear]
             stride[rows] = k = _strides(log_ratio, rows, peak)
-            width[rows] = np.where(k > 1.0, np.minimum(width[rows], 128.0 * k), width[rows])
+            width[rows] = np.where(k > 1.0, np.minimum(width[rows], 64.0 * k), width[rows])
             lo[rows] = peak - width[rows] / 2
         # double the rest: to the right, to the left, or by half on each side
         grow = ~done & ~rising

@@ -205,6 +205,20 @@ def test_usage_errors_and_help_return_instead_of_exiting(capsys):
     assert capsys.readouterr().out.startswith("usage: nmixtime")
 
 
+def test_an_exit_raised_inside_a_command_leaves_main(tmp_path, monkeypatch):
+    # e.g. a signal handler's sys.exit while a fit runs: main returns only its own exits
+    counts = tmp_path / "counts.csv"
+    counts.write_text("site,occasion,search_time,count\n1,1,1.0,2\n2,1,1.0,0\n")
+
+    def interrupted(*args, **kwargs):
+        raise SystemExit(143)
+
+    monkeypatch.setattr(nmixtime.cli, "fit", interrupted)
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--counts", str(counts), "--model", "Count"])
+    assert info.value.code == 143
+
+
 def test_one_parser_serves_successive_subcommands(tmp_path, capsys):
     cfg = sim_config(tmp_path, sites=20)
     data = tmp_path / "data"

@@ -4,6 +4,8 @@ Frozen expected values were computed with tests/bruteforce.py (scipy-based
 mixture summation, no shared code with the package) and checked stable
 under a deeper truncation before being pinned here.
 """
+import collections
+import itertools
 import math
 import re
 import warnings
@@ -408,6 +410,34 @@ def test_extreme_parameters_give_a_value_or_a_typed_error(case):
             assert not math.isnan(got.total) and got.total != math.inf, (log_lam, log_h, got.total)
 
 
+# Optimizer probes on every variant, value and curved, from log lambda and
+# log h at exp's underflow to just under its overflow
+EXTREMES = [-745.0, -300.0, -30.0, 0.0, 30.0, 300.0, 709.0]
+
+
+def extreme_outcome(ds, log_lam, log_h, score):
+    """'finite', '-inf' or the name of the NMixTimeError one call raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            total = total_loglik(ds, Parameterization(log_lam, log_h), score=score).total
+        except NMixTimeError as exc:
+            return type(exc).__name__
+    assert not math.isnan(total) and total != math.inf, (ds.protocol.label, log_lam, log_h, score, total)
+    return "finite" if math.isfinite(total) else "-inf"
+
+
+def test_the_extreme_parameter_grid_on_5_site_surveys():
+    outcomes = collections.Counter()
+    truth = Parameterization(math.log(3.0), math.log(0.5))
+    for family, process, j in itertools.product(Family, (BIN, POI), (1, 4)):
+        proto = Protocol.for_design(family, process, j)
+        ds = simulate_dataset(SimConfig(proto, SurveyDesign(5, j, 1.0), truth, seed=1))
+        for log_lam, log_h, score in itertools.product(EXTREMES, EXTREMES, (False, True)):
+            outcomes[extreme_outcome(ds, log_lam, log_h, score)] += 1
+    assert outcomes == {"finite": 1206, "-inf": 274, "SeriesConvergenceError": 480}
+
+
 @pytest.mark.parametrize(
     "process, lam, rate, seed",
     [
@@ -558,3 +588,4 @@ def test_no_kernel_reaches_the_oracle(monkeypatch):
         assert np.all(np.isfinite(total_loglik(ds, p).per_site)), law
     ds, p = tiny_rate_dataset()
     assert np.all(np.isfinite(total_loglik(ds, p).per_site))
+

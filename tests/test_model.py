@@ -212,6 +212,41 @@ def test_covariates_of_the_wrong_shape_are_refused(log_lambda, log_rate, covaria
 
 
 @pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: SurveyDesign(2, 1, True), "search_time"),
+        (lambda: SurveyDesign(2, 2, [1.0, np.True_]), "search_time"),
+        (lambda: SurveyDesign(2, 2, np.ones((2, 2), dtype=bool)), "search_time"),
+        (lambda: Parameterization(True, [False]), "log_lambda"),
+        (lambda: Parameterization([0.0, 1.0], [[0.5], [False]]), "log_rate"),
+        (lambda: Parameterization([np.array([0.0]), np.array([True])], 0.0), "log_lambda"),
+        (lambda: Parameterization(0.0, np.zeros(3, dtype=bool)), "log_rate"),
+        (lambda: Parameterization(np.array([0.5, True], dtype=object), 0.0), "log_lambda"),
+    ],
+    ids=["scalar", "numpy bool in a list", "bool array", "bool parameters",
+         "nested in a list", "in a list of arrays", "bool rate array", "object array"],
+)
+def test_booleans_are_refused_as_numbers(build, name):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{name} must hold numbers, not true or false"
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: SurveyDesign(2, 1, "long"), "search_time"),
+        (lambda: Parameterization({}, 0.0), "log_lambda"),
+        (lambda: Parameterization(0.0, [[0.5], [1.0, 2.0]]), "log_rate"),
+    ],
+    ids=["a string", "a dict", "ragged lists"],
+)
+def test_values_that_are_no_numbers_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must hold numbers: "):
+        build()
+
+
+@pytest.mark.parametrize(
     "counts, times, message",
     [
         ([[1, 2]], None, "counts must be one-dimensional"),

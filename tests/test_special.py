@@ -577,6 +577,60 @@ def test_strided_windows_of_narrow_far_bells_read_at_most_128_terms(monkeypatch)
     assert 1 < max(reads) <= 128, reads  # strided, and 128 samples at most
 
 
+def test_strided_windows_read_at_most_64_terms(monkeypatch):
+    # the two rows above: k in (sigma / 4, sigma / 2] puts +-8 sigma in 64 samples
+    reads = term_reads(monkeypatch)
+    log_poisson_raw_moment(4000, math.log(270.0), score=True)
+    log_pfq_equal_order([801.0] * 3, [1.0, 30.0, 60.0], 270.0, score=True)
+    assert 1 < max(reads) <= 64, reads
+
+
+def test_the_widest_stride_keeps_far_peaks_exact(monkeypatch):
+    # one row per law whose bell is just wider than 2^(j+1), so the stride
+    # 2^j is sigma / 2 to within 1%, the coarsest the rule takes:
+    # sigma ~ 16.08 (k = 8), 32.01 (k = 16) and 64.03 (k = 32)
+    reads, strides, real = term_reads(monkeypatch), [], special._strides
+
+    def recorded(*args):
+        strides.extend(real(*args).tolist())
+        return real(*args)
+
+    monkeypatch.setattr(special, "_strides", recorded)
+    m, mu = 4000, 36.0
+    value, d1, d2 = log_poisson_raw_moment(m, math.log(mu), score=True)
+    n = bruteforce.series_window(1154.0, 17.0, 1)
+    log_terms = bruteforce.raw_moment_log_terms(m, mu, n)
+    want, rtol = float(logsumexp(log_terms)), max(1e-10, lgamma_floor(1154.0))
+    assert abs(value - want) <= max(1e-12 * abs(want), lgamma_floor(1154.0)), (value, want)
+    assert d1 + mu == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
+    assert d2 + mu == pytest.approx(tilted_covariance(log_terms, [n])[0, 0], rel=rtol)
+    mu = 1025.0
+    w = np.array([0.5, 2.0, 9.0]) / mu
+    value, d_log_mu, d_w, hess = log_poisson_detection_moment(w, math.log(mu), score=True)
+    n = bruteforce.series_window(mu, 33.0, 1)
+    log_terms = bruteforce.detection_log_terms(w, mu, n)
+    per_occasion = [n / np.expm1(n * x) for x in w]
+    want, rtol = float(logsumexp(log_terms)), max(1e-10, lgamma_floor(mu))
+    assert abs(value - want) <= max(1e-12 * abs(want), lgamma_floor(mu)), (value, want)
+    assert d_log_mu + mu == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
+    np.testing.assert_allclose(d_w, [tilted_mean(log_terms, s) for s in per_occasion], rtol=1e-10)
+    want = tilted_covariance(log_terms, [n, *per_occasion])
+    want[0, 0] -= mu
+    for j, s in enumerate(per_occasion):
+        want[1 + j, 1 + j] += tilted_mean(log_terms, -s * (n + s))
+    np.testing.assert_allclose(hess, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+    a, b, z = [5.0, 12.0], [1.0, 3.0], 4100.0
+    value, d1, d2 = log_pfq_equal_order(a, b, z, score=True)
+    n = bruteforce.series_window(4112.0, 65.0, 0)
+    log_terms = bruteforce.pfq_log_terms(a, b, z, n)
+    want, rtol = float(logsumexp(log_terms)), max(1e-10, lgamma_floor(4112.0))
+    assert abs(value - want) <= max(1e-12 * abs(want), lgamma_floor(4112.0)), (value, want)
+    assert d1 == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
+    assert d2 == pytest.approx(tilted_covariance(log_terms, [n])[0, 0], rel=rtol)
+    assert strides == [8.0, 16.0, 32.0]
+    assert set(reads) == {1, 64}, reads  # 64 samples a row, then the first term of its window
+
+
 def test_stride_is_one_for_a_flat_or_non_finite_slope():
     # log ratios at peak -+ d per row: flat, NaN, falling to -inf, rising, and
     # a bell of width sigma = sqrt(2 * 1000 / 2e-3) = 1000
@@ -585,7 +639,7 @@ def test_stride_is_one_for_a_flat_or_non_finite_slope():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = special._strides(lambda i, n: ends, np.arange(5), peak)
-    np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 1.0, 128.0])
+    np.testing.assert_array_equal(got, [1.0, 1.0, 1.0, 1.0, 256.0])
 
 
 # Second derivatives: the tilted covariance of the scores, centred on their
