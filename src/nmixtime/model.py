@@ -192,6 +192,7 @@ class SiteRecord:
     times: tuple[np.ndarray, ...] = ()
 
     def __init__(self, site: int, counts, times=None):
+        _numbers(counts, "counts")  # booleans and what is no number are refused by name
         y = np.asarray(counts, dtype=np.int64).copy()
         if y.ndim != 1:
             raise ValueError("counts must be one-dimensional")
@@ -201,7 +202,7 @@ class SiteRecord:
         else:
             if len(times) != n_occ:
                 raise ValueError(f"times must have one entry per occasion ({n_occ}), got {len(times)}")
-            ts = tuple(_readonly(np.asarray(t, dtype=float).copy()) for t in times)
+            ts = tuple(_readonly(_numbers(t, "times").copy()) for t in times)
         _assign(self, site=int(site), counts=_readonly(y), times=ts)
 
 
@@ -377,8 +378,8 @@ class Parameterization:
         for name, arr in (("log_lambda", ll), ("log_rate", lr)):
             if np.any(np.isnan(arr)) or np.any(arr == np.inf):
                 raise ValueError(f"{name} entries must not be NaN or +inf")
-        x = None if site_covariates is None else np.asarray(site_covariates, dtype=float).copy()
-        z = None if rate_covariates is None else np.asarray(rate_covariates, dtype=float).copy()
+        x = None if site_covariates is None else _numbers(site_covariates, "site_covariates").copy()
+        z = None if rate_covariates is None else _numbers(rate_covariates, "rate_covariates").copy()
         if x is not None:
             if x.ndim != 2:
                 raise ValueError("site_covariates must be a (n_sites, p) matrix")

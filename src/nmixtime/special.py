@@ -3,14 +3,16 @@
 The Poisson moments, detection-history expectations and hypergeometric
 series overflow double precision long before the model sizes of interest,
 so everything works on log scale. All three series are positive and
-log-concave; one summer adds them up around their largest term. A row
-whose peak lies far from the series' start sums every k-th exact term
-times k, k in (sigma / 4, sigma / 2] for a bell of width sigma: by Poisson
+log-concave; one summer adds them up around their largest term. Each
+starts from a 32-term window, but one log ratio per row at its last index,
+read first, sends a row still rising there straight to its peak. So a row
+whose peak lies far from the series' start sums one window: every k-th exact
+term times k, k in (sigma / 4, sigma / 2] for a bell of width sigma. By Poisson
 summation the aliasing error is ~exp(-2 pi^2 sigma^2 / k^2) <= exp(-79)
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Review 56 (2014) 385-458), so such a row sums at most 64 exact terms,
-64 k indices (at least +-8 sigma) around the peak, whatever the peak. 32
-samples would span +-4 sigma, or at twice the stride alias by up to
+SIAM Review 56 (2014) 385-458), so the window reads 64 exact terms, the first
+its anchor, 64 k indices (at least +-8 sigma) around the peak, whatever the
+peak. 32 samples would span +-4 sigma, or at twice the stride alias by up to
 exp(-2 pi^2) ~ 3e-9, above eps. The bound of 2^32 on the peak index limits the
 precision of the terms (~eps n log n), not the cost.
 
@@ -187,9 +189,11 @@ def _below_10(x):
 _LG_WHOLE = np.append(np.nan, _log_gamma(np.arange(1.0, 4096.0), *np.empty((3, 4095))))
 
 
+# A series starts with _START terms: a mean or argument up to ~5 in one pass.
 # A window placed around a peak spans 16 sqrt(peak) terms (~8 SD each side);
 # one strided at k > 1 (see _strides) is cut to 64 exact terms, 64 k > 16
 # sigma indices. At most _BLOCK window terms are evaluated at once.
+_START = 32
 _SPREAD = 16.0
 _BLOCK = 2**16
 _LOG_TOL = math.log(1e-13)
@@ -239,12 +243,13 @@ def _strides(log_ratio, rows, peak):
 
 def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, q):
     """Per row: window log-sum relative to its first term, left and right tail
-    bounds relative to that sum (NaN or +inf: none yet), last log ratio, and
+    bounds relative to that sum (NaN or +inf: none yet), last log ratio, the
+    exact log of the first term of a strided window (NaN at stride 1), and
     the term-weighted means and covariance of the q scores over the window
     (both None without ``scores``). Rows of equal width and stride go
     together, one column each; no operation mixes columns."""
-    out = np.empty((4, todo.size))
-    out[1] = NEG_INF
+    out = np.empty((5, todo.size))
+    out[1], out[4] = NEG_INF, np.nan
     tilted = cov = None
     widths, strides = width[todo], stride[todo]
     if strides.max() > 1.0:
@@ -271,6 +276,7 @@ def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, q):
                 # the log ratios before the window and at its last sample
                 n = edge + np.arange(0.0, w, k)[:, None]
                 log_t = log_term(rows, n)
+                out[4, part] = log_t[0]
                 log_t = log_t - log_t[0]
                 before, last = log_ratio(rows, np.stack([edge - 1.0, n[-1]]))
             # going left the ratios only grow, so 1/ratio(lo - 1) bounds the left tail
@@ -294,7 +300,7 @@ def _windows(todo, start, lo, width, stride, log_ratio, log_term, scores, q):
                 dev = np.swapaxes(s - tilted[:, part, None], 0, 1)
                 cov[part] = (dev * terms[:, None]) @ np.swapaxes(dev, 1, 2) / mass[:, None, None]
             del terms  # not held while the next part builds its arrays: peak memory
-    return out[0], out[1] - out[0], out[2] - out[0], out[3], tilted, cov
+    return out[0], out[1] - out[0], out[2] - out[0], out[3], out[4], tilted, cov
 
 
 def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
@@ -305,16 +311,18 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     in n, both at (w, k) or (w, 1) indices, one column per row.
     Each row log-sum-exps a window, ``first`` terms from ``start`` at first,
     doubled until the geometric bounds on both tails are below 1e-13 of the
-    sum. A window still rising at its end moves around the row's peak, found
-    by galloping and bisecting on the sign of the ratio, and spans
-    16 sqrt(peak) indices. Clear of ``start``, it sums every k-th exact term
-    times k, with k ~ sigma / 2 for a bell of width sigma (see _strides): the
-    aliasing error is at most exp(-79). Cut to 64 k > 16 sigma indices (32
-    samples would span +-4 sigma), such a window costs at most 64 exact
-    terms. A window that grows back to ``start`` sums every term again. Raises
-    SeriesConvergenceError for a row still rising 2^32 terms on; that bound
-    limits the precision of the terms (their lgamma floor, ~eps n log n),
-    not the cost.
+    sum. A row whose log ratio at that window's last index, read once before
+    any window, is still positive, and a window rising at its end, move around
+    the row's peak, found by galloping and bisecting on the sign of the ratio,
+    and span 16 sqrt(peak) indices. Each pass places, sums one window per row,
+    checks the tails and grows.
+    Clear of ``start``, a window sums every k-th exact term times k, with
+    k ~ sigma / 2 for a bell of width sigma (see _strides): the aliasing error
+    is at most exp(-79). Cut to 64 k > 16 sigma indices (32 samples would span
+    +-4 sigma), it reads 64 exact terms, the first its anchor. A window that
+    grows back to ``start`` sums every term again. Raises SeriesConvergenceError,
+    with the start window's log-sum, for a row still rising 2^32 terms on; that
+    bound limits the precision of the terms (~eps n log n), not the cost.
 
     With ``scores(rows, n)``, which gives q per-term scores s_n as a (q, ...)
     array broadcasting with ``n``, also returns the (q, rows) tilted means
@@ -331,28 +339,15 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
     todo = np.arange(log_first.size)
     q = 0 if scores is None else len(scores(todo[:0], np.zeros((1, 0))))
     means, covs = np.empty((q, log_first.size)), np.empty((log_first.size, q, q))
+    rising = log_ratio(todo, np.full((1, todo.size), start + first - 1.0))[0] > 0.0
     while todo.size:
-        rel, left, right, last, tilted, cov = _windows(
-            todo, start, lo, width, stride, log_ratio, log_term, scores, q
-        )
-        left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
-        done = left_ok & right_ok
-        rows, moved = todo[done], lo[todo[done]] > start
-        out[rows] = log_first[rows] + rel[done]
-        if scores is not None:
-            means[:, rows], covs[rows] = tilted[:, done], cov[done]
-        if moved.any():
-            rows = rows[moved]
-            out[rows] = log_term(rows, lo[rows][None])[0] + rel[done][moved]
-        if done.all():
-            break
-        rising = last > 0.0
         if rising.any():
             rows = todo[rising]
             peak = _peaks(log_ratio, rows, lo[rows] + width[rows] - 1.0)
             k = np.isinf(peak).argmax()
             if np.isinf(peak[k]):
-                raise SeriesConvergenceError("series peak past 2^32 terms", float(log_first[rows[k]] + rel[rising][k]), first)
+                rel = _windows(rows[k : k + 1], start, lo, width, stride, log_ratio, log_term, None, 0)[0]
+                raise SeriesConvergenceError("series peak past 2^32 terms", float(log_first[rows[k]] + rel[0]), first)
             width[rows] = first * 2.0 ** np.ceil(np.log2(np.maximum(1.0, _SPREAD * np.sqrt(peak) / first)))
             lo[rows] = np.maximum(start, peak - width[rows] / 2)
             # a window truncated at start is no smooth bell: it keeps stride 1;
@@ -362,14 +357,31 @@ def _log_series_sum(start, first, log_first, log_ratio, log_term, scores=None):
             stride[rows] = k = _strides(log_ratio, rows, peak)
             width[rows] = np.where(k > 1.0, np.minimum(width[rows], 64.0 * k), width[rows])
             lo[rows] = peak - width[rows] / 2
-        # double the rest: to the right, to the left, or by half on each side
+        rel, left, right, last, anchor, tilted, cov = _windows(
+            todo, start, lo, width, stride, log_ratio, log_term, scores, q
+        )
+        left_ok, right_ok = left < _LOG_TOL, right < _LOG_TOL
+        done = left_ok & right_ok
+        rows, moved = todo[done], lo[todo[done]] > start
+        # log t_lo: given at start, read with a strided window, else taken here
+        base = np.where(moved, anchor[done], log_first[rows])
+        exact = moved & (stride[rows] == 1.0)
+        if exact.any():
+            base[exact] = log_term(rows[exact], lo[rows[exact]][None])[0]
+        out[rows] = base + rel[done]
+        if scores is not None:
+            means[:, rows], covs[rows] = tilted[:, done], cov[done]
+        if done.all():
+            break
+        # double the rest, not those rising: right, left or by half on each side
+        rising = last > 0.0
         grow = ~done & ~rising
         rows = todo[grow]
         shift = np.where(left_ok[grow], 0.0, np.where(right_ok[grow], 1.0, 0.5)) * width[rows]
         lo[rows] = np.maximum(start, lo[rows] - shift)
         width[rows] *= 2.0
         stride[rows[lo[rows] == start]] = 1.0  # grown back to start: no smooth bell
-        todo = todo[~done]
+        todo, rising = todo[~done], rising[~done]
     return out if scores is None else (out, means, covs)
 
 
@@ -409,13 +421,13 @@ def log_poisson_raw_moment(m, log_mu, score: bool = False):
     def log_term(i, n):
         return order[i] * np.log(n) + n * log_mu[i] - log_gamma(n + 1.0) - safe_exp(log_mu[i])
 
-    # 32 terms cover mu up to ~5 at the small orders of binary histories
+    # the start window covers mu up to ~5 at the small orders of binary histories
     first = log_mu - safe_exp(log_mu)
     if not score:
-        out.flat[rows] = _log_series_sum(1, 32, first, log_ratio, log_term)
+        out.flat[rows] = _log_series_sum(1, _START, first, log_ratio, log_term)
         return float(out) if out.ndim == 0 else out
     d_log_mu, d2_log_mu = np.where(m == 0, 0.0, 1.0), np.zeros(out.shape)
-    out.flat[rows], (mean,), cov = _log_series_sum(1, 32, first, log_ratio, log_term, _index)
+    out.flat[rows], (mean,), cov = _log_series_sum(1, _START, first, log_ratio, log_term, _index)
     d_log_mu.flat[rows] = mean - safe_exp(log_mu)
     d2_log_mu.flat[rows] = cov[:, 0, 0] - safe_exp(log_mu)
     derivs = (out, d_log_mu, d2_log_mu)
@@ -475,12 +487,12 @@ def log_poisson_detection_moment(w, log_mu, score: bool = False):
 
     # e^{n w} overflows to +inf for large exposures, where the step is log1p(0)
     with np.errstate(over="ignore"):
-        # 16 terms cover mu up to ~1 at once; larger means move to the peak
+        # the start window covers mu up to ~6 at once; larger means move to the peak
         first = log_term(np.arange(rows.size), np.ones((1, rows.size)))[0]
         if not score:
-            out[rows] = _log_series_sum(1, 16, first, log_ratio, log_term)
+            out[rows] = _log_series_sum(1, _START, first, log_ratio, log_term)
             return float(out[0]) if scalar else out
-        out[rows], means, cov = _log_series_sum(1, 16, first, log_ratio, log_term, scores)
+        out[rows], means, cov = _log_series_sum(1, _START, first, log_ratio, log_term, scores)
     d = hit.shape[1]
     d_log_mu, d_w = np.full(out.shape, np.nan), np.full((out.size, d), np.nan)
     d_log_mu[rows] = means[0] - safe_exp(log_mu)
@@ -544,12 +556,12 @@ def log_pfq_equal_order(a, b, z, score: bool = False):
         pochhammer = log_gamma(up + m) - lg_up[i] - log_gamma(low + m) + lg_low[i]
         return pochhammer.sum(axis=-1) + n * log_z[i] - log_gamma(n + 1.0)
 
-    # 16 terms cover z up to ~1 with a few unit-sized parameter gaps
+    # the start window covers z up to ~5 with a few unit-sized parameter gaps
     if not score:
-        out[rows] = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term)
+        out[rows] = _log_series_sum(0, _START, np.zeros(rows.size), log_ratio, log_term)
         return out if a.ndim == 2 else float(out[0])
     d_log_z, d2_log_z = np.zeros(z.shape), np.zeros(z.shape)
-    out[rows], (d_log_z[rows],), cov = _log_series_sum(0, 16, np.zeros(rows.size), log_ratio, log_term, _index)
+    out[rows], (d_log_z[rows],), cov = _log_series_sum(0, _START, np.zeros(rows.size), log_ratio, log_term, _index)
     d2_log_z[rows] = cov[:, 0, 0]
     derivs = (out, d_log_z, d2_log_z)
     return derivs if a.ndim == 2 else tuple(float(x[0]) for x in derivs)

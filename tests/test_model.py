@@ -247,6 +247,46 @@ def test_values_that_are_no_numbers_are_refused_by_name(build, name):
 
 
 @pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Parameterization([1.0], 0.0, site_covariates=[[True], [False]]), "site_covariates"),
+        (lambda: Parameterization(0.0, [1.0], rate_covariates=np.ones((2, 2, 1), dtype=bool)), "rate_covariates"),
+        (lambda: SiteRecord(0, [True, 2]), "counts"),
+        (lambda: SiteRecord(0, np.array([1, 0], dtype=bool)), "counts"),
+        (lambda: SiteRecord(0, [1, 1], [[0.5, np.True_], []]), "times"),
+    ],
+    ids=["site covariates", "rate covariates", "a count", "bool counts", "a time"],
+)
+def test_booleans_in_covariates_and_site_records_are_refused(build, name):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{name} must hold numbers, not true or false"
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Parameterization([1.0], 0.0, site_covariates=[["tall"], ["short"]]), "site_covariates"),
+        (lambda: Parameterization(0.0, [1.0], rate_covariates=[[[1.0]], [[1.0, 2.0]]]), "rate_covariates"),
+        (lambda: SiteRecord(0, ["two", 1]), "counts"),
+        (lambda: SiteRecord(0, [1], [["early"]]), "times"),
+    ],
+    ids=["site covariates", "ragged rate covariates", "a count", "a time"],
+)
+def test_covariates_and_site_records_that_are_no_numbers_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must hold numbers: "):
+        build()
+
+
+def test_numeric_covariates_and_site_records_keep_their_values():
+    p = Parameterization([1.0], 0.0, site_covariates=np.array([[2], [3]]))
+    assert p.site_covariates.dtype == float and p.site_covariates.tolist() == [[2.0], [3.0]]
+    record = SiteRecord(0, np.array([2, 0]), [[0.25, 0.5], []])
+    assert record.counts.dtype == np.int64 and record.counts.tolist() == [2, 0]
+    assert [t.tolist() for t in record.times] == [[0.25, 0.5], []]
+
+
+@pytest.mark.parametrize(
     "counts, times, message",
     [
         ([[1, 2]], None, "counts must be one-dimensional"),

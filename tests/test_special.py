@@ -1,4 +1,5 @@
 """Special-function checks against enumeration and direct summation."""
+import itertools
 import math
 import sys
 import warnings
@@ -407,9 +408,11 @@ def lgamma_floor(peak):
     return EPS * peak * math.log(peak)
 
 
-def term_reads(monkeypatch):
+def term_reads(monkeypatch, ratios=None):
     """Record, per call, how many indices a row's exact log terms are read at:
-    1 for the first term of a window, more for a window sampled at a stride."""
+    1 for the first term of a window moved at stride 1, more for a window
+    sampled at a stride. With a list ``ratios``, also record there the shape
+    of the indices each log ratio call reads."""
     reads = []
     real = special._log_series_sum
 
@@ -418,7 +421,11 @@ def term_reads(monkeypatch):
             reads.append(np.shape(n)[0])
             return log_term(rows, n)
 
-        return real(start, first, log_first, log_ratio, counted, *scores)
+        def counted_ratio(rows, n):
+            ratios.append(np.shape(n))
+            return log_ratio(rows, n)
+
+        return real(start, first, log_first, log_ratio if ratios is None else counted_ratio, counted, *scores)
 
     monkeypatch.setattr(special, "_log_series_sum", counted_sum)
     return reads
@@ -450,7 +457,7 @@ def test_far_peaks_match_direct_sums_of_exact_terms(peak, monkeypatch):
     want = float(logsumexp(log_terms))
     assert abs(value - want) <= max(1e-12 * abs(want), floor), (value, want)
     assert d_log_z == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
-    assert min(reads) == 1 and max(reads) > 1  # the windows were sampled at a stride
+    assert set(reads) == {64}, reads  # one strided window a row, its first term the anchor
 
 
 def test_rows_mixing_strided_unstrided_and_empty_match_single_calls(monkeypatch):
@@ -628,7 +635,56 @@ def test_the_widest_stride_keeps_far_peaks_exact(monkeypatch):
     assert d1 == pytest.approx(tilted_mean(log_terms, n), rel=1e-10)
     assert d2 == pytest.approx(tilted_covariance(log_terms, [n])[0, 0], rel=rtol)
     assert strides == [8.0, 16.0, 32.0]
-    assert set(reads) == {1, 64}, reads  # 64 samples a row, then the first term of its window
+    assert set(reads) == {64}, reads  # 64 samples a row, the first of them the anchor
+
+
+@pytest.mark.parametrize("score", [False, True])
+def test_far_peak_rows_sum_no_start_window(score, monkeypatch):
+    # one log ratio a row at the start window's last index sends each row
+    # straight to the peak search, which gallops 33 indices on; each row then
+    # reads one strided window of 64 samples and nothing more
+    ratios = []
+    reads = term_reads(monkeypatch, ratios)
+    peaks = np.array([1e3, 1e5, 1e7])
+    w = np.array([0.5, 2.0, 9.0]) / peaks[:, None]
+    a, b = np.tile([5.0, 12.0], (3, 1)), np.tile([1.0, 3.0], (3, 1))
+    calls = [
+        lambda: log_poisson_raw_moment(np.array([1, 3, 1]), np.log(peaks), score=score),
+        lambda: log_poisson_detection_moment(w, np.log(peaks), score=score),
+        lambda: log_pfq_equal_order(a, b, peaks, score=score),
+    ]
+    for call in calls:
+        ratios.clear()
+        reads.clear()
+        call()
+        assert ratios[:2] == [(1, 3), (33, 3)], ratios
+        assert reads == [64, 64, 64], reads
+
+
+def test_field_scale_series_sum_one_window(monkeypatch):
+    # lambda = 3 and h = 0.5 over unit search times: the Binary:M detection
+    # moments of histories detected on 1 to 8 of 8 occasions, and the Count:M
+    # pFq rows of every 4-occasion count pattern up to a largest count of 8
+    passes = []
+    real = special._windows
+
+    def counted(*args):
+        passes.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(special, "_windows", counted)
+    detected = np.arange(1, 9)
+    w = np.where(np.arange(8) < detected[:, None], 0.5, np.inf)
+    log_mu = math.log(3.0) - 0.5 * (8 - detected)
+    patterns = [(top, y) for top in range(1, 9) for y in itertools.combinations_with_replacement(range(top + 1), 3)]
+    upper = np.array([[top + 1.0] * 3 for top, _ in patterns])
+    lower = np.array([[top - k + 1.0 for k in y] for top, y in patterns])
+    z = np.full(len(patterns), 3.0 * math.exp(-2.0))
+    for score in (False, True):
+        passes.clear()
+        log_poisson_detection_moment(w, log_mu, score=score)
+        log_pfq_equal_order(upper, lower, z, score=score)
+        assert passes == [detected.size, z.size], passes
 
 
 def test_stride_is_one_for_a_flat_or_non_finite_slope():
